@@ -6,8 +6,9 @@ under ``--out``); messages go to stderr. Exit codes: 0 success, 2 usage or
 configuration error, 3 numerical/domain error. Every run is a pure function
 of its flags: seeds default to a fixed constant, never the clock.
 
-A ``--config file.json`` may supply any long-flag value by name (hyphens as
-underscores); explicit flags win, unknown keys are rejected.
+A ``--config file.json`` may supply any long-flag value by name (hyphens or
+underscores); explicit flags win, unknown keys are rejected, and each value is
+checked like its flag.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from pathlib import Path
 import numpy as np
 
 from . import diagnostics, estimators, experiments, extremal, serialize, simulate, theory
-from .distributions import InnovationSpec
 from .errors import ConfigurationError, DomainError, NoRootError, SimulationError, TailSeriesError
 from .rng import RngState
 
@@ -44,19 +44,27 @@ def _read_series(path: str) -> np.ndarray:
             raise ConfigurationError(f"no 'x' column in {path} header {header}")
         col, start = header.index("x"), 1
     try:
-        return np.array([float(line.split(",")[col]) for line in text[start:]])
+        series = np.array([float(line.split(",")[col]) for line in text[start:]])
     except (ValueError, IndexError) as exc:
         raise ConfigurationError(f"cannot parse {path}: {exc}")
+    bad = np.flatnonzero(~np.isfinite(series))
+    if bad.size:
+        line = bad[0] + start
+        raise ConfigurationError(f"non-finite value in {path} line {line + 1}: {text[line]!r}")
+    return series
 
 
 def _load_json_file(path: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except FileNotFoundError:
         raise ConfigurationError(f"file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"invalid JSON in {path}: {exc}")
+    if not isinstance(data, dict):
+        raise ConfigurationError(f"{path} must hold a JSON object")
+    return data
 
 
 def _emit(payload: dict, out: str | None):
@@ -71,11 +79,7 @@ def _emit(payload: dict, out: str | None):
 
 
 def _cmd_simulate(args) -> int:
-    model_obj = args.model
-    if isinstance(model_obj, str):
-        model_obj = _load_json_file(model_obj)
-    if model_obj is None:
-        raise ConfigurationError("a model is required (--model file.json)")
+    model_obj = _load_json_file(args.model) if isinstance(args.model, str) else args.model
     model = simulate.SeriesModel.from_json(model_obj)
     series = simulate.simulate_series(model, args.n, RngState(args.seed))
     csv = serialize.dump_csv(["t", "x"], zip(range(1, args.n + 1), series))
@@ -147,7 +151,7 @@ def _cmd_theory(args) -> int:
 
 def _cmd_extremal(args) -> int:
     driver = simulate.SREDriver.from_json(_load_json_file(args.driver))
-    kappa = simulate.solve_kappa(driver) if args.kappa == "auto" else float(args.kappa)
+    kappa = simulate.solve_kappa(driver) if args.kappa == "auto" else args.kappa
     ensemble = simulate.simulate_walks(driver, kappa, args.horizon, args.paths,
                                        RngState(args.seed))
     payload = {"schema_version": serialize.SCHEMA_VERSION, "quantity": args.quantity,
@@ -170,10 +174,9 @@ def _cmd_extremal(args) -> int:
         payload.update({"variance": result.variance, "stderr": result.stderr,
                         "tail_bound": result.tail_bound})
     else:  # joint
-        thresholds = tuple(float(v) for v in args.x.split(","))
-        query = extremal.JointExceedanceQuery(x=thresholds, mode=args.mode)
+        query = extremal.JointExceedanceQuery(x=args.x, mode=args.mode)
         limit, se = extremal.joint_exceedance(ensemble, query)
-        payload.update({"x": list(thresholds), "mode": args.mode,
+        payload.update({"x": list(args.x), "mode": args.mode,
                         "limit": limit, "stderr": se})
     _emit(payload, args.out)
     return 0
@@ -217,140 +220,140 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
-# --- parser and dispatch ----------------------------------------------------
+# --- option table -----------------------------------------------------------
+# One row per option: (name, type, default, help). A type is int, float, str,
+# bool, a list of choices, or a parser function whose docstring says what it takes.
+
+REQUIRED = object()  # default of an option that must be given
+
+
+def _convert(kind, value):
+    """``value``, a flag string or a JSON value from --config, as ``kind``."""
+    if isinstance(kind, list) or kind in (str, bool):
+        if value in kind if isinstance(kind, list) else isinstance(value, kind):
+            return value
+    elif kind in (int, float):
+        if isinstance(value, (str, int, float)) and not isinstance(value, bool):
+            number = kind(value)
+            if isinstance(value, str) or number == value:  # an int takes no fraction
+                return number
+    else:
+        return kind(value)
+    raise ValueError(value)
+
+
+def _kappa(value):
+    """'auto' or a positive number"""
+    kappa = value if value == "auto" else _convert(float, value)
+    if kappa != "auto" and not 0 < kappa < float("inf"):
+        raise ValueError(value)
+    return kappa
+
+
+def _thresholds(value):
+    """comma-separated numbers such as 1,1"""
+    return tuple(float(v) for v in _convert(str, value).split(","))
+
+
+def _model_source(value):
+    """a model JSON file (in --config, also the model object itself)"""
+    return value if isinstance(value, dict) else _convert(str, value)
+
+
+_SEED = ("seed", int, DEFAULT_SEED, "master seed")
+_INPUT = ("input", str, REQUIRED, "input CSV in simulate format")
+_OUT = ("out", str, None, "output JSON path (default stdout)")
+
+# subcommand -> (handler, help, positional (name, choices) or None, option rows)
+_COMMANDS = {
+    "simulate": (_cmd_simulate, "simulate a series to CSV (header t,x)", None, [
+        ("model", _model_source, REQUIRED, "model JSON file"),
+        ("n", int, 2000, "series length"),
+        _SEED,
+        ("out", str, None, "output CSV path (default stdout)")]),
+    "estimate": (_cmd_estimate, "tail/quantile estimate from a CSV series", None, [
+        _INPUT,
+        ("method", ["hill", "weissman-direct", "weissman-model"], REQUIRED, "estimator"),
+        ("k", int, REQUIRED, "number of upper order statistics"),
+        ("t", float, 0.001, "exceedance probability"),
+        ("abs", bool, False, "Hill step on absolute values"),
+        ("no-center", bool, False, "uncentered AR(1) fit"),
+        _OUT]),
+    "theory": (_cmd_theory, "closed-form tail quantities for AR(1)",
+               ("quantity", ["tail-ratio", "hill-avar", "rmse-ratio", "second-order"]), [
+        ("phi", float, REQUIRED, "AR(1) coefficient"),
+        ("gamma", float, REQUIRED, "extreme value index"),
+        ("p", float, 0.5, "right-tail balance"),
+        _OUT]),
+    "extremal": (_cmd_extremal, "extremal-dependence quantities of an SRE",
+                 ("quantity", ["theta", "cluster", "hill-avar", "joint"]), [
+        ("driver", str, REQUIRED, "driver JSON file"),
+        ("kappa", _kappa, "auto", _kappa.__doc__),
+        ("paths", int, 100_000, "Monte Carlo paths"),
+        ("horizon", int, 200, "walk horizon J"),
+        ("kmax", int, 20, "largest cluster size"),
+        ("x", _thresholds, None, "comma-separated thresholds for joint queries"),
+        ("mode", ["all", "some"], "all", "joint mode"),
+        _SEED,
+        _OUT]),
+    "diagnose": (_cmd_diagnose, "residual randomness tests on a CSV series", None, [
+        _INPUT,
+        ("tests", str, "tp,ds,lb", "comma list from tp,ds,lb"),
+        ("h", int, 20, "portmanteau lags"),
+        _OUT]),
+    "experiment": (_cmd_experiment, "run a named study preset",
+                   ("preset", list(experiments.PRESETS)), [
+        ("replicates", int, None, "Monte Carlo replicates"),
+        _SEED,
+        ("out", str, REQUIRED, "output directory"),
+        ("scale", ["desk", "paper"], "desk", "ground-truth protocol"),
+        ("workers", int, 1, "parallel workers")]),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="tailseries",
-        description="Extreme value analysis for heavy-tailed time series.")
+        prog="tailseries", description="Extreme value analysis for heavy-tailed time series.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sim = sub.add_parser("simulate", help="simulate a series to CSV (header t,x)")
-    sim.add_argument("--model", help="model JSON file")
-    sim.add_argument("--n", type=int, help="series length (default 2000)")
-    sim.add_argument("--seed", type=int, help=f"master seed (default {DEFAULT_SEED})")
-    sim.add_argument("--out", help="output CSV path (default stdout)")
-    sim.add_argument("--config", help="JSON file with flag values")
-
-    est = sub.add_parser("estimate", help="tail/quantile estimate from a CSV series")
-    est.add_argument("--input", help="input CSV (simulate format)")
-    est.add_argument("--method", choices=["hill", "weissman-direct", "weissman-model"])
-    est.add_argument("--k", type=int, help="number of upper order statistics")
-    est.add_argument("--t", type=float, help="exceedance probability (default 0.001)")
-    est.add_argument("--abs", action="store_true", default=None,
-                     help="Hill step on absolute values")
-    est.add_argument("--no-center", action="store_true", default=None,
-                     help="uncentered AR(1) fit")
-    est.add_argument("--out", help="output JSON path (default stdout)")
-    est.add_argument("--config", help="JSON file with flag values")
-
-    theo = sub.add_parser("theory", help="closed-form tail quantities for AR(1)")
-    theo.add_argument("quantity",
-                      choices=["tail-ratio", "hill-avar", "rmse-ratio", "second-order"])
-    theo.add_argument("--phi", type=float, help="AR(1) coefficient")
-    theo.add_argument("--gamma", type=float, help="extreme value index")
-    theo.add_argument("--p", type=float, help="right-tail balance (default 0.5)")
-    theo.add_argument("--out", help="output JSON path (default stdout)")
-    theo.add_argument("--config", help="JSON file with flag values")
-
-    ext = sub.add_parser("extremal", help="extremal-dependence quantities of an SRE")
-    ext.add_argument("quantity", choices=["theta", "cluster", "hill-avar", "joint"])
-    ext.add_argument("--driver", help="driver JSON file")
-    ext.add_argument("--kappa", help="'auto' or a positive number (default auto)")
-    ext.add_argument("--paths", type=int, help="Monte Carlo paths (default 100000)")
-    ext.add_argument("--horizon", type=int, help="walk horizon J (default 200)")
-    ext.add_argument("--kmax", type=int, help="largest cluster size (default 20)")
-    ext.add_argument("--x", help="comma-separated thresholds for joint queries")
-    ext.add_argument("--mode", choices=["all", "some"], help="joint mode (default all)")
-    ext.add_argument("--seed", type=int, help=f"master seed (default {DEFAULT_SEED})")
-    ext.add_argument("--out", help="output JSON path (default stdout)")
-    ext.add_argument("--config", help="JSON file with flag values")
-
-    dia = sub.add_parser("diagnose", help="residual randomness tests on a CSV series")
-    dia.add_argument("--input", help="input CSV (simulate format)")
-    dia.add_argument("--tests", help="comma list from tp,ds,lb (default all)")
-    dia.add_argument("--h", type=int, help="portmanteau lags (default 20)")
-    dia.add_argument("--out", help="output JSON path (default stdout)")
-    dia.add_argument("--config", help="JSON file with flag values")
-
-    exp = sub.add_parser("experiment", help="run a named study preset")
-    exp.add_argument("preset", choices=list(experiments.PRESETS))
-    exp.add_argument("--replicates", type=int, help="Monte Carlo replicates")
-    exp.add_argument("--seed", type=int, help=f"master seed (default {DEFAULT_SEED})")
-    exp.add_argument("--out", help="output directory (required)")
-    exp.add_argument("--scale", choices=["desk", "paper"], help="ground-truth protocol")
-    exp.add_argument("--workers", type=int, help="parallel workers (default 1)")
-    exp.add_argument("--config", help="JSON file with flag values")
+    for command, (_, text, positional, options) in _COMMANDS.items():
+        cmd = sub.add_parser(command, help=text)
+        if positional:
+            cmd.add_argument(positional[0], choices=positional[1])
+        for name, kind, default, text in options:
+            if default is not None and kind is not bool:
+                text += " (required)" if default is REQUIRED else f" (default {default})"
+            extra = ({"action": "store_true", "default": None} if kind is bool else
+                     {"metavar": "{" + ",".join(kind) + "}"} if isinstance(kind, list) else {})
+            cmd.add_argument("--" + name, help=text, **extra)
+        cmd.add_argument("--config", help="JSON file with flag values")
     return parser
 
 
-_DEFAULTS = {
-    "simulate": {"n": 2000, "seed": DEFAULT_SEED, "out": None, "model": None},
-    "estimate": {"t": 0.001, "abs": False, "no_center": False, "out": None,
-                 "input": None, "method": None, "k": None},
-    "theory": {"p": 0.5, "phi": None, "gamma": None, "out": None},
-    "extremal": {"kappa": "auto", "paths": 100_000, "horizon": 200, "kmax": 20,
-                 "x": None, "mode": "all", "seed": DEFAULT_SEED, "out": None,
-                 "driver": None},
-    "diagnose": {"tests": "tp,ds,lb", "h": 20, "out": None, "input": None},
-    "experiment": {"replicates": None, "seed": DEFAULT_SEED, "out": None,
-                   "scale": "desk", "workers": 1},
-}
-
-_REQUIRED = {
-    "simulate": ["model"],
-    "estimate": ["input", "method", "k"],
-    "theory": ["phi", "gamma"],
-    "extremal": ["driver"],
-    "diagnose": ["input"],
-    "experiment": ["out"],
-}
-
-_COERCE = {
-    "simulate": {"n": int, "seed": int},
-    "estimate": {"k": int, "t": float, "abs": bool, "no_center": bool},
-    "theory": {"phi": float, "gamma": float, "p": float},
-    "extremal": {"paths": int, "horizon": int, "kmax": int, "seed": int},
-    "diagnose": {"h": int},
-    "experiment": {"seed": int, "workers": int},
-}
-
-_HANDLERS = {
-    "simulate": _cmd_simulate, "estimate": _cmd_estimate, "theory": _cmd_theory,
-    "extremal": _cmd_extremal, "diagnose": _cmd_diagnose, "experiment": _cmd_experiment,
-}
-
-
 def _merge_config(args) -> None:
-    defaults = _DEFAULTS[args.command]
-    if getattr(args, "config", None):
-        cfg = _load_json_file(args.config)
-        known = set(defaults)
-        for key, value in cfg.items():
-            dest = key.replace("-", "_")
-            if dest not in known:
-                raise ConfigurationError(f"unknown config key {key!r} for "
-                                         f"{args.command}; known: {sorted(known)}")
-            if getattr(args, dest, None) is None:
-                setattr(args, dest, value)
-    for dest, value in defaults.items():
-        if getattr(args, dest, None) is None:
-            setattr(args, dest, value)
-    for dest, kind in _COERCE[args.command].items():
-        value = getattr(args, dest, None)
-        if value is not None:
+    """Set each option from its flag, else its --config value, else its default."""
+    options = _COMMANDS[args.command][3]
+    config = _load_json_file(args.config) if args.config else {}
+    config = {key.replace("_", "-"): value for key, value in config.items()}
+    known = sorted(name for name, *_ in options)
+    if set(config) - set(known):
+        raise ConfigurationError(f"unknown config key(s) {sorted(set(config) - set(known))} "
+                                 f"for {args.command}; known: {known}")
+    missing = []
+    for name, kind, default, _ in options:
+        dest = name.replace("-", "_")
+        value = next((v for v in (getattr(args, dest), config.get(name)) if v is not None), default)
+        if value is REQUIRED:
+            missing.append("--" + name)
+        elif value is not None:
             try:
-                setattr(args, dest, kind(value))
-            except (TypeError, ValueError):
-                raise ConfigurationError(f"option {dest!r} must be a {kind.__name__}, "
-                                         f"got {value!r}")
-    missing = [name for name in _REQUIRED[args.command]
-               if getattr(args, name, None) is None]
+                setattr(args, dest, _convert(kind, value))
+            except (ValueError, OverflowError):
+                what = ("one of " + ", ".join(kind) if isinstance(kind, list) else
+                        kind.__name__ if kind in (int, float, str, bool) else kind.__doc__)
+                raise ConfigurationError(f"--{name} must be {what}, got {value!r}") from None
     if missing:
         raise ConfigurationError(
-            f"missing required option(s) for {args.command}: "
-            + ", ".join("--" + m.replace("_", "-") for m in missing))
+            f"missing required option(s) for {args.command}: " + ", ".join(missing))
     if args.command == "extremal" and args.quantity == "joint" and args.x is None:
         raise ConfigurationError("joint queries need --x, e.g. --x 1,1")
 
@@ -363,16 +366,13 @@ def parse_and_dispatch(argv) -> int:
         return int(exc.code or 0)
     try:
         _merge_config(args)
-        return _HANDLERS[args.command](args)
-    except ConfigurationError as exc:
+        return _COMMANDS[args.command][0](args)
+    except (ConfigurationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (DomainError, SimulationError, NoRootError, TailSeriesError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 def main() -> None:

@@ -477,13 +477,17 @@ def run_preset(name: str, out_dir, replicates: int | None = None,
         raise ConfigurationError(f"unknown preset {name!r}; choose from {PRESETS}")
     if scale not in TRUTH_PROTOCOL:
         raise ConfigurationError("scale must be 'desk' or 'paper'")
+    if replicates is None:
+        replicates = 2000 if name == "power" else 500
+    if replicates < 1:
+        raise ConfigurationError(f"replicates must be >= 1, got {replicates}")
     out = Path(out_dir)
     if name in ("table1", "figure1"):
-        return _quantile_study(True, out, replicates or 500, seed, scale, workers)
+        return _quantile_study(True, out, replicates, seed, scale, workers)
     if name in ("table2", "figure3"):
-        return _quantile_study(False, out, replicates or 500, seed, scale, workers)
+        return _quantile_study(False, out, replicates, seed, scale, workers)
     if name == "figure4":
-        return _density_study(out, replicates or 500, seed, scale, workers)
+        return _density_study(out, replicates, seed, scale, workers)
     if name == "figure2-scatter":
         return _scatter_study(out, seed)
-    return _power_study(out, replicates or 2000, seed)
+    return _power_study(out, replicates, seed)

@@ -110,6 +110,14 @@ class TestEstimate:
                                      "--config", str(cfg), "--k", "50"])
         assert override["k"] == 50
 
+    def test_config_key_spellings(self, capsys, tmp_path, series_file):
+        argv = ["estimate", "--input", series_file, "--method", "weissman-model", "--k", "100"]
+        via_flag = run_json(capsys, argv + ["--no-center"])
+        for key in ("no-center", "no_center"):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({key: True}))
+            assert run_json(capsys, argv + ["--config", str(cfg)]) == via_flag
+
     def test_unknown_config_key_rejected(self, tmp_path, series_file):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"method": "hill", "k": 10, "bandwidth": 3}))
@@ -225,3 +233,50 @@ def test_console_script_runs():
 
 def test_help_exits_zero():
     assert parse_and_dispatch(["--help"]) == 0
+
+
+def test_every_subcommand_help_lists_config(capsys):
+    for command in ("simulate", "estimate", "theory", "extremal", "diagnose", "experiment"):
+        assert parse_and_dispatch([command, "--help"]) == 0
+        assert "--config" in capsys.readouterr().out
+
+
+# Each entry: argv ({series}, {nan_series}, {driver}, {tmp} are filled in) and
+# a --config object, or None for no config file.
+BAD_INPUTS = {
+    "config-unknown-method": (["estimate", "--input", "{series}", "--k", "50"],
+                              {"method": "bogus"}),
+    "config-bool-as-string": (["estimate", "--input", "{series}", "--method", "hill",
+                               "--k", "50"], {"abs": "false"}),
+    "config-fractional-int": (["estimate", "--input", "{series}", "--method", "hill"],
+                              {"k": 100.7}),
+    "config-bool-as-int": (["estimate", "--input", "{series}", "--method", "hill"],
+                           {"k": True}),
+    "config-x-as-list": (["extremal", "joint", "--driver", "{driver}"], {"x": [1, 1]}),
+    "config-tests-as-list": (["diagnose", "--input", "{series}"], {"tests": ["tp"]}),
+    "kappa-not-a-number": (["extremal", "theta", "--driver", "{driver}", "--kappa", "abc"],
+                           None),
+    "estimate-nan-row": (["estimate", "--input", "{nan_series}", "--method", "hill",
+                          "--k", "10"], None),
+    "diagnose-nan-row": (["diagnose", "--input", "{nan_series}"], None),
+    "zero-replicates": (["experiment", "power", "--out", "{tmp}/power", "--replicates", "0"],
+                        None),
+}
+
+
+@pytest.mark.parametrize("argv, config", BAD_INPUTS.values(), ids=list(BAD_INPUTS))
+def test_bad_input_exits_2(capsys, tmp_path, series_file, driver_file, argv, config):
+    lines = open(series_file).read().splitlines()
+    lines[10] = lines[10].split(",")[0] + ",nan"
+    nan_series = tmp_path / "nan.csv"
+    nan_series.write_text("\n".join(lines) + "\n")
+    argv = [a.format(series=series_file, nan_series=nan_series, driver=driver_file,
+                     tmp=tmp_path) for a in argv]
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv += ["--config", str(cfg)]
+    assert parse_and_dispatch(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not (tmp_path / "power").exists()
