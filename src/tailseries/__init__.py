@@ -9,7 +9,6 @@ random walk.
 
 from .distributions import (
     InnovationSpec,
-    constant_innovations,
     cdf_fn,
     quantile_fn,
     sample,

@@ -307,7 +307,7 @@ _COMMANDS = {
         _SEED,
         ("out", str, REQUIRED, "output directory"),
         ("scale", ["desk", "paper"], "desk", "ground-truth protocol"),
-        ("workers", int, 1, "parallel workers")]),
+        ("workers", int, 1, "parallel worker processes, >= 1 (capped at the CPU count)")]),
 }
 
 

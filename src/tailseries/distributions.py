@@ -25,9 +25,8 @@ from .rng import RngState
 
 TWO_SIDED_PARETO = "two-sided-pareto"
 SHIFTED_TWO_SIDED_PARETO = "shifted-two-sided-pareto"
-CONSTANT = "constant"  # test hook, not a configurable law
 
-_KINDS = (TWO_SIDED_PARETO, SHIFTED_TWO_SIDED_PARETO, CONSTANT)
+_KINDS = (TWO_SIDED_PARETO, SHIFTED_TWO_SIDED_PARETO)
 
 
 @dataclass(frozen=True)
@@ -37,20 +36,16 @@ class InnovationSpec:
     kind: str
     gamma: float = float("nan")
     p: float = 1.0
-    value: float = 0.0  # constant hook only
 
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ConfigurationError(f"unknown innovation kind {self.kind!r}")
-        if self.kind != CONSTANT:
-            if not (self.gamma > 0):
-                raise ConfigurationError("gamma must be > 0")
-            if not (0 < self.p <= 1):
-                raise ConfigurationError("p must lie in (0, 1]")
+        if not (self.gamma > 0):
+            raise ConfigurationError("gamma must be > 0")
+        if not (0 < self.p <= 1):
+            raise ConfigurationError("p must lie in (0, 1]")
 
     def to_json(self) -> dict:
-        if self.kind == CONSTANT:
-            raise ConfigurationError("constant innovations are a test hook and not serializable")
         return {"kind": self.kind, "gamma": self.gamma, "p": self.p}
 
     @classmethod
@@ -58,10 +53,7 @@ class InnovationSpec:
         unknown = set(obj) - {"kind", "gamma", "p"}
         if unknown:
             raise ConfigurationError(f"unknown innovation keys {sorted(unknown)}")
-        kind = obj.get("kind")
-        if kind == CONSTANT:
-            raise ConfigurationError("constant innovations are a test hook and cannot be configured")
-        return cls(kind=kind, gamma=float(obj["gamma"]), p=float(obj["p"]))
+        return cls(kind=obj.get("kind"), gamma=float(obj["gamma"]), p=float(obj["p"]))
 
 
 def two_sided_pareto(gamma: float, p: float = 0.5) -> InnovationSpec:
@@ -70,11 +62,6 @@ def two_sided_pareto(gamma: float, p: float = 0.5) -> InnovationSpec:
 
 def shifted_two_sided_pareto(gamma: float, p: float = 0.5) -> InnovationSpec:
     return InnovationSpec(SHIFTED_TWO_SIDED_PARETO, gamma=gamma, p=p)
-
-
-def constant_innovations(value: float) -> InnovationSpec:
-    """Degenerate law Z = value. Test hook: rejected by config loaders."""
-    return InnovationSpec(CONSTANT, value=value)
 
 
 def quantile_fn(spec: InnovationSpec, u):
@@ -86,9 +73,6 @@ def quantile_fn(spec: InnovationSpec, u):
     u_arr = np.asarray(u, dtype=np.float64)
     if np.any(u_arr <= 0.0) or np.any(u_arr >= 1.0):
         raise DomainError("quantile argument must lie strictly inside (0, 1)")
-    if spec.kind == CONSTANT:
-        out = np.full_like(u_arr, spec.value)
-        return float(out) if np.isscalar(u) else out
     g, p = spec.gamma, spec.p
     left = u_arr <= (1.0 - p)
     if spec.kind == TWO_SIDED_PARETO:
@@ -104,9 +88,6 @@ def quantile_fn(spec: InnovationSpec, u):
 def survival_fn(spec: InnovationSpec, x):
     """Exact survival function ``P(Z > x)``, elementwise."""
     x_arr = np.asarray(x, dtype=np.float64)
-    if spec.kind == CONSTANT:
-        out = np.where(x_arr < spec.value, 1.0, 0.0)
-        return float(out) if np.isscalar(x) else out
     g, p = spec.gamma, spec.p
     if spec.kind == TWO_SIDED_PARETO:
         right = np.where(x_arr >= 1.0, p * np.maximum(x_arr, 1.0) ** (-1.0 / g), p)
@@ -122,9 +103,6 @@ def survival_fn(spec: InnovationSpec, x):
 def cdf_fn(spec: InnovationSpec, x):
     """Exact CDF ``P(Z <= x)``, evaluated branchwise (no cancellation in the tails)."""
     x_arr = np.asarray(x, dtype=np.float64)
-    if spec.kind == CONSTANT:
-        out = np.where(x_arr >= spec.value, 1.0, 0.0)
-        return float(out) if np.isscalar(x) else out
     g, p = spec.gamma, spec.p
     if spec.kind == TWO_SIDED_PARETO:
         left = (1.0 - p) * np.maximum(-x_arr, 1.0) ** (-1.0 / g)
@@ -138,12 +116,7 @@ def cdf_fn(spec: InnovationSpec, x):
 
 
 def sample(spec: InnovationSpec, rng: RngState, n: int) -> np.ndarray:
-    """``n`` independent draws by inverse CDF; advances ``rng`` deterministically.
-
-    The constant hook consumes no randomness.
-    """
+    """``n`` independent draws by inverse CDF; advances ``rng`` deterministically."""
     if n < 1:
         raise ConfigurationError("sample size must be >= 1")
-    if spec.kind == CONSTANT:
-        return np.full(n, spec.value)
     return quantile_fn(spec, rng.uniforms(n))

@@ -56,28 +56,26 @@ class ModelBasedFit:
 def hill(sample, k: int) -> float:
     """Hill estimate ``(1/k) * sum_{i=1..k} log(X_{n-i+1:n} / X_{n-k:n})``.
 
-    Requires the threshold order statistic ``X_{n-k:n}`` to be positive. If
-    all top k+1 values are tied the estimate is 0, which is valid.
+    One point of `hill_curve`. Requires the threshold order statistic
+    ``X_{n-k:n}`` to be positive. If all top k+1 values are tied the estimate
+    is exactly 0, which is valid.
     """
-    x = np.asarray(sample, dtype=np.float64)
-    n = x.size
-    if not (1 <= k <= n - 1):
-        raise DomainError(f"need k + 1 <= n order statistics, got k={k}, n={n}")
-    top = np.sort(x)[n - k - 1:]
-    threshold = top[0]
-    if threshold <= 0:
-        raise DomainError(f"threshold order statistic must be > 0, got {threshold:g}")
-    return float(np.mean(np.log(top[1:])) - np.log(threshold))
+    gamma = float(hill_curve(sample, [k])[0])
+    if np.isnan(gamma):
+        raise DomainError(f"threshold order statistic X_(n-k:n) must be > 0 (k={k})")
+    return gamma
 
 
 def hill_curve(sample, ks) -> np.ndarray:
     """`hill` over a whole grid of k in one pass; NaN where the threshold
-    order statistic is not positive."""
+    order statistic is not positive, exactly 0 where the top k+1 values tie."""
     x = np.asarray(sample, dtype=np.float64)
     ks = np.asarray(ks, dtype=np.int64)
     n = x.size
     if ks.size and not (ks.min() >= 1 and ks.max() <= n - 1):
         raise DomainError("every k must satisfy 1 <= k <= n - 1")
+    if not np.isfinite(x).all():
+        raise DomainError("sample contains a non-finite value")
     desc = np.sort(x)[::-1]
     thresholds = desc[ks]  # (k+1)-th largest
     valid = thresholds > 0
@@ -88,6 +86,8 @@ def hill_curve(sample, ks) -> np.ndarray:
     out = np.full(ks.shape, np.nan)
     kv = ks[valid]
     out[valid] = csum[kv - 1] / kv - logs[kv]
+    # the cumulative sum does not cancel exactly; a tied top is exactly 0
+    out[valid & (thresholds == desc[0])] = 0.0
     return out
 
 
@@ -100,6 +100,8 @@ def fit_ar1(series, center: bool = True) -> float:
     x = np.asarray(series, dtype=np.float64)
     if x.size < 3:
         raise DomainError("need at least 3 observations")
+    if not np.isfinite(x).all():
+        raise DomainError("series contains a non-finite value")
     d = x - x.mean() if center else x
     denom = float(np.dot(d, d))
     if denom == 0.0:
@@ -116,13 +118,15 @@ def residuals_ar1(series, phi_hat: float) -> np.ndarray:
 
 
 def weissman_extrapolate(anchor: float, gamma: float, n: int, k: int, u: float) -> float:
-    """Power-law quantile extrapolation ``anchor * (n*u/k)**(-gamma)``."""
+    """Power-law quantile extrapolation ``anchor * (n*u/k)**(-gamma)``; elementwise
+    on arrays."""
     return anchor * (n * u / k) ** (-gamma)
 
 
 def weissman_direct(series, target: QuantileTarget, use_abs: bool = False) -> float:
     """Direct extreme-quantile estimate ``X_{n-k:n} * (k/(n*t))**gamma_hat``
-    with ``gamma_hat`` the Hill estimate on the series itself.
+    with ``gamma_hat`` the Hill estimate on the series itself; one point of
+    `weissman_direct_curve`.
 
     With ``use_abs`` the Hill step runs on absolute values; the anchor order
     statistic stays on the raw observations.
@@ -130,11 +134,10 @@ def weissman_direct(series, target: QuantileTarget, use_abs: bool = False) -> fl
     x = np.asarray(series, dtype=np.float64)
     if x.size != target.n:
         raise ConfigurationError(f"series length {x.size} != target n {target.n}")
-    gamma_hat = hill(np.abs(x) if use_abs else x, target.k)
-    anchor = np.sort(x)[target.n - target.k - 1]
-    if anchor <= 0:
-        raise DomainError(f"anchor order statistic must be > 0, got {anchor:g}")
-    return weissman_extrapolate(anchor, gamma_hat, target.n, target.k, target.t)
+    est = float(weissman_direct_curve(x, [target.k], target.t, use_abs=use_abs)[0])
+    if np.isnan(est):
+        raise DomainError("Hill threshold or anchor order statistic X_(n-k:n) is not > 0")
+    return est
 
 
 def weissman_direct_curve(series, ks, t: float, use_abs: bool = False) -> np.ndarray:
@@ -160,6 +163,25 @@ def _tail_ratio_factor(phi_hat: float, gamma_hat) -> tuple[np.ndarray, np.ndarra
     return factor, np.zeros(g.shape, dtype=bool)
 
 
+def _model_ar1(series, ks, t: float, use_abs: bool, center: bool):
+    """The model-based estimator over a k grid, with its intermediate values:
+    (estimates, phi_hat, gamma_hats, anchors, u, clamped mask)."""
+    x = np.asarray(series, dtype=np.float64)
+    ks = np.asarray(ks, dtype=np.int64)
+    phi_hat = fit_ar1(x, center=center)
+    resid = residuals_ar1(x, phi_hat)
+    hill_input = np.abs(resid) if use_abs else resid
+    gammas = hill_curve(hill_input, ks)
+    # the anchor is the k-th largest raw residual, one above the Hill threshold
+    anchors = np.sort(resid)[::-1][ks - 1]
+    factor, clamped = _tail_ratio_factor(phi_hat, gammas)
+    with np.errstate(invalid="ignore"):
+        u = factor * t
+        est = weissman_extrapolate(anchors, gammas, x.size, ks, u)
+        est = np.where(anchors > 0, est, np.nan)
+    return est, phi_hat, gammas, anchors, u, clamped
+
+
 def weissman_model_ar1(series, target: QuantileTarget, use_abs: bool = False,
                        center: bool = True) -> float:
     """Model-based extreme-quantile estimate via AR(1) residual analysis."""
@@ -168,7 +190,8 @@ def weissman_model_ar1(series, target: QuantileTarget, use_abs: bool = False,
 
 def weissman_model_ar1_fit(series, target: QuantileTarget, use_abs: bool = False,
                            center: bool = True) -> ModelBasedFit:
-    """As `weissman_model_ar1`, returning the intermediate quantities.
+    """As `weissman_model_ar1`, returning the intermediate quantities; one
+    point of `weissman_model_ar1_curve`.
 
     Steps: phi_hat = `fit_ar1`; residuals Z_t = X_t - phi_hat*X_{t-1};
     gamma_hat = Hill on the top k residual order statistics (absolute values
@@ -180,20 +203,13 @@ def weissman_model_ar1_fit(series, target: QuantileTarget, use_abs: bool = False
     x = np.asarray(series, dtype=np.float64)
     if x.size != target.n:
         raise ConfigurationError(f"series length {x.size} != target n {target.n}")
-    phi_hat = fit_ar1(x, center=center)
-    resid = residuals_ar1(x, phi_hat)
-    hill_input = np.abs(resid) if use_abs else resid
-    gamma_hat = hill(hill_input, target.k)
-    # anchor is the k-th largest raw residual, one above the Hill threshold
-    anchor = np.sort(resid)[resid.size - target.k]
-    if anchor <= 0:
-        raise DomainError(f"residual anchor order statistic must be > 0, got {anchor:g}")
-    factor, clamped = _tail_ratio_factor(phi_hat, gamma_hat)
-    u = float(factor) * target.t
-    estimate = weissman_extrapolate(anchor, gamma_hat, target.n, target.k, u)
-    return ModelBasedFit(estimate=float(estimate), phi_hat=phi_hat,
-                         gamma_hat=gamma_hat, anchor=float(anchor), u=u,
-                         clamped=bool(clamped))
+    est, phi_hat, gammas, anchors, u, clamped = _model_ar1(
+        x, [target.k], target.t, use_abs, center)
+    if np.isnan(est[0]):
+        raise DomainError("residual Hill threshold or anchor order statistic is not > 0")
+    return ModelBasedFit(estimate=float(est[0]), phi_hat=phi_hat,
+                         gamma_hat=float(gammas[0]), anchor=float(anchors[0]),
+                         u=float(u[0]), clamped=bool(clamped[0]))
 
 
 def weissman_model_ar1_curve(series, ks, t: float, use_abs: bool = False,
@@ -203,16 +219,5 @@ def weissman_model_ar1_curve(series, ks, t: float, use_abs: bool = False,
     Returns (estimates, phi_hat, clamped mask); NaN where the residual Hill
     threshold or the anchor order statistic is not positive.
     """
-    x = np.asarray(series, dtype=np.float64)
-    ks = np.asarray(ks, dtype=np.int64)
-    phi_hat = fit_ar1(x, center=center)
-    resid = residuals_ar1(x, phi_hat)
-    hill_input = np.abs(resid) if use_abs else resid
-    gammas = hill_curve(hill_input, ks)
-    anchors = np.sort(resid)[::-1][ks - 1]
-    factor, clamped = _tail_ratio_factor(phi_hat, gammas)
-    with np.errstate(invalid="ignore"):
-        u = factor * t
-        est = anchors * (x.size * u / ks) ** (-gammas)
-        est = np.where(anchors > 0, est, np.nan)
+    est, phi_hat, _, _, _, clamped = _model_ar1(series, ks, t, use_abs, center)
     return est, phi_hat, clamped

@@ -15,9 +15,11 @@ write plot-ready CSV plus JSON summaries; see `run_preset`.
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -219,8 +221,11 @@ def run_quantile_experiment(spec: ExperimentSpec, true_value: float,
 
     Deterministic given ``spec.master_seed`` for any ``workers`` value:
     replicate r always uses substream r and aggregation is fixed-order.
+    The pool is capped at ``os.cpu_count()`` processes, since it starts all
+    of them at once.
     """
     R = spec.replicates
+    workers = min(workers, os.cpu_count() or 1)
     if workers <= 1:
         estimates, clamps = _replicate_block(spec, 0, R)
     else:
@@ -357,7 +362,6 @@ def test_power_experiment(model: SeriesModel, n: int, replicates: int,
 # ---------------------------------------------------------------------------
 
 TRUTH_PROTOCOL = {"desk": (50, 1_000_000), "paper": (200, 9_000_000)}
-PRESETS = ("table1", "table2", "figure1", "figure3", "figure4", "figure2-scatter", "power")
 
 _TRUTH_STREAM = 2**32      # component namespaces within the preset seed
 _SCATTER_STREAM = 2**32 + 1
@@ -442,7 +446,8 @@ def _density_study(out_dir: Path, replicates: int, seed: int, scale: str,
     return {"summary": summary, "grid": grid}
 
 
-def _scatter_study(out_dir: Path, seed: int) -> dict:
+def _scatter_study(out_dir: Path, replicates: int, seed: int, scale: str,
+                   workers: int) -> dict:
     model = _study_model(False, "shifted")
     series = simulate_series(model, STUDY_N, RngState(seed).substream(_SCATTER_STREAM))
     phi_hat = fit_ar1(series)
@@ -454,7 +459,8 @@ def _scatter_study(out_dir: Path, seed: int) -> dict:
     return {"phi_hat": phi_hat}
 
 
-def _power_study(out_dir: Path, replicates: int, seed: int) -> dict:
+def _power_study(out_dir: Path, replicates: int, seed: int, scale: str,
+                 workers: int) -> dict:
     root = RngState(seed).substream(_POWER_STREAM)
     power = test_power_experiment(_study_model(False, "shifted"), STUDY_N,
                                   replicates, root.substream(0))
@@ -469,25 +475,33 @@ def _power_study(out_dir: Path, replicates: int, seed: int) -> dict:
     return {"power": power, "size": size}
 
 
+# name -> (runner taking (out_dir, replicates, seed, scale, workers),
+#          default replicate count)
+_PRESETS = {
+    "table1": (partial(_quantile_study, True), 500),
+    "table2": (partial(_quantile_study, False), 500),
+    "figure1": (partial(_quantile_study, True), 500),
+    "figure3": (partial(_quantile_study, False), 500),
+    "figure4": (_density_study, 500),
+    "figure2-scatter": (_scatter_study, 500),
+    "power": (_power_study, 2000),
+}
+PRESETS = tuple(_PRESETS)
+
+
 def run_preset(name: str, out_dir, replicates: int | None = None,
                seed: int = DEFAULT_SEED, scale: str = "desk",
                workers: int = 1) -> dict:
     """Run one named study preset, writing its outputs under ``out_dir``."""
-    if name not in PRESETS:
+    if name not in _PRESETS:
         raise ConfigurationError(f"unknown preset {name!r}; choose from {PRESETS}")
     if scale not in TRUTH_PROTOCOL:
         raise ConfigurationError("scale must be 'desk' or 'paper'")
+    runner, default_replicates = _PRESETS[name]
     if replicates is None:
-        replicates = 2000 if name == "power" else 500
+        replicates = default_replicates
     if replicates < 1:
         raise ConfigurationError(f"replicates must be >= 1, got {replicates}")
-    out = Path(out_dir)
-    if name in ("table1", "figure1"):
-        return _quantile_study(True, out, replicates, seed, scale, workers)
-    if name in ("table2", "figure3"):
-        return _quantile_study(False, out, replicates, seed, scale, workers)
-    if name == "figure4":
-        return _density_study(out, replicates, seed, scale, workers)
-    if name == "figure2-scatter":
-        return _scatter_study(out, seed)
-    return _power_study(out, replicates, seed)
+    if workers < 1:
+        raise ConfigurationError(f"workers must be >= 1, got {workers}")
+    return runner(Path(out_dir), replicates, seed, scale, workers)

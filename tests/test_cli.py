@@ -92,6 +92,14 @@ class TestEstimate:
         assert "phi_hat" in payload and "gamma_hat" in payload
         assert isinstance(payload["flags"], list)
 
+    def test_tied_top_flags_zero_gamma(self, capsys, tmp_path):
+        tied = tmp_path / "tied.csv"
+        tied.write_text("x\n" + "\n".join(["1.0"] + ["7.0"] * 6) + "\n")
+        payload = run_json(capsys, ["estimate", "--input", str(tied),
+                                    "--method", "hill", "--k", "5"])
+        assert payload["gamma_hat"] == 0.0
+        assert payload["flags"] == ["zero_gamma"]
+
     def test_domain_error_exit_code(self, series_file):
         # k = n forces the order-statistic precondition to fail
         assert parse_and_dispatch(["estimate", "--input", series_file,
@@ -261,6 +269,7 @@ BAD_INPUTS = {
     "diagnose-nan-row": (["diagnose", "--input", "{nan_series}"], None),
     "zero-replicates": (["experiment", "power", "--out", "{tmp}/power", "--replicates", "0"],
                         None),
+    "zero-workers": (["experiment", "power", "--out", "{tmp}/power", "--workers", "0"], None),
 }
 
 

@@ -9,7 +9,6 @@ from tailseries import (
     InnovationSpec,
     RngState,
     cdf_fn,
-    constant_innovations,
     quantile_fn,
     sample,
     shifted_two_sided_pareto,
@@ -103,10 +102,6 @@ class TestSampling:
         lo = np.max(cdf - np.arange(0, n) / n)
         assert max(hi, lo) < 0.01
 
-    def test_constant_hook(self):
-        draws = sample(constant_innovations(1.5), RngState(1), 10)
-        assert np.all(draws == 1.5)
-
 
 class TestSpecValidation:
     def test_bad_parameters(self):
@@ -122,8 +117,6 @@ class TestSpecValidation:
         assert InnovationSpec.from_json(spec.to_json()) == spec
 
     def test_json_rejects_constant_hook(self):
-        with pytest.raises(ConfigurationError):
-            constant_innovations(2.0).to_json()
         with pytest.raises(ConfigurationError):
             InnovationSpec.from_json({"kind": "constant", "gamma": 1.0, "p": 1.0})
 

@@ -29,6 +29,12 @@ from tailseries.estimators import weissman_extrapolate, _tail_ratio_factor
 MODEL_A = two_sided_pareto(0.5, 0.5)
 
 
+def _hill_by_sorting(x, k):
+    """Reference Hill estimate: mean log of the top k over the threshold."""
+    top = np.sort(x)[x.size - k - 1:]
+    return np.mean(np.log(top[1:])) - np.log(top[0])
+
+
 class TestHill:
     def test_hand_value(self):
         assert hill([1, 2, 4, 8], 2) == pytest.approx((np.log(4) + np.log(2)) / 2, abs=1e-14)
@@ -52,6 +58,18 @@ class TestHill:
     def test_all_tied_returns_zero(self):
         assert hill([1, 5, 5, 5, 5], 3) == 0.0
 
+    @pytest.mark.parametrize("x, k", [
+        ([1.0] + [7.0] * 6, 5),
+        ([0.01] + [3.3] * 21, 20),
+        ([0.01] + [2.5] * 10, 9),
+        ([0.01] + [1e10] * 10, 9),
+        ([0.1] * 21, 20),
+    ])
+    def test_tied_top_is_exactly_zero(self, x, k):
+        # the cumulative log sum leaves a rounding residue unless ties are caught
+        assert hill(x, k) == 0.0
+        assert hill_curve(x, [k])[0] == 0.0
+
     def test_k_bounds(self):
         with pytest.raises(DomainError):
             hill([1, 2, 3], 3)
@@ -59,11 +77,11 @@ class TestHill:
             hill([1, 2, 3], 0)
 
     def test_curve_matches_scalar(self):
-        x = sample(MODEL_A, RngState(3), 500)
+        x = np.abs(sample(MODEL_A, RngState(3), 500))
         ks = np.array([1, 7, 33, 100, 249])
-        curve = hill_curve(np.abs(x), ks)
+        curve = hill_curve(x, ks)
         for i, k in enumerate(ks):
-            assert curve[i] == pytest.approx(hill(np.abs(x), int(k)), rel=1e-12)
+            assert curve[i] == pytest.approx(_hill_by_sorting(x, k), rel=1e-12)
 
     def test_curve_nan_on_bad_threshold(self):
         x = np.array([-5.0, -4.0, -1.0, 1.0, 2.0, 8.0])
@@ -161,8 +179,9 @@ class TestWeissmanDirect:
         ks = np.array([10, 100, 400])
         curve = weissman_direct_curve(x, ks, 0.001)
         for i, k in enumerate(ks):
-            assert curve[i] == pytest.approx(
-                weissman_direct(x, QuantileTarget(t=0.001, k=int(k), n=2000)), rel=1e-10)
+            anchor = np.sort(x)[2000 - k - 1]
+            expected = anchor * (2000 * 0.001 / k) ** -_hill_by_sorting(x, k)
+            assert curve[i] == pytest.approx(expected, rel=1e-10)
 
 
 class TestWeissmanModel:
@@ -199,16 +218,44 @@ class TestWeissmanModel:
         series = simulate_series(linear_ar1(0.8, MODEL_A, burnin=1000), 2000, RngState(43))
         ks = np.array([25, 100, 662])
         curve, phi_hat, _ = weissman_model_ar1_curve(series, ks, 0.001)
+        d = series - series.mean()
+        phi = np.dot(d[:-1], d[1:]) / np.dot(d, d)
+        resid = series[1:] - phi * series[:-1]
         for i, k in enumerate(ks):
-            assert curve[i] == pytest.approx(
-                weissman_model_ar1(series, QuantileTarget(t=0.001, k=int(k), n=2000)),
-                rel=1e-10)
+            gamma = _hill_by_sorting(resid, k)
+            anchor = np.sort(resid)[resid.size - k]
+            u = (1 - abs(phi) ** (1 / gamma)) * 0.001
+            assert curve[i] == pytest.approx(anchor * (2000 * u / k) ** -gamma, rel=1e-10)
+        assert phi_hat == pytest.approx(phi, rel=1e-12)
 
     def test_sanity_near_truth_model_a(self):
         # a single n=2000 draw lands within a factor ~2 of the true quantile
         series = simulate_series(linear_ar1(0.8, MODEL_A, burnin=10_000), 2000, RngState(47))
         est = weissman_model_ar1(series, QuantileTarget(t=0.001, k=600, n=2000))
         assert 15 < est < 80  # truth is near 37.9
+
+
+T = QuantileTarget(t=0.001, k=50, n=300)
+PUBLIC_ESTIMATORS = {
+    "hill": lambda x: hill(x, 50),
+    "hill_curve": lambda x: hill_curve(x, [10, 50]),
+    "fit_ar1": fit_ar1,
+    "weissman_direct": lambda x: weissman_direct(x, T),
+    "weissman_direct_curve": lambda x: weissman_direct_curve(x, [10, 50], 0.001),
+    "weissman_model_ar1": lambda x: weissman_model_ar1(x, T),
+    "weissman_model_ar1_fit": lambda x: weissman_model_ar1_fit(x, T),
+    "weissman_model_ar1_curve": lambda x: weissman_model_ar1_curve(x, [10, 50], 0.001),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("estimator", PUBLIC_ESTIMATORS.values(), ids=list(PUBLIC_ESTIMATORS))
+def test_nonfinite_input_raises(estimator, bad):
+    x = simulate_series(linear_ar1(0.8, MODEL_A, burnin=100), 300, RngState(53))
+    estimator(x)  # finite input is accepted
+    x[17] = bad
+    with pytest.raises(DomainError, match="non-finite"):
+        estimator(x)
 
 
 @settings(max_examples=200, deadline=None)

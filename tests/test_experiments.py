@@ -21,6 +21,7 @@ from tailseries import (
     true_quantile,
     two_sided_pareto,
 )
+from tailseries import experiments
 from tailseries import test_power_experiment as power_experiment
 from tailseries.experiments import DIRECT, MODEL_BASED, silverman_bandwidth
 from scipy.special import ndtri
@@ -119,6 +120,31 @@ class TestRunExperiment:
         assert np.array_equal(a.estimates, b.estimates, equal_nan=True)
         assert np.array_equal(a.rmse, b.rmse, equal_nan=True)
         assert a.clamp_count == b.clamp_count
+
+    def test_pool_capped_at_cpu_count(self, monkeypatch):
+        sizes = []
+
+        class RecordingPool:
+            """Runs the blocks in this process and records the pool size asked for."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 4)
+        capped = run_quantile_experiment(SMALL_SPEC, 20.0, workers=10**6, keep_estimates=True)
+        assert sizes == [4]
+        serial = run_quantile_experiment(SMALL_SPEC, 20.0, keep_estimates=True)
+        assert np.array_equal(capped.estimates, serial.estimates, equal_nan=True)
 
     def test_estimator_subset(self):
         spec = ExperimentSpec(model=linear_ar1(0.8, MODEL_A, burnin=500), n=400,

@@ -12,7 +12,6 @@ from tailseries import (
     SREDriver,
     LognormalLaw,
     TwoPointLaw,
-    constant_innovations,
     linear_ar1,
     nonlinear_ar1,
     sample,
@@ -22,10 +21,21 @@ from tailseries import (
     sre_model,
     two_sided_pareto,
 )
+from tailseries import simulate
 from tailseries.distributions import InnovationSpec
 
 MODEL_A = two_sided_pareto(0.5, 0.5)
 TWO_POINT = SREDriver(TwoPointLaw(2.0, 0.5, 1.0 / 3.0))
+
+
+@pytest.fixture
+def constant_innovations(monkeypatch):
+    """``constant_innovations(c)`` makes every innovation draw equal ``c`` and
+    returns a law to build the model with; its own draws are never used."""
+    def use(value):
+        monkeypatch.setattr(simulate.dists, "sample", lambda spec, rng, n: np.full(n, value))
+        return MODEL_A
+    return use
 
 
 class TestSeriesModels:
@@ -40,12 +50,12 @@ class TestSeriesModels:
         non = simulate_series(nonlinear_ar1(0.8, 0.0, MODEL_A, burnin=100), 2000, RngState(9))
         assert np.array_equal(lin, non)
 
-    def test_constant_innovation_fixed_point(self):
+    def test_constant_innovation_fixed_point(self, constant_innovations):
         model = linear_ar1(0.5, constant_innovations(1.0), burnin=100)
         series = simulate_series(model, 10, RngState(1))
         assert np.all(np.abs(series - 2.0) < 1e-12)
 
-    def test_start_influence_bounded_geometrically(self):
+    def test_start_influence_bounded_geometrically(self, constant_innovations):
         # from start 0 the distance to the fixed point c/(1-phi) after B+1
         # steps is |phi|**(B+1) * |fixed point|
         phi, c = 0.8, 1.0
@@ -66,7 +76,7 @@ class TestSeriesModels:
         q2 = np.quantile(series[200_000:], [0.25, 0.5, 0.9])
         assert np.allclose(q1, q2, atol=0.12)
 
-    def test_nonfinite_raises_simulation_error(self):
+    def test_nonfinite_raises_simulation_error(self, constant_innovations):
         # an explosive nonlinear recursion overflows in finite time
         model = nonlinear_ar1(3.0, 0.0, constant_innovations(1e300), burnin=0)
         with pytest.raises(SimulationError) as err:
