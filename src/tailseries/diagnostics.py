@@ -89,6 +89,9 @@ def sample_acf(series, hmax: int) -> np.ndarray:
     n = x.size
     if not (1 <= hmax < n):
         raise ConfigurationError("need 1 <= hmax < n")
+    # autocorrelations are scale-invariant; scaling by a power of two so that
+    # max|x| lies in [1/2, 1) is exact and keeps the lag products from overflowing
+    x = np.ldexp(x, -np.frexp(np.max(np.abs(x)))[1])
     d = x - x.mean()
     denom = float(np.dot(d, d))
     if denom == 0.0:

@@ -50,10 +50,37 @@ class InnovationSpec:
 
     @classmethod
     def from_json(cls, obj: dict) -> "InnovationSpec":
-        unknown = set(obj) - {"kind", "gamma", "p"}
-        if unknown:
-            raise ConfigurationError(f"unknown innovation keys {sorted(unknown)}")
-        return cls(kind=obj.get("kind"), gamma=float(obj["gamma"]), p=float(obj["p"]))
+        json_fields(obj, "innovation", ("kind", "gamma", "p"))
+        return cls(kind=obj["kind"], gamma=json_number(obj, "gamma", "innovation"),
+                   p=json_number(obj, "p", "innovation"))
+
+
+def json_object(obj, what: str) -> dict:
+    """``obj`` if it is a JSON object, else a `ConfigurationError` naming ``what``."""
+    if not isinstance(obj, dict):
+        raise ConfigurationError(f"{what} must be a JSON object, got {obj!r}")
+    return obj
+
+
+def json_fields(obj, what: str, required: tuple, optional: tuple = ()) -> dict:
+    """``obj`` checked as the JSON object ``what`` of a model or driver file:
+    every key of ``required`` present, none outside ``required + optional``."""
+    unknown = set(json_object(obj, what)) - set(required) - set(optional)
+    if unknown:
+        raise ConfigurationError(f"unknown {what} keys {sorted(unknown)}")
+    missing = [key for key in required if key not in obj]
+    if missing:
+        raise ConfigurationError(f"{what} lacks required key {missing[0]!r}")
+    return obj
+
+
+def json_number(obj: dict, key: str, what: str, default=None, cast=float):
+    """``cast(obj.get(key, default))``, or a `ConfigurationError` naming the key."""
+    value = obj.get(key, default)
+    try:
+        return cast(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigurationError(f"{what} key {key!r} must be a number, got {value!r}") from None
 
 
 def two_sided_pareto(gamma: float, p: float = 0.5) -> InnovationSpec:

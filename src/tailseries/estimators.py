@@ -102,6 +102,9 @@ def fit_ar1(series, center: bool = True) -> float:
         raise DomainError("need at least 3 observations")
     if not np.isfinite(x).all():
         raise DomainError("series contains a non-finite value")
+    # the ratio is scale-invariant; scaling by a power of two so that max|x|
+    # lies in [1/2, 1) is exact and keeps the sums of squares from overflowing
+    x = np.ldexp(x, -np.frexp(np.max(np.abs(x)))[1])
     d = x - x.mean() if center else x
     denom = float(np.dot(d, d))
     if denom == 0.0:

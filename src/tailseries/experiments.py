@@ -4,9 +4,10 @@ The central object is a replicated quantile-estimation experiment: simulate
 R series, evaluate the direct and the model-based extreme-quantile
 estimator on each over a grid of k, and summarize RMSE / L1 / bias /
 standard error against a ground-truth quantile obtained from long
-simulations. Replicates are the unit of parallelism; replicate r always
-consumes substream r of the experiment seed, so results are bit-identical
-for any worker count.
+simulations. The ground truth, the replicates and the power study all run
+their series through one substream map (`_map_substreams`): series i always
+consumes substream i of its stream, so results are bit-identical for any
+worker count.
 
 Presets mirror the simulation study's tables and figures at desk scale and
 write plot-ready CSV plus JSON summaries; see `run_preset`.
@@ -170,47 +171,67 @@ def empirical_quantile(series, q: float) -> float:
     return float(np.partition(x, m - 1)[m - 1])
 
 
+def _map_substreams(fn, count: int, workers: int) -> list:
+    """``[fn(i) for i in range(count)]``, spread over a process pool if ``workers > 1``.
+
+    Every Monte Carlo loop runs its substreams through here: ``fn(i)`` draws
+    only from substream ``i`` and the results come back in index order, so a
+    fixed-order reduction over them gives the same bytes for any ``workers``.
+    ``fn`` must pickle (a module-level function or a `partial` of one). The
+    pool is capped at ``os.cpu_count()`` processes, since it starts all of
+    them at once, and hands each one about four chunks of indices.
+    """
+    workers = min(workers, os.cpu_count() or 1)
+    if workers <= 1:
+        return [fn(i) for i in range(count)]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, range(count), chunksize=math.ceil(count / (4 * workers))))
+
+
+def _truth_quantile(model: SeriesModel, t: float, rep_length: int, rng: RngState,
+                    i: int) -> float:
+    series = simulate_series(model, rep_length, rng.substream(i))
+    return empirical_quantile(series, 1.0 - t)
+
+
 def true_quantile(model: SeriesModel, t: float, n_reps: int, rep_length: int,
-                  rng: RngState) -> tuple[float, float]:
+                  rng: RngState, workers: int = 1) -> tuple[float, float]:
     """Ground-truth F^{-1}(1-t) as the mean of long-run empirical quantiles.
 
-    Returns (value, half_width) where half_width = 2.58 * stderr of the mean
-    (a 99% normal margin).
+    Series i uses substream i of ``rng``; ``workers`` processes simulate the
+    series in parallel without changing the result. Returns
+    (value, half_width) where half_width = 2.58 * stderr of the mean (a 99%
+    normal margin).
     """
     if rep_length * t < 100:
         raise ConfigurationError(
             f"rep_length*t = {rep_length * t:g} < 100: too few exceedances per replicate")
     if n_reps < 2:
         raise ConfigurationError("need at least 2 replicates for an error estimate")
-    quantiles = np.empty(n_reps)
-    for i in range(n_reps):
-        series = simulate_series(model, rep_length, rng.substream(i))
-        quantiles[i] = empirical_quantile(series, 1.0 - t)
+    quantiles = np.array(_map_substreams(partial(_truth_quantile, model, t, rep_length, rng),
+                                         n_reps, workers))
     half_width = 2.58 * quantiles.std(ddof=1) / math.sqrt(n_reps)
     return float(quantiles.mean()), float(half_width)
 
 
-def _replicate_block(spec: ExperimentSpec, start: int, count: int):
-    """Estimates for replicates start..start+count-1: (count, E, K) plus clamp count."""
+def _replicate_estimates(spec: ExperimentSpec, root: RngState, i: int):
+    """Replicate i: its (E, K) estimates, NaN where an estimator failed, and
+    how many model-based rows clamped the tail-ratio factor at some k."""
     ks = np.asarray(spec.k_grid, dtype=np.int64)
-    root = RngState(spec.master_seed)
-    out = np.full((count, len(spec.estimators), ks.size), np.nan)
+    series = simulate_series(spec.model, spec.n, root.substream(i))
+    out = np.full((len(spec.estimators), ks.size), np.nan)
     clamps = 0
-    for i in range(count):
-        series = simulate_series(spec.model, spec.n, root.substream(start + i))
-        for e, name in enumerate(spec.estimators):
-            try:
-                if name == DIRECT:
-                    out[i, e] = weissman_direct_curve(series, ks, spec.t,
-                                                      use_abs=spec.use_abs)
-                else:
-                    est, _, clamped = weissman_model_ar1_curve(series, ks, spec.t,
-                                                               use_abs=spec.use_abs)
-                    out[i, e] = est
-                    if clamped.any():
-                        clamps += 1
-            except TailSeriesError:
-                pass  # row stays NaN; counted as missing
+    for e, name in enumerate(spec.estimators):
+        try:
+            if name == DIRECT:
+                out[e] = weissman_direct_curve(series, ks, spec.t, use_abs=spec.use_abs)
+            else:
+                est, _, clamped = weissman_model_ar1_curve(series, ks, spec.t,
+                                                           use_abs=spec.use_abs)
+                out[e] = est
+                clamps += int(clamped.any())
+        except TailSeriesError:
+            pass  # row stays NaN; counted as missing
     return out, clamps
 
 
@@ -221,23 +242,11 @@ def run_quantile_experiment(spec: ExperimentSpec, true_value: float,
 
     Deterministic given ``spec.master_seed`` for any ``workers`` value:
     replicate r always uses substream r and aggregation is fixed-order.
-    The pool is capped at ``os.cpu_count()`` processes, since it starts all
-    of them at once.
     """
-    R = spec.replicates
-    workers = min(workers, os.cpu_count() or 1)
-    if workers <= 1:
-        estimates, clamps = _replicate_block(spec, 0, R)
-    else:
-        block = max(1, -(-R // (4 * workers)))
-        starts = list(range(0, R, block))
-        counts = [min(block, R - s) for s in starts]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_replicate_block, [spec] * len(starts), starts, counts))
-        estimates = np.concatenate([blk for blk, _ in results], axis=0)
-        clamps = sum(c for _, c in results)
-    return summarize_estimates(spec.estimators, spec.k_grid, estimates, true_value,
-                               true_half_width, clamp_count=clamps,
+    estimates, clamps = zip(*_map_substreams(
+        partial(_replicate_estimates, spec, RngState(spec.master_seed)), spec.replicates, workers))
+    return summarize_estimates(spec.estimators, spec.k_grid, np.stack(estimates), true_value,
+                               true_half_width, clamp_count=sum(clamps),
                                keep_estimates=keep_estimates)
 
 
@@ -325,33 +334,40 @@ def _check_density_mass(grid, density, values, h):
             f"density grid too coarse: integral {integral:.4f} vs covered mass {covered:.4f}")
 
 
+def _power_rejections(model: SeriesModel, n: int, rng: RngState, h_max: int,
+                      i: int) -> np.ndarray:
+    """Replicate i's rejections at size 0.05: turning point, difference sign,
+    then the portmanteau test at h = 1..h_max."""
+    series = simulate_series(model, n, rng.substream(i))
+    resid = residuals_ar1(series, fit_ar1(series))
+    _, pvals = ljung_box_curve(resid, h_max)
+    return np.concatenate(([turning_point_test(resid).reject_at_5pct,
+                            difference_sign_test(resid).reject_at_5pct], pvals < 0.05))
+
+
 def test_power_experiment(model: SeriesModel, n: int, replicates: int,
-                          rng: RngState, h_max: int = 30) -> PowerReport:
+                          rng: RngState, h_max: int = 30, workers: int = 1) -> PowerReport:
     """Rejection rates of the residual tests after (mis)fitting a linear AR(1).
 
     Per replicate: simulate, fit the AR(1) coefficient, form residuals, run
     the turning point and difference-sign tests at size 0.05, and the
     portmanteau test at every h = 1..h_max. The portmanteau power is
-    reported per h and maximized over h.
+    reported per h and maximized over h. Replicate r uses substream r of
+    ``rng``; ``workers`` processes run the replicates in parallel without
+    changing the result.
     """
     if model.variant not in (LINEAR_AR1, NONLINEAR_AR1):
         raise ConfigurationError("power experiment needs an autoregressive model")
     if model.innovations.gamma >= 0.5:
         warnings.warn("portmanteau test is unreliable: innovation variance is "
                       "infinite for extreme value index >= 1/2", UserWarning)
-    tp = ds = 0
-    lb = np.zeros(h_max)
-    for r in range(replicates):
-        series = simulate_series(model, n, rng.substream(r))
-        resid = residuals_ar1(series, fit_ar1(series))
-        tp += turning_point_test(resid).reject_at_5pct
-        ds += difference_sign_test(resid).reject_at_5pct
-        _, pvals = ljung_box_curve(resid, h_max)
-        lb += pvals < 0.05
-    lb_rates = lb / replicates
+    rows = _map_substreams(partial(_power_rejections, model, n, rng, h_max),
+                           replicates, workers)
+    rates = np.sum(rows, axis=0) / replicates
+    lb_rates = rates[2:]
     best = int(np.argmax(lb_rates))
     return PowerReport(
-        turning_point=tp / replicates, difference_sign=ds / replicates,
+        turning_point=float(rates[0]), difference_sign=float(rates[1]),
         portmanteau_by_h=lb_rates, portmanteau_max=float(lb_rates[best]),
         portmanteau_best_h=best + 1, replicates=replicates,
     )
@@ -390,7 +406,7 @@ def _quantile_study(linear: bool, out_dir: Path, replicates: int, seed: int,
     for i, label in enumerate(("unshifted", "shifted")):
         model = _study_model(linear, label)
         truth, half_width = true_quantile(model, STUDY_T, truth_reps, truth_len,
-                                          root.substream(_TRUTH_STREAM + i))
+                                          root.substream(_TRUTH_STREAM + i), workers=workers)
         spec = _study_experiment(model, replicates, seed, i)
         summary = run_quantile_experiment(spec, truth, half_width, workers=workers)
         sub = out_dir / label
@@ -409,7 +425,7 @@ def _density_study(out_dir: Path, replicates: int, seed: int, scale: str,
     model = _study_model(False, "shifted")
     root = RngState(seed)
     truth, half_width = true_quantile(model, STUDY_T, truth_reps, truth_len,
-                                      root.substream(_TRUTH_STREAM))
+                                      root.substream(_TRUTH_STREAM), workers=workers)
     spec = _study_experiment(model, replicates, seed, 1)
     summary = run_quantile_experiment(spec, truth, half_width, workers=workers,
                                       keep_estimates=True)
@@ -463,9 +479,9 @@ def _power_study(out_dir: Path, replicates: int, seed: int, scale: str,
                  workers: int) -> dict:
     root = RngState(seed).substream(_POWER_STREAM)
     power = test_power_experiment(_study_model(False, "shifted"), STUDY_N,
-                                  replicates, root.substream(0))
+                                  replicates, root.substream(0), workers=workers)
     size = test_power_experiment(_study_model(True, "shifted"), STUDY_N,
-                                 replicates, root.substream(1))
+                                 replicates, root.substream(1), workers=workers)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "power.json").write_text(serialize.dump_json({
         "schema_version": serialize.SCHEMA_VERSION,

@@ -29,7 +29,7 @@ from scipy.signal import lfilter
 from scipy.special import ndtri
 
 from . import distributions as dists
-from .distributions import InnovationSpec
+from .distributions import InnovationSpec, json_fields, json_number, json_object
 from .errors import ConfigurationError, NoRootError, SimulationError
 from .rng import RngState, uniforms_for_bases
 
@@ -39,6 +39,7 @@ SRE = "sre"
 
 _KAPPA_BRACKET = (1e-6, 64.0)
 _PATH_BLOCK = 8192
+_DRAW_BLOCK = 65_536  # innovations per draw in the nonlinear recursion
 
 
 @dataclass(frozen=True)
@@ -99,17 +100,15 @@ class LognormalLaw:
 
 
 def _law_from_json(obj: dict):
-    kind = obj.get("kind")
+    kind = json_object(obj, "multiplier law").get("kind")
     if kind == "two-point":
-        keys = {"kind", "a_up", "a_down", "p_up"}
-        if set(obj) - keys:
-            raise ConfigurationError(f"unknown two-point keys {sorted(set(obj) - keys)}")
-        return TwoPointLaw(float(obj["a_up"]), float(obj["a_down"]), float(obj["p_up"]))
+        keys = ("a_up", "a_down", "p_up")
+        json_fields(obj, "two-point", ("kind",) + keys)
+        return TwoPointLaw(*(json_number(obj, key, "two-point") for key in keys))
     if kind == "lognormal":
-        keys = {"kind", "mu", "sigma"}
-        if set(obj) - keys:
-            raise ConfigurationError(f"unknown lognormal keys {sorted(set(obj) - keys)}")
-        return LognormalLaw(float(obj["mu"]), float(obj["sigma"]))
+        keys = ("mu", "sigma")
+        json_fields(obj, "lognormal", ("kind",) + keys)
+        return LognormalLaw(*(json_number(obj, key, "lognormal") for key in keys))
     raise ConfigurationError(f"unknown multiplier law {kind!r}")
 
 
@@ -150,13 +149,12 @@ class SREDriver:
 
     @classmethod
     def from_json(cls, obj: dict) -> "SREDriver":
-        keys = {"law", "b"}
-        if set(obj) - keys:
-            raise ConfigurationError(f"unknown driver keys {sorted(set(obj) - keys)}")
+        json_fields(obj, "driver", ("law",), ("b",))
         law = _law_from_json(obj["law"])
-        b = obj.get("b", {"kind": "constant", "value": 1.0})
+        b = json_object(obj.get("b", {"kind": "constant", "value": 1.0}), "driver b")
         if b.get("kind") == "constant":
-            return cls(law, b_constant=float(b["value"]))
+            json_fields(b, "driver b", ("kind", "value"))
+            return cls(law, b_constant=json_number(b, "value", "driver b"))
         return cls(law, b_constant=None, b_spec=InnovationSpec.from_json(b))
 
 
@@ -201,23 +199,19 @@ class SeriesModel:
 
     @classmethod
     def from_json(cls, obj: dict) -> "SeriesModel":
-        variant = obj.get("variant")
+        variant = json_object(obj, "model").get("variant")
+        burnin = json_number(obj, "burnin", "model", 10_000, int)
         if variant == SRE:
-            keys = {"variant", "driver", "burnin"}
-            if set(obj) - keys:
-                raise ConfigurationError(f"unknown model keys {sorted(set(obj) - keys)}")
-            return cls(SRE, driver=SREDriver.from_json(obj["driver"]),
-                       burnin=int(obj.get("burnin", 10_000)))
+            json_fields(obj, "model", ("variant", "driver"), ("burnin",))
+            return cls(SRE, driver=SREDriver.from_json(obj["driver"]), burnin=burnin)
         if variant in (LINEAR_AR1, NONLINEAR_AR1):
-            keys = {"variant", "phi1", "delta", "innovations", "burnin"}
-            if set(obj) - keys:
-                raise ConfigurationError(f"unknown model keys {sorted(set(obj) - keys)}")
             if variant == LINEAR_AR1 and "delta" in obj:
                 raise ConfigurationError("delta is only valid for the nonlinear model")
-            return cls(variant, phi1=float(obj.get("phi1", 0.0)),
-                       delta=float(obj.get("delta", 0.0)),
+            json_fields(obj, "model", ("variant", "innovations"), ("phi1", "delta", "burnin"))
+            return cls(variant, phi1=json_number(obj, "phi1", "model", 0.0),
+                       delta=json_number(obj, "delta", "model", 0.0),
                        innovations=InnovationSpec.from_json(obj["innovations"]),
-                       burnin=int(obj.get("burnin", 10_000)))
+                       burnin=burnin)
         raise ConfigurationError(f"unknown model variant {variant!r}")
 
 
@@ -252,15 +246,19 @@ def simulate_series(model: SeriesModel, n: int, rng: RngState) -> np.ndarray:
         _check_finite(x, "linear AR(1) recursion")
         return x[model.burnin:]
     if model.variant == NONLINEAR_AR1:
-        z = dists.sample(model.innovations, rng, total).tolist()
+        # Innovations are drawn a block at a time: the draws are counter-based
+        # and elementwise, so the values equal one draw of `total`, while the
+        # Python floats the loop reads stay a block, not a whole long series.
         x = np.empty(total)
         phi, delta = model.phi1, model.delta
         state = 0.0
         log = math.log
-        for t in range(total):
-            s = 1.0 if state > 0 else (-1.0 if state < 0 else 0.0)
-            state = phi * state + delta * s * log(max(abs(state), 1.0)) + z[t]
-            x[t] = state
+        for start in range(0, total, _DRAW_BLOCK):
+            z = dists.sample(model.innovations, rng, min(_DRAW_BLOCK, total - start)).tolist()
+            for t, zt in enumerate(z, start):
+                s = 1.0 if state > 0 else (-1.0 if state < 0 else 0.0)
+                state = phi * state + delta * s * log(max(abs(state), 1.0)) + zt
+                x[t] = state
         _check_finite(x, "nonlinear AR(1) recursion")
         return x[model.burnin:]
     # SRE

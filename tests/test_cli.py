@@ -43,6 +43,15 @@ def series_file(tmp_path, model_file):
     return str(out)
 
 
+@pytest.fixture
+def huge_series_file(tmp_path, series_file):
+    """`series_file` times 2**900: finite, but its squares overflow."""
+    x = np.loadtxt(series_file, delimiter=",", skiprows=1)[:, 1]
+    out = tmp_path / "huge.csv"
+    out.write_text("x\n" + "".join(f"{v!r}\n" for v in np.ldexp(x, 900).tolist()))
+    return str(out)
+
+
 def run_json(capsys, argv):
     code = parse_and_dispatch(argv)
     captured = capsys.readouterr()
@@ -91,6 +100,12 @@ class TestEstimate:
                                     "--method", "weissman-model", "--k", "150"])
         assert "phi_hat" in payload and "gamma_hat" in payload
         assert isinstance(payload["flags"], list)
+
+    def test_model_based_on_huge_values(self, capsys, series_file, huge_series_file):
+        argv = ["estimate", "--method", "weissman-model", "--k", "100", "--input"]
+        huge = run_json(capsys, argv + [huge_series_file])
+        assert huge["phi_hat"] == run_json(capsys, argv + [series_file])["phi_hat"]
+        assert np.isfinite(huge["estimate"])
 
     def test_tied_top_flags_zero_gamma(self, capsys, tmp_path):
         tied = tmp_path / "tied.csv"
@@ -203,6 +218,13 @@ class TestDiagnose:
         for report in payload["reports"]:
             assert report["reject_at_5pct"] == (report["p_value"] < 0.05)
 
+    def test_portmanteau_on_huge_values(self, capsys, series_file, huge_series_file):
+        # the statistic is scale-invariant, so 2**900-scale data gives the same report
+        argv = ["diagnose", "--tests", "lb", "--h", "5", "--input"]
+        huge = run_json(capsys, argv + [huge_series_file])
+        assert huge["reports"] == run_json(capsys, argv + [series_file])["reports"]
+        assert huge["reports"][0]["statistic"] is not None
+
     def test_unknown_test_rejected(self, series_file):
         assert parse_and_dispatch(["diagnose", "--input", series_file,
                                    "--tests", "tp,zz"]) == 2
@@ -229,6 +251,15 @@ class TestExperimentPreset:
         assert set(data) == {"schema_version", "nonlinear_power", "linear_size"}
         assert len(data["nonlinear_power"]["portmanteau_by_h"]) == 30
 
+    def test_power_bytes_do_not_depend_on_workers(self, capsys, tmp_path):
+        outputs = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"w{workers}"
+            run_json(capsys, ["experiment", "power", "--out", str(out), "--replicates", "8",
+                              "--seed", "11", "--workers", workers])
+            outputs.append((out / "power.json").read_bytes())
+        assert outputs[0] == outputs[1]
+
     def test_unknown_preset(self, tmp_path):
         assert parse_and_dispatch(["experiment", "table9", "--out", str(tmp_path)]) == 2
 
@@ -248,6 +279,14 @@ def test_every_subcommand_help_lists_config(capsys):
         assert parse_and_dispatch([command, "--help"]) == 0
         assert "--config" in capsys.readouterr().out
 
+
+# JSON files that the entries below name as {tmp}/<key>.json
+BAD_FILES = {
+    "no-gamma": {**MODEL_JSON, "innovations": {"kind": "two-sided-pareto", "p": 0.5}},
+    "innovations-not-object": {**MODEL_JSON, "innovations": 3},
+    "no-a-down": {**DRIVER_JSON, "law": {"kind": "two-point", "a_up": 2.0, "p_up": 1 / 3}},
+    "constant-b-no-value": {**DRIVER_JSON, "b": {"kind": "constant"}},
+}
 
 # Each entry: argv ({series}, {nan_series}, {driver}, {tmp} are filled in) and
 # a --config object, or None for no config file.
@@ -270,6 +309,12 @@ BAD_INPUTS = {
     "zero-replicates": (["experiment", "power", "--out", "{tmp}/power", "--replicates", "0"],
                         None),
     "zero-workers": (["experiment", "power", "--out", "{tmp}/power", "--workers", "0"], None),
+    "model-no-gamma": (["simulate", "--model", "{tmp}/no-gamma.json"], None),
+    "model-innovations-not-object": (["simulate", "--model", "{tmp}/innovations-not-object.json"],
+                                     None),
+    "driver-no-a-down": (["extremal", "theta", "--driver", "{tmp}/no-a-down.json"], None),
+    "driver-constant-b-no-value": (["extremal", "theta", "--driver",
+                                    "{tmp}/constant-b-no-value.json"], None),
 }
 
 
@@ -279,6 +324,8 @@ def test_bad_input_exits_2(capsys, tmp_path, series_file, driver_file, argv, con
     lines[10] = lines[10].split(",")[0] + ",nan"
     nan_series = tmp_path / "nan.csv"
     nan_series.write_text("\n".join(lines) + "\n")
+    for name, obj in BAD_FILES.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(obj))
     argv = [a.format(series=series_file, nan_series=nan_series, driver=driver_file,
                      tmp=tmp_path) for a in argv]
     if config is not None:

@@ -135,6 +135,12 @@ class TestPortmanteau:
         b = portmanteau_test(5 * x - 2, 10)
         assert a.statistic == pytest.approx(b.statistic, rel=1e-9)
 
+    @pytest.mark.parametrize("scale", [900, -900])
+    def test_power_of_two_scale_is_exact(self, scale):
+        # lag products of 2**900-scale data overflow unless the acf rescales first
+        x = RngState(65).uniforms(400) - 0.5
+        assert np.array_equal(sample_acf(np.ldexp(x, scale), 10), sample_acf(x, 10))
+
     def test_curve_matches_scalar(self):
         x = RngState(64).uniforms(300)
         q, p = ljung_box_curve(x, 15)

@@ -121,6 +121,14 @@ class TestFitAr1:
         with pytest.raises(DomainError):
             fit_ar1([1.0, 2.0])
 
+    @pytest.mark.parametrize("center", [True, False])
+    @pytest.mark.parametrize("scale", [900, -900])
+    def test_power_of_two_scale_is_exact(self, center, scale):
+        # at 2**900 the sums of squares overflow, at 2**-900 they underflow,
+        # unless the fit rescales first; the coefficient is scale-invariant
+        x = simulate_series(linear_ar1(0.8, MODEL_A, burnin=200), 500, RngState(22))
+        assert fit_ar1(np.ldexp(x, scale), center=center) == fit_ar1(x, center=center)
+
 
 class TestResiduals:
     def test_differencing(self):

@@ -1,7 +1,10 @@
 """Monte Carlo harness: conventions, aggregation identities, determinism, KDE."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tailseries import (
     ConfigurationError,
@@ -108,27 +111,61 @@ SMALL_SPEC = ExperimentSpec(
     k_grid=(10, 25, 50, 100), t=0.005, master_seed=99)
 
 
+# Each Monte Carlo stage as a function of (replicates, workers), returning the
+# values that must not depend on the worker count.
+def _truth_stage(replicates, workers):
+    model = nonlinear_ar1(0.8, 0.6, MODEL_B, burnin=100)
+    return true_quantile(model, 0.01, max(replicates, 2), 10_000, RngState(5),
+                         workers=workers)
+
+
+def _replicate_stage(replicates, workers):
+    spec = dataclasses.replace(SMALL_SPEC, replicates=replicates)
+    summary = run_quantile_experiment(spec, 20.0, workers=workers, keep_estimates=True)
+    return summary.estimates, summary.rmse, summary.clamp_count
+
+
+def _power_stage(replicates, workers):
+    model = nonlinear_ar1(0.8, 0.6, MODEL_B, burnin=100)
+    report = power_experiment(model, 400, replicates, RngState(81), workers=workers)
+    return report.turning_point, report.difference_sign, report.portmanteau_by_h
+
+
+STAGES = {"truth": _truth_stage, "replicates": _replicate_stage, "power": _power_stage}
+
+
+def _identical(a, b):
+    return all(np.array_equal(x, y, equal_nan=True) for x, y in zip(a, b, strict=True))
+
+
+each_stage = pytest.mark.parametrize("stage", STAGES.values(), ids=list(STAGES))
+
+
 class TestRunExperiment:
     def test_deterministic_rerun(self):
         a = run_quantile_experiment(SMALL_SPEC, 20.0, keep_estimates=True)
         b = run_quantile_experiment(SMALL_SPEC, 20.0, keep_estimates=True)
         assert np.array_equal(a.estimates, b.estimates, equal_nan=True)
 
-    def test_workers_do_not_change_results(self):
-        a = run_quantile_experiment(SMALL_SPEC, 20.0, keep_estimates=True)
-        b = run_quantile_experiment(SMALL_SPEC, 20.0, workers=3, keep_estimates=True)
-        assert np.array_equal(a.estimates, b.estimates, equal_nan=True)
-        assert np.array_equal(a.rmse, b.rmse, equal_nan=True)
-        assert a.clamp_count == b.clamp_count
+    @each_stage
+    def test_workers_do_not_change_results(self, stage):
+        assert _identical(stage(24, 1), stage(24, 3))
 
-    def test_pool_capped_at_cpu_count(self, monkeypatch):
-        sizes = []
+    @each_stage
+    @settings(max_examples=10, deadline=None)
+    @given(replicates=st.integers(1, 9), workers=st.integers(1, 3))
+    def test_any_worker_count_matches_serial(self, stage, replicates, workers):
+        assert _identical(stage(replicates, workers), stage(replicates, 1))
+
+    @each_stage
+    def test_pool_capped_at_cpu_count(self, stage, monkeypatch):
+        pools = []
 
         class RecordingPool:
-            """Runs the blocks in this process and records the pool size asked for."""
+            """Runs the substreams in this process and records the pool it was asked for."""
 
             def __init__(self, max_workers):
-                sizes.append(max_workers)
+                self.max_workers = max_workers
 
             def __enter__(self):
                 return self
@@ -136,15 +173,15 @@ class TestRunExperiment:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
+            def map(self, fn, iterable, chunksize=1):
+                pools.append((self.max_workers, chunksize))
+                return map(fn, iterable)
 
         monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(experiments.os, "cpu_count", lambda: 4)
-        capped = run_quantile_experiment(SMALL_SPEC, 20.0, workers=10**6, keep_estimates=True)
-        assert sizes == [4]
-        serial = run_quantile_experiment(SMALL_SPEC, 20.0, keep_estimates=True)
-        assert np.array_equal(capped.estimates, serial.estimates, equal_nan=True)
+        capped = stage(24, 10**6)
+        assert pools == [(4, 2)]  # 4 processes, 24 substreams in chunks of ceil(24 / 16)
+        assert _identical(capped, stage(24, 1))
 
     def test_estimator_subset(self):
         spec = ExperimentSpec(model=linear_ar1(0.8, MODEL_A, burnin=500), n=400,
