@@ -75,12 +75,19 @@ def json_fields(obj, what: str, required: tuple, optional: tuple = ()) -> dict:
 
 
 def json_number(obj: dict, key: str, what: str, default=None, cast=float):
-    """``cast(obj.get(key, default))``, or a `ConfigurationError` naming the key."""
+    """``cast(obj.get(key, default))`` for ``cast`` float or int, or a
+    `ConfigurationError` naming the key. As for --config values, a bool or a
+    string is no number and an int takes no fraction (``10000.0`` is 10000)."""
     value = obj.get(key, default)
-    try:
-        return cast(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigurationError(f"{what} key {key!r} must be a number, got {value!r}") from None
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = cast(value)
+        except (ValueError, OverflowError):  # int(nan), int(inf), float(10**400)
+            number = None
+        if number is not None and (cast is float or number == value):
+            return number
+    noun = "an integer" if cast is int else "a number"
+    raise ConfigurationError(f"{what} key {key!r} must be {noun}, got {value!r}")
 
 
 def two_sided_pareto(gamma: float, p: float = 0.5) -> InnovationSpec:

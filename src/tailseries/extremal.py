@@ -76,16 +76,20 @@ class HillAvarSRE:
     tail_bound: float  # bound on the variance mass omitted beyond the horizon
 
 
+def _require_paths(ensemble: WalkEnsemble):
+    """Every functional reports a Monte Carlo standard error, which needs two paths."""
+    if ensemble.n_paths < 2:
+        raise ConfigurationError(
+            f"a Monte Carlo standard error needs at least 2 paths, got {ensemble.n_paths}")
+
+
 def _mean_se(values: np.ndarray) -> tuple[float, float]:
-    n = values.size
-    se = float(values.std(ddof=1) / np.sqrt(n)) if n > 1 else float("nan")
-    return float(values.mean()), se
+    return float(values.mean()), float(values.std(ddof=1) / np.sqrt(values.size))
 
 
 def extremal_index(ensemble: WalkEnsemble) -> tuple[float, float]:
     """(theta, Monte Carlo stderr) from per-path maxima of the walk."""
-    if ensemble.n_paths < 1:
-        raise ConfigurationError("ensemble is empty")
+    _require_paths(ensemble)
     capped_max = np.minimum(ensemble.paths.max(axis=1), 1.0)
     mean, se = _mean_se(capped_max)
     return 1.0 - mean, se
@@ -99,6 +103,7 @@ def _top_order_stats(paths: np.ndarray, count: int) -> np.ndarray:
 
 def cluster_size_probs(ensemble: WalkEnsemble, kmax: int) -> ExtremalSummary:
     """Limiting cluster-size probabilities pi_1..pi_kmax and theta_1..theta_kmax."""
+    _require_paths(ensemble)
     if kmax < 1:
         raise ConfigurationError("kmax must be >= 1")
     if ensemble.horizon <= kmax:
@@ -140,6 +145,7 @@ def _tail_rate(ensemble: WalkEnsemble) -> float:
 
 def hill_avar_sre(ensemble: WalkEnsemble, tail_tol: float = DEFAULT_TAIL_TOL) -> HillAvarSRE:
     """Asymptotic variance of the Hill estimator for the SRE solution."""
+    _require_paths(ensemble)
     kappa = ensemble.kappa
     per_path = np.minimum(ensemble.paths, 1.0).sum(axis=1)
     mean, se = _mean_se(per_path)
@@ -160,6 +166,7 @@ def hill_avar_sre(ensemble: WalkEnsemble, tail_tol: float = DEFAULT_TAIL_TOL) ->
 
 def joint_exceedance(ensemble: WalkEnsemble, query: JointExceedanceQuery) -> tuple[float, float]:
     """Limiting joint-exceedance functional (limit, Monte Carlo stderr)."""
+    _require_paths(ensemble)
     k = len(query.x)
     if k > ensemble.horizon + 1:
         raise ConfigurationError(f"query length {k} exceeds horizon + 1")

@@ -178,6 +178,8 @@ class SeriesModel:
             if self.innovations is None:
                 raise ConfigurationError("innovations required")
         elif self.variant == NONLINEAR_AR1:
+            if not (math.isfinite(self.phi1) and math.isfinite(self.delta)):
+                raise ConfigurationError("nonlinear AR(1) requires finite phi1 and delta")
             if self.innovations is None:
                 raise ConfigurationError("innovations required")
         elif self.variant == SRE:
@@ -249,16 +251,32 @@ def simulate_series(model: SeriesModel, n: int, rng: RngState) -> np.ndarray:
         # Innovations are drawn a block at a time: the draws are counter-based
         # and elementwise, so the values equal one draw of `total`, while the
         # Python floats the loop reads stay a block, not a whole long series.
+        # Each block's states overwrite its innovations and are copied out once.
+        #
+        # The three branches equal the documented formula bit for bit:
+        # (delta * +-1.0) * L is exactly +-(delta * L), and a + (-b) is exactly
+        # a - b. For |state| <= 1 the formula adds delta * sgn * log(1.0) =
+        # +-0.0, which can change only the sign of a zero sum; adding zt then
+        # removes that sign, because no innovation is -0.0: a nonzero zt
+        # gives zt, and any zero plus +0.0 is +0.0 (the shifted law draws
+        # +0.0 at uniforms next to 1 - p). A nan takes the middle branch and
+        # stays nan, as in the formula; delta is finite (`SeriesModel`
+        # checks), so the skipped term is never nan.
         x = np.empty(total)
         phi, delta = model.phi1, model.delta
         state = 0.0
         log = math.log
         for start in range(0, total, _DRAW_BLOCK):
             z = dists.sample(model.innovations, rng, min(_DRAW_BLOCK, total - start)).tolist()
-            for t, zt in enumerate(z, start):
-                s = 1.0 if state > 0 else (-1.0 if state < 0 else 0.0)
-                state = phi * state + delta * s * log(max(abs(state), 1.0)) + zt
-                x[t] = state
+            for i, zt in enumerate(z):
+                if state > 1.0:
+                    state = phi * state + delta * log(state) + zt
+                elif state < -1.0:
+                    state = phi * state - delta * log(-state) + zt
+                else:
+                    state = phi * state + zt
+                z[i] = state
+            x[start:start + len(z)] = z
         _check_finite(x, "nonlinear AR(1) recursion")
         return x[model.burnin:]
     # SRE

@@ -286,6 +286,9 @@ BAD_FILES = {
     "innovations-not-object": {**MODEL_JSON, "innovations": 3},
     "no-a-down": {**DRIVER_JSON, "law": {"kind": "two-point", "a_up": 2.0, "p_up": 1 / 3}},
     "constant-b-no-value": {**DRIVER_JSON, "b": {"kind": "constant"}},
+    "fractional-burnin": {**MODEL_JSON, "burnin": 1.5},
+    "phi1-as-string": {**MODEL_JSON, "phi1": "0.8"},
+    "p-as-bool": {**MODEL_JSON, "innovations": {**MODEL_JSON["innovations"], "p": True}},
 }
 
 # Each entry: argv ({series}, {nan_series}, {driver}, {tmp} are filled in) and
@@ -315,6 +318,16 @@ BAD_INPUTS = {
     "driver-no-a-down": (["extremal", "theta", "--driver", "{tmp}/no-a-down.json"], None),
     "driver-constant-b-no-value": (["extremal", "theta", "--driver",
                                     "{tmp}/constant-b-no-value.json"], None),
+    "model-fractional-burnin": (["simulate", "--model", "{tmp}/fractional-burnin.json"], None),
+    "model-phi1-as-string": (["simulate", "--model", "{tmp}/phi1-as-string.json"], None),
+    "model-p-as-bool": (["simulate", "--model", "{tmp}/p-as-bool.json"], None),
+    "theta-one-path": (["extremal", "theta", "--driver", "{driver}", "--paths", "1"], None),
+    "cluster-one-path": (["extremal", "cluster", "--driver", "{driver}", "--kmax", "2",
+                          "--paths", "1"], None),
+    "hill-avar-one-path": (["extremal", "hill-avar", "--driver", "{driver}", "--paths", "1"],
+                           None),
+    "joint-one-path": (["extremal", "joint", "--driver", "{driver}", "--x", "1,1",
+                        "--paths", "1"], None),
 }
 
 

@@ -1,7 +1,10 @@
 """Series generators, walk ensembles, and the moment-exponent solver."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tailseries import (
     ConfigurationError,
@@ -15,6 +18,7 @@ from tailseries import (
     linear_ar1,
     nonlinear_ar1,
     sample,
+    shifted_two_sided_pareto,
     simulate_series,
     simulate_walks,
     solve_kappa,
@@ -31,11 +35,37 @@ TWO_POINT = SREDriver(TwoPointLaw(2.0, 0.5, 1.0 / 3.0))
 @pytest.fixture
 def constant_innovations(monkeypatch):
     """``constant_innovations(c)`` makes every innovation draw equal ``c`` and
-    returns a law to build the model with; its own draws are never used."""
+    returns a law to build the model with; its own draws are never used.
+    ``c`` may also be a sequence, which each draw of ``n`` repeats to length ``n``."""
     def use(value):
-        monkeypatch.setattr(simulate.dists, "sample", lambda spec, rng, n: np.full(n, value))
+        value = np.asarray(value, dtype=np.float64)
+        monkeypatch.setattr(simulate.dists, "sample", lambda spec, rng, n: np.resize(value, n))
         return MODEL_A
     return use
+
+
+def reference_nonlinear(z, phi, delta):
+    """The documented nonlinear AR(1) recursion from 0, in plain Python:
+    ``phi*x + delta*sgn(x)*log(max(|x|, 1)) + z`` for each innovation ``z``."""
+    x, state = [], 0.0
+    for zt in np.asarray(z).tolist():
+        s = 1.0 if state > 0 else (-1.0 if state < 0 else 0.0)
+        state = phi * state + delta * s * math.log(max(abs(state), 1.0)) + zt
+        x.append(state)
+    return np.array(x)
+
+
+def assert_same_bits(a, b):
+    """Equal values with equal signs of zero: the same bytes."""
+    assert np.array_equal(a, b) and a.tobytes() == b.tobytes()
+
+
+UP, DOWN = np.nextafter(1.0, 2.0), np.nextafter(-1.0, -2.0)
+# From a state in [-1, 1] with phi = 0 the next state is the innovation itself,
+# so these drive the states through 0.0, +-1.0, the neighbours of +-1.0 just
+# outside [-1, 1], a -0.0 * state meeting a +0.0 innovation, and large values.
+EDGE_INNOVATIONS = [0.0, 1.0, -1.0, 0.25, UP, 0.25, DOWN, -0.25, 0.5, -0.5, 0.0,
+                    3.0, -3.0, 0.75, 1e300, -1e300, 1e300]
 
 
 class TestSeriesModels:
@@ -77,15 +107,21 @@ class TestSeriesModels:
         assert np.allclose(q1, q2, atol=0.12)
 
     def test_nonfinite_raises_simulation_error(self, constant_innovations):
-        # an explosive nonlinear recursion overflows in finite time
-        model = nonlinear_ar1(3.0, 0.0, constant_innovations(1e300), burnin=0)
-        with pytest.raises(SimulationError) as err:
-            simulate_series(model, 2000, RngState(1))
-        assert err.value.step >= 0
+        # an explosive nonlinear recursion overflows in finite time, at the
+        # step where the documented formula does
+        for delta in (0.0, 0.6, -0.6):
+            model = nonlinear_ar1(3.0, delta, constant_innovations(1e300), burnin=0)
+            with pytest.raises(SimulationError) as err:
+                simulate_series(model, 2000, RngState(1))
+            expected = reference_nonlinear(np.full(2000, 1e300), 3.0, delta)
+            assert err.value.step == int(np.argmax(~np.isfinite(expected))) > 0
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             linear_ar1(1.0, MODEL_A)
+        for phi, delta in ((0.5, float("nan")), (0.5, float("inf")), (float("inf"), 0.5)):
+            with pytest.raises(ConfigurationError):
+                nonlinear_ar1(phi, delta, MODEL_A)
         with pytest.raises(ConfigurationError):
             SeriesModel("linear-ar1", phi1=0.5)  # no innovations
         with pytest.raises(ConfigurationError):
@@ -97,11 +133,64 @@ class TestSeriesModels:
                       sre_model(TWO_POINT, burnin=7)):
             assert SeriesModel.from_json(model.to_json()) == model
 
+    def test_json_integral_float_burnin_accepted(self):
+        obj = linear_ar1(0.8, MODEL_A, burnin=55).to_json()
+        obj["burnin"] = 55.0
+        model = SeriesModel.from_json(obj)
+        assert model.burnin == 55 and isinstance(model.burnin, int)
+
     def test_json_unknown_key_rejected(self):
         obj = linear_ar1(0.8, MODEL_A).to_json()
         obj["phi2"] = 0.1
         with pytest.raises(ConfigurationError):
             SeriesModel.from_json(obj)
+
+
+class TestNonlinearRecursion:
+    """`simulate_series` steps the nonlinear AR(1) in three branches; it must
+    reproduce the documented sgn/max formula bit for bit."""
+
+    @pytest.mark.parametrize("phi", [0.0, 0.5, -0.5, 0.9])
+    @pytest.mark.parametrize("delta", [0.0, 0.6, -0.6, 1.0])
+    def test_edge_states_match_formula(self, constant_innovations, phi, delta):
+        z = np.array(EDGE_INNOVATIONS)
+        model = nonlinear_ar1(phi, delta, constant_innovations(z), burnin=0)
+        series = simulate_series(model, z.size, RngState(1))
+        assert_same_bits(series, reference_nonlinear(z, phi, delta))
+        if phi == 0.0:
+            for value in (0.0, 1.0, -1.0, UP, DOWN):
+                assert value in series
+            assert np.abs(series).max() >= 1e300
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("phi, delta", [(0.0, 0.6), (0.5, -0.6), (0.9, 1.0)])
+    def test_nonfinite_step_matches_formula(self, constant_innovations, bad, phi, delta):
+        z = np.array(EDGE_INNOVATIONS[:5] + [bad] + EDGE_INNOVATIONS[5:])
+        expected = reference_nonlinear(z, phi, delta)
+        model = nonlinear_ar1(phi, delta, constant_innovations(z), burnin=0)
+        with pytest.raises(SimulationError) as err:
+            simulate_series(model, z.size, RngState(1))
+        assert err.value.step == int(np.argmax(~np.isfinite(expected)))
+
+    def test_matches_formula_across_draw_blocks(self):
+        spec = shifted_two_sided_pareto(0.5, 0.5)
+        total = 2 * simulate._DRAW_BLOCK + 123
+        z = sample(spec, RngState(21), total)
+        series = simulate_series(nonlinear_ar1(0.8, 0.6, spec, burnin=77), total - 77,
+                                 RngState(21))
+        assert_same_bits(series, reference_nonlinear(z, 0.8, 0.6)[77:])
+
+    @settings(max_examples=25, deadline=None)
+    @given(phi=st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True),
+           delta=st.floats(-1.0, 1.0), shifted=st.booleans(),
+           gamma=st.sampled_from([0.25, 0.5, 1.0]), seed=st.integers(0, 2**32),
+           n=st.integers(1, 3000), burnin=st.integers(0, 50))
+    def test_matches_formula(self, phi, delta, shifted, gamma, seed, n, burnin):
+        spec = (shifted_two_sided_pareto if shifted else two_sided_pareto)(gamma, 0.5)
+        z = sample(spec, RngState(seed), burnin + n)
+        series = simulate_series(nonlinear_ar1(phi, delta, spec, burnin=burnin), n,
+                                 RngState(seed))
+        assert_same_bits(series, reference_nonlinear(z, phi, delta)[burnin:])
 
 
 class TestSRE:
