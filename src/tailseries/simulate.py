@@ -11,6 +11,14 @@ plus the geometric random walk ``W_j = prod_{i<=j} A_i**kappa`` that drives
 all extremal-dependence quantities of the SRE, and the solver for the moment
 exponent ``kappa`` with ``E A**kappa = 1``.
 
+The three recursions run in a small C kernel, ``_recursion.c``, which the
+package compiles with ``cc`` on first import and loads with ctypes; the
+library is cached under the package's ``__pycache__/`` (or
+``$XDG_CACHE_HOME/tailseries`` when that is not writable). Without a compiler
+the same recursions run in Python (``lfilter`` for the linear model), with
+the same bytes, only slower. ``RECURSION_PATH`` (``"c"`` or ``"python"``)
+says which path this process runs.
+
 Draw protocol (frozen): AR variants start at 0 and consume one innovation per
 step, ``burnin + n`` steps in total. The SRE consumes one block of uniforms
 for the multiplier sequence and, if the additive part is random, one block
@@ -20,12 +28,18 @@ draws 1..J of substream ``p`` of the supplied stream.
 
 from __future__ import annotations
 
+import ctypes
+import hashlib
 import math
+import os
+import platform
+import subprocess
+import sys
+import tempfile
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.signal import lfilter
 from scipy.special import ndtri
 
 from . import distributions as dists
@@ -40,6 +54,74 @@ SRE = "sre"
 _KAPPA_BRACKET = (1e-6, 64.0)
 _PATH_BLOCK = 8192
 _DRAW_BLOCK = 65_536  # innovations per draw in the nonlinear recursion
+
+_KERNEL_SOURCE = Path(__file__).with_name("_recursion.c")
+# Never -ffast-math or -march; -ffp-contract=off keeps `a*b + c` two roundings.
+_KERNEL_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+# ctypes checks dtype, layout and (for the state buffer) writability per call
+_STATES = np.ctypeslib.ndpointer(np.float64, flags=("C_CONTIGUOUS", "WRITEABLE"))
+_DOUBLES = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
+_KERNEL_SIGNATURES = {
+    "linear_ar1": (_STATES, ctypes.c_size_t, ctypes.c_double, ctypes.c_double),
+    "nonlinear_ar1": (_STATES, ctypes.c_size_t, ctypes.c_double, ctypes.c_double,
+                      ctypes.c_double),
+    "sre": (_STATES, _DOUBLES, ctypes.c_size_t, ctypes.c_double),
+}
+
+
+def _kernel_dirs() -> list[Path]:
+    """Where the compiled kernel is cached, in order of preference."""
+    user_cache = os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache"
+    return [Path(__file__).parent / "__pycache__", Path(user_cache) / "tailseries"]
+
+
+def _load_kernel(dirs: list[Path]) -> ctypes.CDLL | None:
+    """The recursion kernel, compiled into the first writable directory of
+    ``dirs`` unless a library for this source, these flags and this platform
+    is already there; None when no compiler runs or the build fails.
+
+    The library is built under a temporary name and renamed into place, so a
+    process never loads a half-written file from a concurrent first import.
+    """
+    try:
+        source = _KERNEL_SOURCE.read_bytes()
+    except OSError:
+        return None  # a copy installed without its C source
+    key = hashlib.sha256(repr((source, _KERNEL_FLAGS, sys.platform,
+                               platform.machine())).encode()).hexdigest()[:16]
+    for directory in dirs:
+        library = directory / f"_recursion-{key}.so"
+        if not library.exists():
+            try:
+                directory.mkdir(parents=True, exist_ok=True)
+                fd, partial = tempfile.mkstemp(suffix=".so.tmp", dir=directory)
+            except OSError:
+                continue  # not writable: try the next directory
+            os.close(fd)
+            try:
+                subprocess.run(["cc", *_KERNEL_FLAGS, "-o", partial, str(_KERNEL_SOURCE), "-lm"],
+                               check=True, capture_output=True, timeout=120)
+                os.replace(partial, library)
+            except (OSError, subprocess.SubprocessError):
+                return None  # no compiler, or it failed
+            finally:
+                if os.path.exists(partial):
+                    os.unlink(partial)
+        try:
+            kernel = ctypes.CDLL(str(library))
+        except OSError:
+            return None
+        for name, argtypes in _KERNEL_SIGNATURES.items():
+            function = getattr(kernel, name)
+            function.argtypes, function.restype = argtypes, ctypes.c_double
+        return kernel
+    return None
+
+
+_KERNEL = _load_kernel(_kernel_dirs())
+RECURSION_PATH = "python" if _KERNEL is None else "c"
+if _KERNEL is None:
+    import scipy.signal  # noqa: F401  the fallback's lfilter, inherited by forked pool workers
 
 
 @dataclass(frozen=True)
@@ -139,7 +221,7 @@ class SREDriver:
 
     def sample_b(self, rng: RngState, n: int) -> np.ndarray:
         if self.b_constant is not None:
-            return np.full(n, self.b_constant)
+            return np.full(n, self.b_constant, dtype=np.float64)
         return dists.sample(self.b_spec, rng, n)
 
     def to_json(self) -> dict:
@@ -243,14 +325,24 @@ def simulate_series(model: SeriesModel, n: int, rng: RngState) -> np.ndarray:
         raise ConfigurationError("series length must be >= 1")
     total = model.burnin + n
     if model.variant == LINEAR_AR1:
-        z = dists.sample(model.innovations, rng, total)
-        x = lfilter([1.0], [1.0, -model.phi1], z)
+        x = dists.sample(model.innovations, rng, total)
+        if _KERNEL is not None:
+            # The same bits as the fallback's lfilter([1], [1, -phi], z), which
+            # steps y = 1.0*z + (0.0*z_prev + phi*y_prev): the products by 1.0
+            # and 0.0 are exact, a signed zero added to a nonzero sum leaves it
+            # as it is, and when every term is zero both give +0.0, because no
+            # innovation is -0.0. A non-finite draw makes both paths
+            # non-finite from its step on.
+            _KERNEL.linear_ar1(x, x.size, model.phi1, 0.0)
+        else:
+            from scipy.signal import lfilter
+            x = lfilter([1.0], [1.0, -model.phi1], x)
         _check_finite(x, "linear AR(1) recursion")
         return x[model.burnin:]
     if model.variant == NONLINEAR_AR1:
         # Innovations are drawn a block at a time: the draws are counter-based
         # and elementwise, so the values equal one draw of `total`, while the
-        # Python floats the loop reads stay a block, not a whole long series.
+        # buffer the recursion reads stays a block, not a whole long series.
         # Each block's states overwrite its innovations and are copied out once.
         #
         # The three branches equal the documented formula bit for bit:
@@ -259,34 +351,42 @@ def simulate_series(model: SeriesModel, n: int, rng: RngState) -> np.ndarray:
         # +-0.0, which can change only the sign of a zero sum; adding zt then
         # removes that sign, because no innovation is -0.0: a nonzero zt
         # gives zt, and any zero plus +0.0 is +0.0 (the shifted law draws
-        # +0.0 at uniforms next to 1 - p). A nan takes the middle branch and
+        # +0.0 at uniforms next to 1 - p). A nan takes the last branch and
         # stays nan, as in the formula; delta is finite (`SeriesModel`
-        # checks), so the skipped term is never nan.
+        # checks), so the skipped term is never nan. The C kernel runs the
+        # same branches with the same roundings (see `_recursion.c`).
         x = np.empty(total)
         phi, delta = model.phi1, model.delta
         state = 0.0
         log = math.log
         for start in range(0, total, _DRAW_BLOCK):
-            z = dists.sample(model.innovations, rng, min(_DRAW_BLOCK, total - start)).tolist()
-            for i, zt in enumerate(z):
-                if state > 1.0:
-                    state = phi * state + delta * log(state) + zt
-                elif state < -1.0:
-                    state = phi * state - delta * log(-state) + zt
-                else:
-                    state = phi * state + zt
-                z[i] = state
+            z = dists.sample(model.innovations, rng, min(_DRAW_BLOCK, total - start))
+            if _KERNEL is not None:
+                state = _KERNEL.nonlinear_ar1(z, z.size, phi, delta, state)
+            else:
+                z = z.tolist()
+                for i, zt in enumerate(z):
+                    if state > 1.0:
+                        state = phi * state + delta * log(state) + zt
+                    elif state < -1.0:
+                        state = phi * state - delta * log(-state) + zt
+                    else:
+                        state = phi * state + zt
+                    z[i] = state
             x[start:start + len(z)] = z
         _check_finite(x, "nonlinear AR(1) recursion")
         return x[model.burnin:]
-    # SRE
-    a = model.driver.law.sample_from_uniforms(rng.uniforms(total)).tolist()
-    b = model.driver.sample_b(rng, total + 1).tolist()
-    x = np.empty(total)
-    state = b[0]
-    for t in range(total):
-        state = a[t] * state + b[t + 1]
-        x[t] = state
+    # SRE: the start value is b[0], then state = a[t] * state + b[t + 1]
+    x = model.driver.law.sample_from_uniforms(rng.uniforms(total))
+    b = model.driver.sample_b(rng, total + 1)
+    if _KERNEL is not None:
+        _KERNEL.sre(x, b[1:], total, b[0])
+    else:
+        a, b = x.tolist(), b.tolist()
+        state = b[0]
+        for t in range(total):
+            state = a[t] * state + b[t + 1]
+            x[t] = state
     _check_finite(x, "stochastic recurrence")
     return x[model.burnin:]
 
@@ -353,6 +453,9 @@ def solve_kappa(driver: SREDriver) -> float:
         hi *= 2.0
         if hi > cap:
             raise NoRootError(f"no root found in (0, {cap:g}]")
+    # imported here: scipy.optimize costs ~0.6 s of import time, for this call alone
+    from scipy.optimize import brentq
+
     kappa = brentq(g, hi / 2.0, hi, xtol=1e-14, rtol=8.9e-16)
     if abs(g(kappa)) > 1e-10:
         raise NoRootError("root refinement failed to reach tolerance 1e-10")

@@ -1,10 +1,14 @@
 """Series generators, walk ensembles, and the moment-exponent solver."""
 
 import math
+import shutil
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.signal import lfilter
 
 from tailseries import (
     ConfigurationError,
@@ -60,6 +64,48 @@ def assert_same_bits(a, b):
     assert np.array_equal(a, b) and a.tobytes() == b.tobytes()
 
 
+# The recursion paths this process can run: the Python fallback, and the
+# compiled kernel when it loaded (`test_kernel_loads_where_a_compiler_exists`
+# fails when a compiler exists but the kernel did not load).
+KERNELS = (None,) if simulate._KERNEL is None else (None, simulate._KERNEL)
+HAVE_CC = shutil.which("cc") is not None
+
+
+def simulate_both_paths(model, n, seed):
+    """`simulate_series` on every recursion path, which must agree: the same
+    bytes, or a `SimulationError` at the same step, which is re-raised."""
+    outcomes = []
+    for kernel in KERNELS:
+        with mock.patch.object(simulate, "_KERNEL", kernel):
+            try:
+                outcomes.append(simulate_series(model, n, RngState(seed)))
+            except SimulationError as err:
+                outcomes.append(err)
+    first = outcomes[0]
+    for other in outcomes[1:]:
+        assert type(other) is type(first)
+        if isinstance(first, SimulationError):
+            assert other.step == first.step
+        else:
+            assert_same_bits(other, first)
+    if isinstance(first, SimulationError):
+        raise first
+    return first
+
+
+def reference_sre(driver, total, seed):
+    """The SRE recursion from the draw protocol in plain Python: start at
+    ``b[0]``, then ``a[t] * x + b[t + 1]``."""
+    rng = RngState(seed)
+    a = driver.law.sample_from_uniforms(rng.uniforms(total)).tolist()
+    b = driver.sample_b(rng, total + 1).tolist()
+    x, state = [], b[0]
+    for at, bt in zip(a, b[1:]):
+        state = at * state + bt
+        x.append(state)
+    return np.array(x)
+
+
 UP, DOWN = np.nextafter(1.0, 2.0), np.nextafter(-1.0, -2.0)
 # From a state in [-1, 1] with phi = 0 the next state is the innovation itself,
 # so these drive the states through 0.0, +-1.0, the neighbours of +-1.0 just
@@ -76,9 +122,9 @@ class TestSeriesModels:
         assert np.array_equal(series, draws)
 
     def test_nonlinear_delta_zero_bitwise_equals_linear(self):
-        lin = simulate_series(linear_ar1(0.8, MODEL_A, burnin=100), 2000, RngState(9))
-        non = simulate_series(nonlinear_ar1(0.8, 0.0, MODEL_A, burnin=100), 2000, RngState(9))
-        assert np.array_equal(lin, non)
+        lin = simulate_both_paths(linear_ar1(0.8, MODEL_A, burnin=100), 2000, 9)
+        non = simulate_both_paths(nonlinear_ar1(0.8, 0.0, MODEL_A, burnin=100), 2000, 9)
+        assert_same_bits(lin, non)
 
     def test_constant_innovation_fixed_point(self, constant_innovations):
         model = linear_ar1(0.5, constant_innovations(1.0), burnin=100)
@@ -112,7 +158,7 @@ class TestSeriesModels:
         for delta in (0.0, 0.6, -0.6):
             model = nonlinear_ar1(3.0, delta, constant_innovations(1e300), burnin=0)
             with pytest.raises(SimulationError) as err:
-                simulate_series(model, 2000, RngState(1))
+                simulate_both_paths(model, 2000, 1)
             expected = reference_nonlinear(np.full(2000, 1e300), 3.0, delta)
             assert err.value.step == int(np.argmax(~np.isfinite(expected))) > 0
 
@@ -147,15 +193,15 @@ class TestSeriesModels:
 
 
 class TestNonlinearRecursion:
-    """`simulate_series` steps the nonlinear AR(1) in three branches; it must
-    reproduce the documented sgn/max formula bit for bit."""
+    """`simulate_series` steps the nonlinear AR(1) in three branches, in C and
+    in Python; both must reproduce the documented sgn/max formula bit for bit."""
 
     @pytest.mark.parametrize("phi", [0.0, 0.5, -0.5, 0.9])
     @pytest.mark.parametrize("delta", [0.0, 0.6, -0.6, 1.0])
     def test_edge_states_match_formula(self, constant_innovations, phi, delta):
         z = np.array(EDGE_INNOVATIONS)
         model = nonlinear_ar1(phi, delta, constant_innovations(z), burnin=0)
-        series = simulate_series(model, z.size, RngState(1))
+        series = simulate_both_paths(model, z.size, 1)
         assert_same_bits(series, reference_nonlinear(z, phi, delta))
         if phi == 0.0:
             for value in (0.0, 1.0, -1.0, UP, DOWN):
@@ -169,15 +215,14 @@ class TestNonlinearRecursion:
         expected = reference_nonlinear(z, phi, delta)
         model = nonlinear_ar1(phi, delta, constant_innovations(z), burnin=0)
         with pytest.raises(SimulationError) as err:
-            simulate_series(model, z.size, RngState(1))
+            simulate_both_paths(model, z.size, 1)
         assert err.value.step == int(np.argmax(~np.isfinite(expected)))
 
     def test_matches_formula_across_draw_blocks(self):
         spec = shifted_two_sided_pareto(0.5, 0.5)
         total = 2 * simulate._DRAW_BLOCK + 123
         z = sample(spec, RngState(21), total)
-        series = simulate_series(nonlinear_ar1(0.8, 0.6, spec, burnin=77), total - 77,
-                                 RngState(21))
+        series = simulate_both_paths(nonlinear_ar1(0.8, 0.6, spec, burnin=77), total - 77, 21)
         assert_same_bits(series, reference_nonlinear(z, 0.8, 0.6)[77:])
 
     @settings(max_examples=25, deadline=None)
@@ -188,9 +233,105 @@ class TestNonlinearRecursion:
     def test_matches_formula(self, phi, delta, shifted, gamma, seed, n, burnin):
         spec = (shifted_two_sided_pareto if shifted else two_sided_pareto)(gamma, 0.5)
         z = sample(spec, RngState(seed), burnin + n)
-        series = simulate_series(nonlinear_ar1(phi, delta, spec, burnin=burnin), n,
-                                 RngState(seed))
+        series = simulate_both_paths(nonlinear_ar1(phi, delta, spec, burnin=burnin), n, seed)
         assert_same_bits(series, reference_nonlinear(z, phi, delta)[burnin:])
+
+
+LINEAR_LAWS = {"pareto-0.5": two_sided_pareto(0.5, 0.5),
+               "shifted-0.5": shifted_two_sided_pareto(0.5, 0.5),
+               "pareto-0.25-skewed": two_sided_pareto(0.25, 0.7)}
+
+
+class TestLinearRecursion:
+    """The linear AR(1) in C and through the fallback's `lfilter` agree bit for bit."""
+
+    @pytest.mark.parametrize("phi", [0.8, -0.95, 0.3, 0.0])
+    @pytest.mark.parametrize("law", LINEAR_LAWS)
+    def test_matches_lfilter(self, law, phi):
+        spec, burnin, n = LINEAR_LAWS[law], 50, 20_000
+        z = sample(spec, RngState(31), burnin + n)
+        series = simulate_both_paths(linear_ar1(phi, spec, burnin=burnin), n, 31)
+        assert_same_bits(series, lfilter([1.0], [1.0, -phi], z)[burnin:])
+
+    @pytest.mark.parametrize("phi", [0.0, 0.5, -0.5])
+    def test_edge_states_match_lfilter(self, constant_innovations, phi):
+        z = np.array(EDGE_INNOVATIONS)
+        model = linear_ar1(phi, constant_innovations(z), burnin=0)
+        assert_same_bits(simulate_both_paths(model, z.size, 1), lfilter([1.0], [1.0, -phi], z))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), 1e308])
+    def test_nonfinite_step(self, constant_innovations, bad):
+        z = np.array(EDGE_INNOVATIONS[:5] + [bad, 1e308] + EDGE_INNOVATIONS[5:])
+        expected = lfilter([1.0], [1.0, -0.9], z)
+        model = linear_ar1(0.9, constant_innovations(z), burnin=0)
+        with pytest.raises(SimulationError) as err:
+            simulate_both_paths(model, z.size, 1)
+        assert err.value.step == int(np.argmax(~np.isfinite(expected)))
+
+
+SRE_DRIVERS = {
+    "two-point": TWO_POINT,
+    "lognormal": SREDriver(LognormalLaw(mu=-0.5, sigma=1.0)),
+    "integer-b": SREDriver(TwoPointLaw(2.0, 0.5, 1.0 / 3.0), b_constant=3),
+    "random-b": SREDriver(TwoPointLaw(2.0, 0.5, 1.0 / 3.0), b_constant=None,
+                          b_spec=InnovationSpec("two-sided-pareto", gamma=0.25, p=1.0)),
+}
+
+
+class TestSRERecursion:
+    """The SRE recursion in C and in Python agree with the draw protocol's loop."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("driver", SRE_DRIVERS)
+    def test_matches_loop(self, driver, seed):
+        drv, burnin, n = SRE_DRIVERS[driver], 30, 20_000
+        series = simulate_both_paths(sre_model(drv, burnin=burnin), n, seed)
+        assert_same_bits(series, reference_sre(drv, burnin + n, seed)[burnin:])
+
+    def test_nonfinite_step(self):
+        # a multiplier law this heavy overflows the recursion in finite time
+        drv = SREDriver(LognormalLaw(mu=-1.0, sigma=40.0))
+        expected = reference_sre(drv, 5000, 4)
+        with pytest.raises(SimulationError) as err:
+            simulate_both_paths(sre_model(drv, burnin=0), 5000, 4)
+        assert err.value.step == int(np.argmax(~np.isfinite(expected)))
+
+
+class TestKernelLoader:
+    """The kernel compiles into the first writable cache directory, and
+    loading falls back to None (the Python path) without a compiler."""
+
+    @pytest.mark.skipif(not HAVE_CC, reason="no C compiler (cc) on PATH")
+    def test_kernel_loads_where_a_compiler_exists(self):
+        assert simulate.RECURSION_PATH == "c" and simulate._KERNEL is not None
+
+    @pytest.mark.skipif(not HAVE_CC, reason="no C compiler (cc) on PATH")
+    def test_compiles_into_cache_and_reuses_it(self, tmp_path):
+        unwritable = tmp_path / "file"
+        unwritable.write_text("")
+        cache = tmp_path / "cache"
+        kernel = simulate._load_kernel([unwritable / "sub", cache])
+        assert kernel is not None
+        (library,) = cache.iterdir()  # the library alone, no partial build left
+        assert library.name.startswith("_recursion-") and library.suffix == ".so"
+        built = library.stat().st_mtime_ns
+        assert simulate._load_kernel([cache]) is not None
+        assert library.stat().st_mtime_ns == built
+        with mock.patch.object(simulate, "_KERNEL", kernel):
+            fresh = simulate_series(nonlinear_ar1(0.8, 0.6, MODEL_A, burnin=10), 5000, RngState(3))
+        assert_same_bits(fresh, simulate_both_paths(nonlinear_ar1(0.8, 0.6, MODEL_A, burnin=10),
+                                                     5000, 3))
+
+    def test_no_compiler_gives_python_path(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("PATH", "")
+        assert simulate._load_kernel([tmp_path]) is None
+        assert list(tmp_path.iterdir()) == []
+
+    def test_user_cache_follows_xdg(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        package_cache, user_cache = simulate._kernel_dirs()
+        assert package_cache == Path(simulate.__file__).parent / "__pycache__"
+        assert user_cache == tmp_path / "tailseries"
 
 
 class TestSRE:
