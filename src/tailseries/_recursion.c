@@ -1,4 +1,4 @@
-/* The three series recursions of tailseries.simulate, over double buffers.
+/* The two AR(1) recursions of tailseries.simulate, over double buffers.
 
 Each function overwrites its first buffer with the states, in place, and
 returns the last state, so a caller can carry it into the next block. Plain C
@@ -43,17 +43,6 @@ double nonlinear_ar1(double *z, size_t n, double phi, double delta, double state
         else
             state = phi * state + z[i];
         z[i] = state;
-    }
-    return state;
-}
-
-/* SRE: state = a[i] * state + b[i]; the caller passes b shifted by one, so
-   that b[i] here is the additive draw B_{i+1} of the series. */
-double sre(double *a, const double *b, size_t n, double state)
-{
-    for (size_t i = 0; i < n; i++) {
-        state = a[i] * state + b[i];
-        a[i] = state;
     }
     return state;
 }

@@ -11,13 +11,14 @@ plus the geometric random walk ``W_j = prod_{i<=j} A_i**kappa`` that drives
 all extremal-dependence quantities of the SRE, and the solver for the moment
 exponent ``kappa`` with ``E A**kappa = 1``.
 
-The three recursions run in a small C kernel, ``_recursion.c``, which the
-package compiles with ``cc`` on first import and loads with ctypes; the
+The two AR(1) recursions run in a small C kernel, ``_recursion.c``, which
+the package compiles with ``cc`` on first import and loads with ctypes; the
 library is cached under the package's ``__pycache__/`` (or
 ``$XDG_CACHE_HOME/tailseries`` when that is not writable). Without a compiler
 the same recursions run in Python (``lfilter`` for the linear model), with
 the same bytes, only slower. ``RECURSION_PATH`` (``"c"`` or ``"python"``)
-says which path this process runs.
+says which path this process runs. The SRE recursion runs in Python on
+either path.
 
 Draw protocol (frozen): AR variants start at 0 and consume one innovation per
 step, ``burnin + n`` steps in total. The SRE consumes one block of uniforms
@@ -60,22 +61,28 @@ _KERNEL_SOURCE = Path(__file__).with_name("_recursion.c")
 _KERNEL_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 # ctypes checks dtype, layout and (for the state buffer) writability per call
 _STATES = np.ctypeslib.ndpointer(np.float64, flags=("C_CONTIGUOUS", "WRITEABLE"))
-_DOUBLES = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
 _KERNEL_SIGNATURES = {
     "linear_ar1": (_STATES, ctypes.c_size_t, ctypes.c_double, ctypes.c_double),
     "nonlinear_ar1": (_STATES, ctypes.c_size_t, ctypes.c_double, ctypes.c_double,
                       ctypes.c_double),
-    "sre": (_STATES, _DOUBLES, ctypes.c_size_t, ctypes.c_double),
 }
 
 
-def _kernel_dirs() -> list[Path]:
-    """Where the compiled kernel is cached, in order of preference."""
-    user_cache = os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache"
-    return [Path(__file__).parent / "__pycache__", Path(user_cache) / "tailseries"]
+def _kernel_dirs():
+    """Where the compiled kernel is cached, in order of preference. The user
+    cache is looked up only when the package's ``__pycache__/`` is passed
+    over, and is left out when no home directory can be determined."""
+    yield Path(__file__).parent / "__pycache__"
+    user_cache = os.environ.get("XDG_CACHE_HOME")
+    if not user_cache:
+        try:
+            user_cache = Path.home() / ".cache"
+        except RuntimeError:
+            return
+    yield Path(user_cache) / "tailseries"
 
 
-def _load_kernel(dirs: list[Path]) -> ctypes.CDLL | None:
+def _load_kernel(dirs) -> ctypes.CDLL | None:
     """The recursion kernel, compiled into the first writable directory of
     ``dirs`` unless a library for this source, these flags and this platform
     is already there; None when no compiler runs or the build fails.
@@ -221,7 +228,7 @@ class SREDriver:
 
     def sample_b(self, rng: RngState, n: int) -> np.ndarray:
         if self.b_constant is not None:
-            return np.full(n, self.b_constant, dtype=np.float64)
+            return np.full(n, self.b_constant)
         return dists.sample(self.b_spec, rng, n)
 
     def to_json(self) -> dict:
@@ -376,17 +383,14 @@ def simulate_series(model: SeriesModel, n: int, rng: RngState) -> np.ndarray:
             x[start:start + len(z)] = z
         _check_finite(x, "nonlinear AR(1) recursion")
         return x[model.burnin:]
-    # SRE: the start value is b[0], then state = a[t] * state + b[t + 1]
-    x = model.driver.law.sample_from_uniforms(rng.uniforms(total))
-    b = model.driver.sample_b(rng, total + 1)
-    if _KERNEL is not None:
-        _KERNEL.sre(x, b[1:], total, b[0])
-    else:
-        a, b = x.tolist(), b.tolist()
-        state = b[0]
-        for t in range(total):
-            state = a[t] * state + b[t + 1]
-            x[t] = state
+    # SRE
+    a = model.driver.law.sample_from_uniforms(rng.uniforms(total)).tolist()
+    b = model.driver.sample_b(rng, total + 1).tolist()
+    x = np.empty(total)
+    state = b[0]
+    for t in range(total):
+        state = a[t] * state + b[t + 1]
+        x[t] = state
     _check_finite(x, "stochastic recurrence")
     return x[model.burnin:]
 

@@ -93,19 +93,6 @@ def simulate_both_paths(model, n, seed):
     return first
 
 
-def reference_sre(driver, total, seed):
-    """The SRE recursion from the draw protocol in plain Python: start at
-    ``b[0]``, then ``a[t] * x + b[t + 1]``."""
-    rng = RngState(seed)
-    a = driver.law.sample_from_uniforms(rng.uniforms(total)).tolist()
-    b = driver.sample_b(rng, total + 1).tolist()
-    x, state = [], b[0]
-    for at, bt in zip(a, b[1:]):
-        state = at * state + bt
-        x.append(state)
-    return np.array(x)
-
-
 UP, DOWN = np.nextafter(1.0, 2.0), np.nextafter(-1.0, -2.0)
 # From a state in [-1, 1] with phi = 0 the next state is the innovation itself,
 # so these drive the states through 0.0, +-1.0, the neighbours of +-1.0 just
@@ -269,34 +256,6 @@ class TestLinearRecursion:
         assert err.value.step == int(np.argmax(~np.isfinite(expected)))
 
 
-SRE_DRIVERS = {
-    "two-point": TWO_POINT,
-    "lognormal": SREDriver(LognormalLaw(mu=-0.5, sigma=1.0)),
-    "integer-b": SREDriver(TwoPointLaw(2.0, 0.5, 1.0 / 3.0), b_constant=3),
-    "random-b": SREDriver(TwoPointLaw(2.0, 0.5, 1.0 / 3.0), b_constant=None,
-                          b_spec=InnovationSpec("two-sided-pareto", gamma=0.25, p=1.0)),
-}
-
-
-class TestSRERecursion:
-    """The SRE recursion in C and in Python agree with the draw protocol's loop."""
-
-    @pytest.mark.parametrize("seed", [1, 2, 3])
-    @pytest.mark.parametrize("driver", SRE_DRIVERS)
-    def test_matches_loop(self, driver, seed):
-        drv, burnin, n = SRE_DRIVERS[driver], 30, 20_000
-        series = simulate_both_paths(sre_model(drv, burnin=burnin), n, seed)
-        assert_same_bits(series, reference_sre(drv, burnin + n, seed)[burnin:])
-
-    def test_nonfinite_step(self):
-        # a multiplier law this heavy overflows the recursion in finite time
-        drv = SREDriver(LognormalLaw(mu=-1.0, sigma=40.0))
-        expected = reference_sre(drv, 5000, 4)
-        with pytest.raises(SimulationError) as err:
-            simulate_both_paths(sre_model(drv, burnin=0), 5000, 4)
-        assert err.value.step == int(np.argmax(~np.isfinite(expected)))
-
-
 class TestKernelLoader:
     """The kernel compiles into the first writable cache directory, and
     loading falls back to None (the Python path) without a compiler."""
@@ -332,6 +291,18 @@ class TestKernelLoader:
         package_cache, user_cache = simulate._kernel_dirs()
         assert package_cache == Path(simulate.__file__).parent / "__pycache__"
         assert user_cache == tmp_path / "tailseries"
+
+    def test_no_home_directory(self, monkeypatch):
+        # no HOME, no XDG_CACHE_HOME and no passwd entry: Path.home() raises
+        def no_home():
+            raise RuntimeError("Could not determine home directory.")
+
+        monkeypatch.delenv("HOME", raising=False)
+        monkeypatch.delenv("XDG_CACHE_HOME", raising=False)
+        monkeypatch.setattr(Path, "home", no_home)
+        assert list(simulate._kernel_dirs()) == [Path(simulate.__file__).parent / "__pycache__"]
+        kernel = simulate._load_kernel(simulate._kernel_dirs())
+        assert (kernel is None) == (simulate._KERNEL is None)
 
 
 class TestSRE:
