@@ -13,8 +13,8 @@ instead of twice, which changes the last bit on targets that have FMA.
 With contraction off, every `*` and `+` below is one IEEE-754 double
 operation rounded to nearest, the same operation CPython performs on floats,
 and `log` is the C library's, the same one `math.log` calls for finite
-positive arguments. So each function reproduces the Python loop it replaces
-bit for bit; the comments in simulate.py say why each loop equals the
+positive arguments. So each function reproduces its Python twin in
+simulate.py bit for bit; the comments there say why each twin equals the
 documented formula.
 */
 

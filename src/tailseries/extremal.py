@@ -175,8 +175,7 @@ def joint_exceedance(ensemble: WalkEnsemble, query: JointExceedanceQuery) -> tup
         return float(weights[0]), 0.0
     segment = np.empty((ensemble.n_paths, k))
     segment[:, 0] = 1.0  # W_0
-    if k > 1:
-        segment[:, 1:] = ensemble.paths[:, :k - 1]
+    segment[:, 1:] = ensemble.paths[:, :k - 1]
     scaled = segment * weights[None, :]
     reduced = scaled.min(axis=1) if query.mode == "all" else scaled.max(axis=1)
     return _mean_se(reduced)

@@ -11,14 +11,11 @@ plus the geometric random walk ``W_j = prod_{i<=j} A_i**kappa`` that drives
 all extremal-dependence quantities of the SRE, and the solver for the moment
 exponent ``kappa`` with ``E A**kappa = 1``.
 
-The two AR(1) recursions run in a small C kernel, ``_recursion.c``, which
-the package compiles with ``cc`` on first import and loads with ctypes; the
-library is cached under the package's ``__pycache__/`` (or
-``$XDG_CACHE_HOME/tailseries`` when that is not writable). Without a compiler
-the same recursions run in Python (``lfilter`` for the linear model), with
-the same bytes, only slower. ``RECURSION_PATH`` (``"c"`` or ``"python"``)
-says which path this process runs. The SRE recursion runs in Python on
-either path.
+The two AR(1) recursions step blocks of innovations through ``_KERNEL``: the
+C kernel ``_recursion.c``, which `_load_kernel` compiles on first import, or,
+without a compiler, ``_PYTHON_KERNEL``, with the same bytes, only slower.
+``RECURSION_PATH`` (``"c"`` or ``"python"``) says which one this process
+runs. The SRE recursion runs in Python on either path.
 
 Draw protocol (frozen): AR variants start at 0 and consume one innovation per
 step, ``burnin + n`` steps in total. The SRE consumes one block of uniforms
@@ -29,6 +26,7 @@ draws 1..J of substream ``p`` of the supplied stream.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import hashlib
 import math
@@ -39,6 +37,7 @@ import sys
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.special import ndtri
@@ -54,7 +53,7 @@ SRE = "sre"
 
 _KAPPA_BRACKET = (1e-6, 64.0)
 _PATH_BLOCK = 8192
-_DRAW_BLOCK = 65_536  # innovations per draw in the nonlinear recursion
+_DRAW_BLOCK = 65_536  # innovations per draw in the AR(1) recursions
 
 _KERNEL_SOURCE = Path(__file__).with_name("_recursion.c")
 # Never -ffast-math or -march; -ffp-contract=off keeps `a*b + c` two roundings.
@@ -89,6 +88,7 @@ def _load_kernel(dirs) -> ctypes.CDLL | None:
 
     The library is built under a temporary name and renamed into place, so a
     process never loads a half-written file from a concurrent first import.
+    A new build removes the libraries of older sources from its directory.
     """
     try:
         source = _KERNEL_SOURCE.read_bytes()
@@ -114,6 +114,10 @@ def _load_kernel(dirs) -> ctypes.CDLL | None:
             finally:
                 if os.path.exists(partial):
                     os.unlink(partial)
+            for stale in directory.glob("_recursion-*.so"):
+                if stale != library:
+                    with contextlib.suppress(OSError):  # removed concurrently
+                        stale.unlink()
         try:
             kernel = ctypes.CDLL(str(library))
         except OSError:
@@ -125,9 +129,49 @@ def _load_kernel(dirs) -> ctypes.CDLL | None:
     return None
 
 
-_KERNEL = _load_kernel(_kernel_dirs())
-RECURSION_PATH = "python" if _KERNEL is None else "c"
-if _KERNEL is None:
+def _linear_ar1(z: np.ndarray, n: int, phi: float, state: float) -> float:
+    """``linear_ar1`` of `_recursion.c`, in Python."""
+    # The same bits as the C kernel: lfilter([1], [1, -phi], z) steps
+    # y = 1.0*z + (0.0*z_prev + phi*y_prev), and the carried state enters as
+    # the initial condition phi*state. The products by 1.0 and 0.0 are exact,
+    # a signed zero added to a nonzero sum leaves it as it is, and when every
+    # term is zero both give +0.0, because no innovation is -0.0. A non-finite
+    # draw makes both paths non-finite from its step on.
+    from scipy.signal import lfilter
+    z[:n] = lfilter([1.0], [1.0, -phi], z[:n], zi=[phi * state])[0]
+    return float(z[n - 1])
+
+
+def _nonlinear_ar1(z: np.ndarray, n: int, phi: float, delta: float, state: float) -> float:
+    """``nonlinear_ar1`` of `_recursion.c`, in Python."""
+    # The three branches equal the documented formula bit for bit:
+    # (delta * +-1.0) * L is exactly +-(delta * L), and a + (-b) is exactly
+    # a - b. For |state| <= 1 the formula adds delta * sgn * log(1.0) =
+    # +-0.0, which can change only the sign of a zero sum; adding zt then
+    # removes that sign, because no innovation is -0.0: a nonzero zt
+    # gives zt, and any zero plus +0.0 is +0.0 (the shifted law draws
+    # +0.0 at uniforms next to 1 - p). A nan takes the last branch and
+    # stays nan, as in the formula; delta is finite (`SeriesModel`
+    # checks), so the skipped term is never nan. The C kernel runs the
+    # same branches with the same roundings (see `_recursion.c`).
+    log = math.log
+    states = z[:n].tolist()
+    for i, zt in enumerate(states):
+        if state > 1.0:
+            state = phi * state + delta * log(state) + zt
+        elif state < -1.0:
+            state = phi * state - delta * log(-state) + zt
+        else:
+            state = phi * state + zt
+        states[i] = state
+    z[:n] = states
+    return state
+
+
+_PYTHON_KERNEL = SimpleNamespace(linear_ar1=_linear_ar1, nonlinear_ar1=_nonlinear_ar1)
+_KERNEL = _load_kernel(_kernel_dirs()) or _PYTHON_KERNEL
+RECURSION_PATH = "python" if _KERNEL is _PYTHON_KERNEL else "c"
+if _KERNEL is _PYTHON_KERNEL:
     import scipy.signal  # noqa: F401  the fallback's lfilter, inherited by forked pool workers
 
 
@@ -331,57 +375,22 @@ def simulate_series(model: SeriesModel, n: int, rng: RngState) -> np.ndarray:
     if n < 1:
         raise ConfigurationError("series length must be >= 1")
     total = model.burnin + n
-    if model.variant == LINEAR_AR1:
-        x = dists.sample(model.innovations, rng, total)
-        if _KERNEL is not None:
-            # The same bits as the fallback's lfilter([1], [1, -phi], z), which
-            # steps y = 1.0*z + (0.0*z_prev + phi*y_prev): the products by 1.0
-            # and 0.0 are exact, a signed zero added to a nonzero sum leaves it
-            # as it is, and when every term is zero both give +0.0, because no
-            # innovation is -0.0. A non-finite draw makes both paths
-            # non-finite from its step on.
-            _KERNEL.linear_ar1(x, x.size, model.phi1, 0.0)
-        else:
-            from scipy.signal import lfilter
-            x = lfilter([1.0], [1.0, -model.phi1], x)
-        _check_finite(x, "linear AR(1) recursion")
-        return x[model.burnin:]
-    if model.variant == NONLINEAR_AR1:
+    if model.variant in (LINEAR_AR1, NONLINEAR_AR1):
         # Innovations are drawn a block at a time: the draws are counter-based
         # and elementwise, so the values equal one draw of `total`, while the
         # buffer the recursion reads stays a block, not a whole long series.
         # Each block's states overwrite its innovations and are copied out once.
-        #
-        # The three branches equal the documented formula bit for bit:
-        # (delta * +-1.0) * L is exactly +-(delta * L), and a + (-b) is exactly
-        # a - b. For |state| <= 1 the formula adds delta * sgn * log(1.0) =
-        # +-0.0, which can change only the sign of a zero sum; adding zt then
-        # removes that sign, because no innovation is -0.0: a nonzero zt
-        # gives zt, and any zero plus +0.0 is +0.0 (the shifted law draws
-        # +0.0 at uniforms next to 1 - p). A nan takes the last branch and
-        # stays nan, as in the formula; delta is finite (`SeriesModel`
-        # checks), so the skipped term is never nan. The C kernel runs the
-        # same branches with the same roundings (see `_recursion.c`).
+        linear = model.variant == LINEAR_AR1
         x = np.empty(total)
-        phi, delta = model.phi1, model.delta
         state = 0.0
-        log = math.log
         for start in range(0, total, _DRAW_BLOCK):
             z = dists.sample(model.innovations, rng, min(_DRAW_BLOCK, total - start))
-            if _KERNEL is not None:
-                state = _KERNEL.nonlinear_ar1(z, z.size, phi, delta, state)
+            if linear:
+                state = _KERNEL.linear_ar1(z, z.size, model.phi1, state)
             else:
-                z = z.tolist()
-                for i, zt in enumerate(z):
-                    if state > 1.0:
-                        state = phi * state + delta * log(state) + zt
-                    elif state < -1.0:
-                        state = phi * state - delta * log(-state) + zt
-                    else:
-                        state = phi * state + zt
-                    z[i] = state
-            x[start:start + len(z)] = z
-        _check_finite(x, "nonlinear AR(1) recursion")
+                state = _KERNEL.nonlinear_ar1(z, z.size, model.phi1, model.delta, state)
+            x[start:start + z.size] = z
+        _check_finite(x, "linear AR(1) recursion" if linear else "nonlinear AR(1) recursion")
         return x[model.burnin:]
     # SRE
     a = model.driver.law.sample_from_uniforms(rng.uniforms(total)).tolist()

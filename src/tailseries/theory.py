@@ -78,7 +78,7 @@ class CoefficientSequence:
 
 
 def _split_weights(seq: CoefficientSequence, gamma: float):
-    """(|psi_j|**(1/gamma) split by sign) as arrays aligned with seq.pairs."""
+    """``(psi_j, |psi_j|**(1/gamma))`` as arrays aligned with ``seq.pairs``."""
     vals = np.array([v for _, v in seq.pairs])
     w = np.abs(vals) ** (1.0 / gamma)
     return vals, w
@@ -207,8 +207,7 @@ def second_order_constants(seq: CoefficientSequence, gamma: float,
     """
     if not (gamma > 0):
         raise DomainError("gamma must be > 0")
-    vals = np.array([v for _, v in seq.pairs])
-    w1 = np.abs(vals) ** (1.0 / gamma)
+    vals, w1 = _split_weights(seq, gamma)
     w2 = np.abs(vals) ** (1.0 / gamma + 1.0)
     pos, neg = vals > 0, vals < 0
     d_psi = tail.c * w1[pos].sum() + tail.c_tilde * w1[neg].sum()

@@ -64,10 +64,11 @@ def assert_same_bits(a, b):
     assert np.array_equal(a, b) and a.tobytes() == b.tobytes()
 
 
-# The recursion paths this process can run: the Python fallback, and the
+# The recursion paths this process can run: the Python kernel, and the
 # compiled kernel when it loaded (`test_kernel_loads_where_a_compiler_exists`
 # fails when a compiler exists but the kernel did not load).
-KERNELS = (None,) if simulate._KERNEL is None else (None, simulate._KERNEL)
+KERNELS = ((simulate._PYTHON_KERNEL,) if simulate._KERNEL is simulate._PYTHON_KERNEL
+           else (simulate._PYTHON_KERNEL, simulate._KERNEL))
 HAVE_CC = shutil.which("cc") is not None
 
 
@@ -148,6 +149,28 @@ class TestSeriesModels:
                 simulate_both_paths(model, 2000, 1)
             expected = reference_nonlinear(np.full(2000, 1e300), 3.0, delta)
             assert err.value.step == int(np.argmax(~np.isfinite(expected))) > 0
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("model", [linear_ar1(0.8, MODEL_A, burnin=0),
+                                       nonlinear_ar1(0.8, 0.6, MODEL_A, burnin=0)],
+                             ids=["linear", "nonlinear"])
+    def test_nonfinite_in_second_draw_block(self, monkeypatch, bad, model):
+        # the state carried into the second block is finite; the bad draw
+        # makes its own step the first non-finite one on every kernel
+        at = simulate._DRAW_BLOCK + 10
+        real_sample = simulate.dists.sample
+
+        def sample_with_bad_draw(spec, rng, n):  # draw `at` of the stream is `bad`
+            start = rng.state[1]
+            z = real_sample(spec, rng, n)
+            if start <= at < start + n:
+                z[at - start] = bad
+            return z
+
+        monkeypatch.setattr(simulate.dists, "sample", sample_with_bad_draw)
+        with pytest.raises(SimulationError) as err:
+            simulate_both_paths(model, 2 * simulate._DRAW_BLOCK, 1)
+        assert err.value.step == at
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
@@ -240,6 +263,16 @@ class TestLinearRecursion:
         series = simulate_both_paths(linear_ar1(phi, spec, burnin=burnin), n, 31)
         assert_same_bits(series, lfilter([1.0], [1.0, -phi], z)[burnin:])
 
+    @pytest.mark.parametrize("phi", [0.8, -0.95])
+    @pytest.mark.parametrize("law", ["pareto-0.5", "shifted-0.5"])
+    def test_matches_lfilter_across_draw_blocks(self, law, phi):
+        # the carried state enters each block as it does one whole-series lfilter
+        spec, burnin = LINEAR_LAWS[law], 77
+        total = 2 * simulate._DRAW_BLOCK + 123
+        z = sample(spec, RngState(22), total)
+        series = simulate_both_paths(linear_ar1(phi, spec, burnin=burnin), total - burnin, 22)
+        assert_same_bits(series, lfilter([1.0], [1.0, -phi], z)[burnin:])
+
     @pytest.mark.parametrize("phi", [0.0, 0.5, -0.5])
     def test_edge_states_match_lfilter(self, constant_innovations, phi):
         z = np.array(EDGE_INNOVATIONS)
@@ -262,7 +295,17 @@ class TestKernelLoader:
 
     @pytest.mark.skipif(not HAVE_CC, reason="no C compiler (cc) on PATH")
     def test_kernel_loads_where_a_compiler_exists(self):
-        assert simulate.RECURSION_PATH == "c" and simulate._KERNEL is not None
+        assert simulate.RECURSION_PATH == "c" and simulate._KERNEL is not simulate._PYTHON_KERNEL
+
+    @pytest.mark.skipif(not HAVE_CC, reason="no C compiler (cc) on PATH")
+    def test_build_removes_stale_libraries(self, tmp_path):
+        stale = tmp_path / "_recursion-0123456789abcdef.so"
+        stale.write_bytes(b"a library built from an older _recursion.c")
+        unrelated = tmp_path / "other.so"
+        unrelated.write_bytes(b"")
+        assert simulate._load_kernel([tmp_path]) is not None
+        (library,) = tmp_path.glob("_recursion-*.so")
+        assert library != stale and unrelated.exists()
 
     @pytest.mark.skipif(not HAVE_CC, reason="no C compiler (cc) on PATH")
     def test_compiles_into_cache_and_reuses_it(self, tmp_path):
@@ -302,7 +345,7 @@ class TestKernelLoader:
         monkeypatch.setattr(Path, "home", no_home)
         assert list(simulate._kernel_dirs()) == [Path(simulate.__file__).parent / "__pycache__"]
         kernel = simulate._load_kernel(simulate._kernel_dirs())
-        assert (kernel is None) == (simulate._KERNEL is None)
+        assert (kernel is None) == (simulate._KERNEL is simulate._PYTHON_KERNEL)
 
 
 class TestSRE:
