@@ -1,0 +1,195 @@
+"""The compiled kernel ``_recursion.c`` and its Python twins.
+
+``_KERNEL`` is the object every caller goes through: the ctypes library,
+which `_load_kernel` compiles on first import, or, without a compiler,
+``_PYTHON_KERNEL``, with the same bytes, only slower. Both offer
+
+* ``uniforms(bases, count, first, n, out)``: draws ``first .. first+n-1`` of
+  each of the ``count`` streams ``bases`` (`rng.py`), one row per stream;
+* ``two_point_walk(bases, count, n, p_up, up, down, out)``: the running
+  product of ``up`` (draw below ``p_up``) or ``down`` over draws ``1..n`` of
+  each stream, one row per path;
+* ``linear_ar1(z, n, phi, state)`` and
+  ``nonlinear_ar1(z, n, phi, delta, state)``: the AR(1) recursions of
+  `simulate.py`, overwriting ``z`` with the states and returning the last.
+
+Each writes C-contiguous float64 buffers that the caller allocates at their
+full size. ``RECURSION_PATH`` (``"c"`` or ``"python"``) says which one this
+process runs. The Python twins are also the tests' bit-for-bit reference.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import ctypes
+import hashlib
+import math
+import os
+import platform
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from types import SimpleNamespace
+
+import numpy as np
+
+_U = np.uint64
+_WEYL = 0x9E3779B97F4A7C15
+_INV_2_53 = 2.0 ** -53
+
+_KERNEL_SOURCE = Path(__file__).with_name("_recursion.c")
+# Never -ffast-math or -march; -ffp-contract=off keeps `a*b + c` two roundings.
+_KERNEL_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+# ctypes checks dtype, layout and (for the written buffers) writability per call
+_BASES = np.ctypeslib.ndpointer(np.uint64, flags="C_CONTIGUOUS")
+_DOUBLES = np.ctypeslib.ndpointer(np.float64, flags=("C_CONTIGUOUS", "WRITEABLE"))
+_SIZE, _DOUBLE = ctypes.c_size_t, ctypes.c_double
+# name: (restype, argtypes)
+_KERNEL_SIGNATURES = {
+    "uniforms": (None, (_BASES, _SIZE, ctypes.c_uint64, _SIZE, _DOUBLES)),
+    "two_point_walk": (None, (_BASES, _SIZE, _SIZE, _DOUBLE, _DOUBLE, _DOUBLE, _DOUBLES)),
+    "linear_ar1": (_DOUBLE, (_DOUBLES, _SIZE, _DOUBLE, _DOUBLE)),
+    "nonlinear_ar1": (_DOUBLE, (_DOUBLES, _SIZE, _DOUBLE, _DOUBLE, _DOUBLE)),
+}
+
+
+def _kernel_dirs():
+    """Where the compiled kernel is cached, in order of preference. The user
+    cache is looked up only when the package's ``__pycache__/`` is passed
+    over, and is left out when no home directory can be determined."""
+    yield Path(__file__).parent / "__pycache__"
+    user_cache = os.environ.get("XDG_CACHE_HOME")
+    if not user_cache:
+        try:
+            user_cache = Path.home() / ".cache"
+        except RuntimeError:
+            return
+    yield Path(user_cache) / "tailseries"
+
+
+def _load_kernel(dirs) -> ctypes.CDLL | None:
+    """The kernel library, compiled into the first writable directory of
+    ``dirs`` unless a library for this source, these flags and this platform
+    is already there; None when no compiler runs or the build fails.
+
+    The library is built under a temporary name and renamed into place, so a
+    process never loads a half-written file from a concurrent first import.
+    A new build removes the libraries of older sources from its directory.
+    """
+    try:
+        source = _KERNEL_SOURCE.read_bytes()
+    except OSError:
+        return None  # a copy installed without its C source
+    key = hashlib.sha256(repr((source, _KERNEL_FLAGS, sys.platform,
+                               platform.machine())).encode()).hexdigest()[:16]
+    for directory in dirs:
+        library = directory / f"_recursion-{key}.so"
+        if not library.exists():
+            try:
+                directory.mkdir(parents=True, exist_ok=True)
+                fd, partial = tempfile.mkstemp(suffix=".so.tmp", dir=directory)
+            except OSError:
+                continue  # not writable: try the next directory
+            os.close(fd)
+            try:
+                subprocess.run(["cc", *_KERNEL_FLAGS, "-o", partial, str(_KERNEL_SOURCE), "-lm"],
+                               check=True, capture_output=True, timeout=120)
+                os.replace(partial, library)
+            except (OSError, subprocess.SubprocessError):
+                return None  # no compiler, or it failed
+            finally:
+                if os.path.exists(partial):
+                    os.unlink(partial)
+            for stale in directory.glob("_recursion-*.so"):
+                if stale != library:
+                    with contextlib.suppress(OSError):  # removed concurrently
+                        stale.unlink()
+        try:
+            kernel = ctypes.CDLL(str(library))
+        except OSError:
+            return None
+        for name, (restype, argtypes) in _KERNEL_SIGNATURES.items():
+            function = getattr(kernel, name)
+            function.argtypes, function.restype = argtypes, restype
+        return kernel
+    return None
+
+
+def _mix64_array(z: np.ndarray) -> np.ndarray:
+    """The SplitMix64 finalizer ``rng.mix64`` on a uint64 array (a copy)."""
+    z = z.astype(np.uint64, copy=True)
+    z ^= z >> _U(30)
+    z *= _U(0xBF58476D1CE4E5B9)
+    z ^= z >> _U(27)
+    z *= _U(0x94D049BB133111EB)
+    z ^= z >> _U(31)
+    return z
+
+
+def _uniforms(bases: np.ndarray, count: int, first: int, n: int, out: np.ndarray) -> None:
+    """``uniforms`` of `_recursion.c`, in numpy."""
+    # The same bits as the C kernel: uint64 arithmetic wraps modulo 2**64 in
+    # both, the shifted value is below 2**53 so its float64 conversion is
+    # exact, `+ 0.5` is one rounding in both, and 2**-53 scales exactly.
+    counters = np.arange(first, first + n, dtype=np.uint64)
+    bits = _mix64_array(bases[:count, None] + counters[None, :] * _U(_WEYL))
+    out.reshape(count, n)[...] = ((bits >> _U(11)).astype(np.float64) + 0.5) * _INV_2_53
+
+
+def _two_point_walk(bases: np.ndarray, count: int, n: int, p_up: float, up: float,
+                    down: float, out: np.ndarray) -> None:
+    """``two_point_walk`` of `_recursion.c`, in numpy."""
+    # cumprod multiplies left to right, one rounding per step, as the C loop
+    # does; its first value is the first multiplier, which the C loop gets as
+    # 1.0 * up or 1.0 * down, exactly the same.
+    u = np.empty((count, n))
+    _uniforms(bases, count, 1, n, u)
+    np.cumprod(np.where(u < p_up, up, down), axis=1, out=out.reshape(count, n))
+
+
+def _linear_ar1(z: np.ndarray, n: int, phi: float, state: float) -> float:
+    """``linear_ar1`` of `_recursion.c`, in Python."""
+    # The same bits as the C kernel: lfilter([1], [1, -phi], z) steps
+    # y = 1.0*z + (0.0*z_prev + phi*y_prev), and the carried state enters as
+    # the initial condition phi*state. The products by 1.0 and 0.0 are exact,
+    # a signed zero added to a nonzero sum leaves it as it is, and when every
+    # term is zero both give +0.0, because no innovation is -0.0. A non-finite
+    # draw makes both paths non-finite from its step on.
+    from scipy.signal import lfilter
+    z[:n] = lfilter([1.0], [1.0, -phi], z[:n], zi=[phi * state])[0]
+    return float(z[n - 1])
+
+
+def _nonlinear_ar1(z: np.ndarray, n: int, phi: float, delta: float, state: float) -> float:
+    """``nonlinear_ar1`` of `_recursion.c`, in Python."""
+    # The three branches equal the documented formula bit for bit:
+    # (delta * +-1.0) * L is exactly +-(delta * L), and a + (-b) is exactly
+    # a - b. For |state| <= 1 the formula adds delta * sgn * log(1.0) =
+    # +-0.0, which can change only the sign of a zero sum; adding zt then
+    # removes that sign, because no innovation is -0.0: a nonzero zt
+    # gives zt, and any zero plus +0.0 is +0.0 (the shifted law draws
+    # +0.0 at uniforms next to 1 - p). A nan takes the last branch and
+    # stays nan, as in the formula; delta is finite (`SeriesModel`
+    # checks), so the skipped term is never nan. The C kernel runs the
+    # same branches with the same roundings (see `_recursion.c`).
+    log = math.log
+    states = z[:n].tolist()
+    for i, zt in enumerate(states):
+        if state > 1.0:
+            state = phi * state + delta * log(state) + zt
+        elif state < -1.0:
+            state = phi * state - delta * log(-state) + zt
+        else:
+            state = phi * state + zt
+        states[i] = state
+    z[:n] = states
+    return state
+
+
+_PYTHON_KERNEL = SimpleNamespace(uniforms=_uniforms, two_point_walk=_two_point_walk,
+                                 linear_ar1=_linear_ar1, nonlinear_ar1=_nonlinear_ar1)
+_KERNEL = _load_kernel(_kernel_dirs()) or _PYTHON_KERNEL
+RECURSION_PATH = "python" if _KERNEL is _PYTHON_KERNEL else "c"
+if _KERNEL is _PYTHON_KERNEL:
+    import scipy.signal  # noqa: F401  the fallback's lfilter, inherited by forked pool workers

@@ -1,8 +1,7 @@
-/* The two AR(1) recursions of tailseries.simulate, over double buffers.
+/* The compiled kernel of tailseries: the SplitMix64 uniforms of rng.py, the
+two-point geometric walk and the two AR(1) recursions of simulate.py.
 
-Each function overwrites its first buffer with the states, in place, and
-returns the last state, so a caller can carry it into the next block. Plain C
-with no Python C-API: simulate.py compiles this file with
+Plain C with no Python C-API: _kernel.py compiles this file with
 
     cc -O2 -ffp-contract=off -fPIC -shared -o <library> _recursion.c -lm
 
@@ -10,18 +9,59 @@ and calls it through ctypes. Never build it with -ffast-math or -march, and
 keep -ffp-contract=off: a multiply and an add fused into one FMA round once
 instead of twice, which changes the last bit on targets that have FMA.
 
-With contraction off, every `*` and `+` below is one IEEE-754 double
-operation rounded to nearest, the same operation CPython performs on floats,
-and `log` is the C library's, the same one `math.log` calls for finite
-positive arguments. So each function reproduces its Python twin in
-simulate.py bit for bit; the comments there say why each twin equals the
+With contraction off, every `*` and `+` on doubles below is one IEEE-754
+double operation rounded to nearest, the same operation CPython and numpy
+perform, and `log` is the C library's, the same one `math.log` calls for
+finite positive arguments. Unsigned 64-bit arithmetic wraps modulo 2**64, as
+numpy's uint64 does. So each function reproduces its Python twin in
+_kernel.py bit for bit; the comments there say why each twin equals the
 documented formula.
 */
 
 #include <math.h>
 #include <stddef.h>
+#include <stdint.h>
 
-/* Linear AR(1): state = phi * state + z[i]. */
+/* Draw `counter` of the stream `base` (rng.py):
+   ((mix64(base + counter * 0x9E3779B97F4A7C15) >> 11) + 0.5) * 2**-53.
+   The shifted value is below 2**53, so its conversion to double is exact;
+   the `+ 0.5` rounds as in numpy, and the product by a power of two is exact. */
+static inline double splitmix_uniform(uint64_t base, uint64_t counter)
+{
+    uint64_t z = base + counter * UINT64_C(0x9E3779B97F4A7C15);
+    z = (z ^ (z >> 30)) * UINT64_C(0xBF58476D1CE4E5B9);
+    z = (z ^ (z >> 27)) * UINT64_C(0x94D049BB133111EB);
+    z ^= z >> 31;
+    return ((double)(z >> 11) + 0.5) * 0x1p-53;
+}
+
+/* Row p of `out` (count rows of n) holds draws first .. first+n-1 of the
+   stream bases[p]. */
+void uniforms(const uint64_t *bases, size_t count, uint64_t first, size_t n, double *out)
+{
+    for (size_t p = 0; p < count; p++)
+        for (size_t i = 0; i < n; i++)
+            *out++ = splitmix_uniform(bases[p], first + i);
+}
+
+/* Row p of `out` (count rows of n) holds the running product of the
+   multipliers `up` (draw below p_up) or `down` of draws 1..n of the stream
+   bases[p]. The product starts at 1.0, and 1.0 * a is exactly a. */
+void two_point_walk(const uint64_t *bases, size_t count, size_t n, double p_up,
+                    double up, double down, double *out)
+{
+    for (size_t p = 0; p < count; p++) {
+        double w = 1.0;
+        for (size_t j = 0; j < n; j++) {
+            w = w * (splitmix_uniform(bases[p], j + 1) < p_up ? up : down);
+            *out++ = w;
+        }
+    }
+}
+
+/* Linear AR(1): state = phi * state + z[i]. Overwrites z with the states, in
+   place, and returns the last state, so a caller can carry it into the next
+   block. */
 double linear_ar1(double *z, size_t n, double phi, double state)
 {
     for (size_t i = 0; i < n; i++) {
@@ -31,8 +71,9 @@ double linear_ar1(double *z, size_t n, double phi, double state)
     return state;
 }
 
-/* Nonlinear AR(1) in the three-branch form of simulate.py. A nan state fails
-   both comparisons and takes the last branch, as it does in Python. */
+/* Nonlinear AR(1) in the three-branch form of _kernel.py, in place like
+   linear_ar1. A nan state fails both comparisons and takes the last branch,
+   as it does in Python. */
 double nonlinear_ar1(double *z, size_t n, double phi, double delta, double state)
 {
     for (size_t i = 0; i < n; i++) {

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, HorizonTooSmallError
-from .simulate import WalkEnsemble
+from .simulate import _PATH_BLOCK, WalkEnsemble
 
 DEFAULT_TAIL_TOL = 1e-2
 
@@ -96,9 +96,16 @@ def extremal_index(ensemble: WalkEnsemble) -> tuple[float, float]:
 
 
 def _top_order_stats(paths: np.ndarray, count: int) -> np.ndarray:
-    """Top ``count`` values of each path, column c = (c+1)-th largest."""
-    part = np.partition(paths, paths.shape[1] - count, axis=1)[:, -count:]
-    return -np.sort(-part, axis=1)
+    """Top ``count`` values of each path, column c = (c+1)-th largest.
+
+    Computed a block of paths at a time, so no copy of the whole ensemble is made.
+    """
+    top = np.empty((paths.shape[0], count))
+    for start in range(0, paths.shape[0], _PATH_BLOCK):
+        rows = slice(start, start + _PATH_BLOCK)
+        part = np.partition(paths[rows], paths.shape[1] - count, axis=1)[:, -count:]
+        top[rows] = -np.sort(-part, axis=1)
+    return top
 
 
 def cluster_size_probs(ensemble: WalkEnsemble, kmax: int) -> ExtremalSummary:
@@ -147,7 +154,11 @@ def hill_avar_sre(ensemble: WalkEnsemble, tail_tol: float = DEFAULT_TAIL_TOL) ->
     """Asymptotic variance of the Hill estimator for the SRE solution."""
     _require_paths(ensemble)
     kappa = ensemble.kappa
-    per_path = np.minimum(ensemble.paths, 1.0).sum(axis=1)
+    paths = ensemble.paths
+    per_path = np.empty(paths.shape[0])
+    for start in range(0, paths.shape[0], _PATH_BLOCK):
+        rows = slice(start, start + _PATH_BLOCK)
+        per_path[rows] = np.minimum(paths[rows], 1.0).sum(axis=1)
     mean, se = _mean_se(per_path)
     r = _tail_rate(ensemble)
     if r < 1.0:

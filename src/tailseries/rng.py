@@ -28,21 +28,22 @@ offsets of the same 2**64-cycle; for any realistic total draw count
 is the usual guarantee class for splittable generators. Changing any constant
 above is a breaking change; test vectors are frozen in tests/test_rng.py.
 
-Because the algorithm is counter-based, a block of n draws is generated by a
-handful of vectorized 64-bit operations; identical seeds give bit-identical
-streams on every platform.
+Because the algorithm is counter-based, each draw is a function of its base
+and counter alone, so any block of draws of any number of streams is computed
+on its own. `RngState.uniforms` and `uniforms_for_bases` run in the compiled
+kernel, or in its numpy twin without a compiler (`_kernel.py`), with the same
+bits; identical seeds give bit-identical streams on every platform.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-_MASK64 = (1 << 64) - 1
-_WEYL = 0x9E3779B97F4A7C15
-_STREAM_SALT = 0xD2B74407B1CE6E93
+from . import _kernel
+from ._kernel import _U, _WEYL, _mix64_array
 
-_U = np.uint64
-_INV_2_53 = 2.0 ** -53
+_MASK64 = (1 << 64) - 1
+_STREAM_SALT = 0xD2B74407B1CE6E93
 
 ALGORITHM = "splitmix64-counter"
 
@@ -53,16 +54,6 @@ def mix64(z: int) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return (z ^ (z >> 31)) & _MASK64
-
-
-def _mix64_array(z: np.ndarray) -> np.ndarray:
-    z = z.astype(np.uint64, copy=True)
-    z ^= z >> _U(30)
-    z *= _U(0xBF58476D1CE4E5B9)
-    z ^= z >> _U(27)
-    z *= _U(0x94D049BB133111EB)
-    z ^= z >> _U(31)
-    return z
 
 
 class RngState:
@@ -112,8 +103,11 @@ class RngState:
 
     def uniforms(self, n: int) -> np.ndarray:
         """Next ``n`` uniforms in the open interval (0, 1); advances the stream."""
-        bits = self.raw_u64(n)
-        return ((bits >> _U(11)).astype(np.float64) + 0.5) * _INV_2_53
+        out = np.empty(n)
+        _kernel._KERNEL.uniforms(np.array([self._base], dtype=np.uint64), 1, self._count + 1,
+                                 n, out)
+        self._count += n
+        return out
 
     def uniform(self) -> float:
         return float(self.uniforms(1)[0])
@@ -128,8 +122,10 @@ def uniforms_for_bases(bases: np.ndarray, n_draws: int) -> np.ndarray:
 
     Bitwise identical to calling ``uniforms(n_draws)`` on each stream; used to
     vectorize generation across many substreams (e.g. random-walk paths).
+    ``bases`` is a sequence of ints in [0, 2**64) or an integer array, whose
+    values are taken modulo 2**64, as ``astype(np.uint64)`` takes them.
     """
-    counters = np.arange(1, n_draws + 1, dtype=np.uint64)
-    states = bases[:, None].astype(np.uint64) + counters[None, :] * _U(_WEYL)
-    bits = _mix64_array(states)
-    return ((bits >> _U(11)).astype(np.float64) + 0.5) * _INV_2_53
+    bases = np.ascontiguousarray(bases, dtype=np.uint64).ravel()
+    out = np.empty((bases.size, n_draws))
+    _kernel._KERNEL.uniforms(bases, bases.size, 1, n_draws, out)
+    return out

@@ -11,11 +11,13 @@ plus the geometric random walk ``W_j = prod_{i<=j} A_i**kappa`` that drives
 all extremal-dependence quantities of the SRE, and the solver for the moment
 exponent ``kappa`` with ``E A**kappa = 1``.
 
-The two AR(1) recursions step blocks of innovations through ``_KERNEL``: the
-C kernel ``_recursion.c``, which `_load_kernel` compiles on first import, or,
-without a compiler, ``_PYTHON_KERNEL``, with the same bytes, only slower.
-``RECURSION_PATH`` (``"c"`` or ``"python"``) says which one this process
-runs. The SRE recursion runs in Python on either path.
+The two AR(1) recursions step blocks of innovations, and two-point walks are
+drawn and multiplied a block of paths at a time, through the kernel of
+`_kernel.py`: the compiled ``_recursion.c``, or, without a compiler, its
+Python twins, with the same bytes, only slower. ``RECURSION_PATH`` (``"c"``
+or ``"python"``) says which one this process runs. Lognormal walks map the
+kernel's uniforms to multipliers in numpy, and the SRE recursion runs in
+Python, on either path.
 
 Draw protocol (frozen): AR variants start at 0 and consume one innovation per
 step, ``burnin + n`` steps in total. The SRE consumes one block of uniforms
@@ -26,23 +28,15 @@ draws 1..J of substream ``p`` of the supplied stream.
 
 from __future__ import annotations
 
-import contextlib
-import ctypes
-import hashlib
 import math
-import os
-import platform
-import subprocess
-import sys
-import tempfile
 from dataclasses import dataclass
-from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 from scipy.special import ndtri
 
+from . import _kernel
 from . import distributions as dists
+from ._kernel import RECURSION_PATH  # noqa: F401  re-exported: which kernel path runs
 from .distributions import InnovationSpec, json_fields, json_number, json_object
 from .errors import ConfigurationError, NoRootError, SimulationError
 from .rng import RngState, uniforms_for_bases
@@ -54,125 +48,6 @@ SRE = "sre"
 _KAPPA_BRACKET = (1e-6, 64.0)
 _PATH_BLOCK = 8192
 _DRAW_BLOCK = 65_536  # innovations per draw in the AR(1) recursions
-
-_KERNEL_SOURCE = Path(__file__).with_name("_recursion.c")
-# Never -ffast-math or -march; -ffp-contract=off keeps `a*b + c` two roundings.
-_KERNEL_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
-# ctypes checks dtype, layout and (for the state buffer) writability per call
-_STATES = np.ctypeslib.ndpointer(np.float64, flags=("C_CONTIGUOUS", "WRITEABLE"))
-_KERNEL_SIGNATURES = {
-    "linear_ar1": (_STATES, ctypes.c_size_t, ctypes.c_double, ctypes.c_double),
-    "nonlinear_ar1": (_STATES, ctypes.c_size_t, ctypes.c_double, ctypes.c_double,
-                      ctypes.c_double),
-}
-
-
-def _kernel_dirs():
-    """Where the compiled kernel is cached, in order of preference. The user
-    cache is looked up only when the package's ``__pycache__/`` is passed
-    over, and is left out when no home directory can be determined."""
-    yield Path(__file__).parent / "__pycache__"
-    user_cache = os.environ.get("XDG_CACHE_HOME")
-    if not user_cache:
-        try:
-            user_cache = Path.home() / ".cache"
-        except RuntimeError:
-            return
-    yield Path(user_cache) / "tailseries"
-
-
-def _load_kernel(dirs) -> ctypes.CDLL | None:
-    """The recursion kernel, compiled into the first writable directory of
-    ``dirs`` unless a library for this source, these flags and this platform
-    is already there; None when no compiler runs or the build fails.
-
-    The library is built under a temporary name and renamed into place, so a
-    process never loads a half-written file from a concurrent first import.
-    A new build removes the libraries of older sources from its directory.
-    """
-    try:
-        source = _KERNEL_SOURCE.read_bytes()
-    except OSError:
-        return None  # a copy installed without its C source
-    key = hashlib.sha256(repr((source, _KERNEL_FLAGS, sys.platform,
-                               platform.machine())).encode()).hexdigest()[:16]
-    for directory in dirs:
-        library = directory / f"_recursion-{key}.so"
-        if not library.exists():
-            try:
-                directory.mkdir(parents=True, exist_ok=True)
-                fd, partial = tempfile.mkstemp(suffix=".so.tmp", dir=directory)
-            except OSError:
-                continue  # not writable: try the next directory
-            os.close(fd)
-            try:
-                subprocess.run(["cc", *_KERNEL_FLAGS, "-o", partial, str(_KERNEL_SOURCE), "-lm"],
-                               check=True, capture_output=True, timeout=120)
-                os.replace(partial, library)
-            except (OSError, subprocess.SubprocessError):
-                return None  # no compiler, or it failed
-            finally:
-                if os.path.exists(partial):
-                    os.unlink(partial)
-            for stale in directory.glob("_recursion-*.so"):
-                if stale != library:
-                    with contextlib.suppress(OSError):  # removed concurrently
-                        stale.unlink()
-        try:
-            kernel = ctypes.CDLL(str(library))
-        except OSError:
-            return None
-        for name, argtypes in _KERNEL_SIGNATURES.items():
-            function = getattr(kernel, name)
-            function.argtypes, function.restype = argtypes, ctypes.c_double
-        return kernel
-    return None
-
-
-def _linear_ar1(z: np.ndarray, n: int, phi: float, state: float) -> float:
-    """``linear_ar1`` of `_recursion.c`, in Python."""
-    # The same bits as the C kernel: lfilter([1], [1, -phi], z) steps
-    # y = 1.0*z + (0.0*z_prev + phi*y_prev), and the carried state enters as
-    # the initial condition phi*state. The products by 1.0 and 0.0 are exact,
-    # a signed zero added to a nonzero sum leaves it as it is, and when every
-    # term is zero both give +0.0, because no innovation is -0.0. A non-finite
-    # draw makes both paths non-finite from its step on.
-    from scipy.signal import lfilter
-    z[:n] = lfilter([1.0], [1.0, -phi], z[:n], zi=[phi * state])[0]
-    return float(z[n - 1])
-
-
-def _nonlinear_ar1(z: np.ndarray, n: int, phi: float, delta: float, state: float) -> float:
-    """``nonlinear_ar1`` of `_recursion.c`, in Python."""
-    # The three branches equal the documented formula bit for bit:
-    # (delta * +-1.0) * L is exactly +-(delta * L), and a + (-b) is exactly
-    # a - b. For |state| <= 1 the formula adds delta * sgn * log(1.0) =
-    # +-0.0, which can change only the sign of a zero sum; adding zt then
-    # removes that sign, because no innovation is -0.0: a nonzero zt
-    # gives zt, and any zero plus +0.0 is +0.0 (the shifted law draws
-    # +0.0 at uniforms next to 1 - p). A nan takes the last branch and
-    # stays nan, as in the formula; delta is finite (`SeriesModel`
-    # checks), so the skipped term is never nan. The C kernel runs the
-    # same branches with the same roundings (see `_recursion.c`).
-    log = math.log
-    states = z[:n].tolist()
-    for i, zt in enumerate(states):
-        if state > 1.0:
-            state = phi * state + delta * log(state) + zt
-        elif state < -1.0:
-            state = phi * state - delta * log(-state) + zt
-        else:
-            state = phi * state + zt
-        states[i] = state
-    z[:n] = states
-    return state
-
-
-_PYTHON_KERNEL = SimpleNamespace(linear_ar1=_linear_ar1, nonlinear_ar1=_nonlinear_ar1)
-_KERNEL = _load_kernel(_kernel_dirs()) or _PYTHON_KERNEL
-RECURSION_PATH = "python" if _KERNEL is _PYTHON_KERNEL else "c"
-if _KERNEL is _PYTHON_KERNEL:
-    import scipy.signal  # noqa: F401  the fallback's lfilter, inherited by forked pool workers
 
 
 @dataclass(frozen=True)
@@ -364,10 +239,11 @@ def sre_model(driver: SREDriver, burnin: int = 10_000) -> SeriesModel:
     return SeriesModel(SRE, driver=driver, burnin=burnin)
 
 
-def _check_finite(x: np.ndarray, what: str):
+def _check_finite(x: np.ndarray, what: str, offset: int = 0):
+    """Raise at the first non-finite value of ``x``, whose first value is step ``offset``."""
     bad = ~np.isfinite(x)
     if bad.any():
-        raise SimulationError(f"non-finite value in {what}", step=int(np.argmax(bad)))
+        raise SimulationError(f"non-finite value in {what}", step=offset + int(np.argmax(bad)))
 
 
 def simulate_series(model: SeriesModel, n: int, rng: RngState) -> np.ndarray:
@@ -386,9 +262,9 @@ def simulate_series(model: SeriesModel, n: int, rng: RngState) -> np.ndarray:
         for start in range(0, total, _DRAW_BLOCK):
             z = dists.sample(model.innovations, rng, min(_DRAW_BLOCK, total - start))
             if linear:
-                state = _KERNEL.linear_ar1(z, z.size, model.phi1, state)
+                state = _kernel._KERNEL.linear_ar1(z, z.size, model.phi1, state)
             else:
-                state = _KERNEL.nonlinear_ar1(z, z.size, model.phi1, model.delta, state)
+                state = _kernel._KERNEL.nonlinear_ar1(z, z.size, model.phi1, model.delta, state)
             x[start:start + z.size] = z
         _check_finite(x, "linear AR(1) recursion" if linear else "nonlinear AR(1) recursion")
         return x[model.burnin:]
@@ -428,13 +304,22 @@ def simulate_walks(driver: SREDriver, kappa: float, horizon: int, n_paths: int,
     if horizon < 1 or n_paths < 1:
         raise ConfigurationError("horizon and n_paths must be >= 1")
     driver.check_drift()
+    law = driver.law
+    if isinstance(law, TwoPointLaw):
+        # `**` as on a whole block of multipliers, so the two powers are the
+        # same bits as each element of `sample_from_uniforms(u)**kappa`
+        up, down = np.array([law.a_up, law.a_down]) ** kappa
     paths = np.empty((n_paths, horizon))
     for start in range(0, n_paths, _PATH_BLOCK):
         count = min(_PATH_BLOCK, n_paths - start)
-        u = uniforms_for_bases(rng.child_bases(count, start=start), horizon)
-        a = driver.law.sample_from_uniforms(u)
-        np.cumprod(a**kappa, axis=1, out=paths[start:start + count])
-    _check_finite(paths.ravel(), "walk ensemble")
+        bases = rng.child_bases(count, start=start)
+        block = paths[start:start + count]
+        if isinstance(law, TwoPointLaw):
+            _kernel._KERNEL.two_point_walk(bases, count, horizon, law.p_up, up, down, block)
+        else:
+            u = uniforms_for_bases(bases, horizon)
+            np.cumprod(law.sample_from_uniforms(u) ** kappa, axis=1, out=block)
+        _check_finite(block.ravel(), "walk ensemble", offset=start * horizon)
     return WalkEnsemble(kappa=kappa, horizon=horizon, n_paths=n_paths,
                         paths=paths, driver=driver)
 

@@ -18,6 +18,8 @@ from tailseries import (
     joint_exceedance,
     simulate_walks,
 )
+from tailseries import extremal
+from tailseries.simulate import _PATH_BLOCK
 
 DRIVER = SREDriver(TwoPointLaw(2.0, 0.5, 1.0 / 3.0))  # E A = 1, kappa = 1
 
@@ -153,6 +155,21 @@ class TestHillAvarSRE:
         short = simulate_walks(DRIVER, 1.0, 20, 1000, RngState(56))
         with pytest.raises(HorizonTooSmallError):
             hill_avar_sre(short)
+
+
+class TestBlockedReductions:
+    """The reductions that run a block of paths at a time equal their
+    whole-matrix forms bit for bit, across block boundaries."""
+
+    def test_equal_whole_matrix(self):
+        ens = simulate_walks(DRIVER, 1.0, 60, 2 * _PATH_BLOCK + 5, RngState(57))
+        paths, count = ens.paths, 6
+        part = np.partition(paths, paths.shape[1] - count, axis=1)[:, -count:]
+        assert np.array_equal(extremal._top_order_stats(paths, count), -np.sort(-part, axis=1))
+        per_path = np.minimum(paths, 1.0).sum(axis=1)
+        result = hill_avar_sre(ens, tail_tol=float("inf"))
+        assert result.variance == 1.0 + 2.0 * per_path.mean()
+        assert result.stderr == 2.0 * (per_path.std(ddof=1) / np.sqrt(per_path.size))
 
 
 class TestJointExceedance:

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from tailseries.rng import RngState, mix64, uniforms_for_bases
+from tailseries.simulate import _DRAW_BLOCK
+from conftest import assert_same_bits, same_on_every_kernel
 
 _GOLD = 0x9E3779B97F4A7C15
 _MASK = (1 << 64) - 1
@@ -98,3 +100,68 @@ def test_uniformity_ks():
 def test_substream_index_validation():
     with pytest.raises(ValueError):
         RngState(1).substream(-1)
+
+
+def scalar_uniforms(base, first, n):
+    """Draws first .. first+n-1 of the stream ``base`` by the documented
+    formula, in Python ints and floats."""
+    return np.array([(float(mix64((base + c * _GOLD) & _MASK) >> 11) + 0.5) * 2.0**-53
+                     for c in range(first, first + n)])
+
+
+def unmix64(z):
+    """The inverse of `mix64`: undo each xorshift and multiply by the inverse
+    of each odd multiplier modulo 2**64, in reverse order."""
+    def unxorshift(y, s):  # each pass recovers s more of the top bits of x
+        x = y
+        for _ in range(64 // s):
+            x = y ^ (x >> s)
+        return x
+
+    z = unxorshift(z, 31)
+    z = (z * pow(0x94D049BB133111EB, -1, 1 << 64)) & _MASK
+    z = unxorshift(z, 27)
+    z = (z * pow(0xBF58476D1CE4E5B9, -1, 1 << 64)) & _MASK
+    return unxorshift(z, 30)
+
+
+@pytest.mark.parametrize("sizes", [(0, 1, 13, 1, 0, 50),
+                                   (_DRAW_BLOCK, _DRAW_BLOCK, 123)],
+                         ids=["small", "series-draw-blocks"])
+def test_uniforms_in_blocks_match_formula(sizes):
+    # each call starts at the counter the previous one left, on every kernel
+    def draw():
+        stream = RngState(7)
+        blocks = [stream.uniforms(n) for n in sizes]
+        assert [b.shape for b in blocks] == [(n,) for n in sizes]
+        assert stream.state[1] == sum(sizes)
+        return np.concatenate(blocks)
+
+    base = RngState(7).state[0]
+    assert_same_bits(same_on_every_kernel(draw), scalar_uniforms(base, 1, sum(sizes)))
+
+
+def test_uniforms_for_bases_any_integer_input():
+    bases = RngState(13).child_bases(40, start=3)
+    assert (bases.view(np.int64) < 0).any()  # some bases are >= 2**63
+    expected = np.array([scalar_uniforms(int(b), 1, 9) for b in bases])
+    for given in (bases, bases.view(np.int64), [int(b) for b in bases]):
+        got = same_on_every_kernel(lambda: uniforms_for_bases(given, 9))
+        assert_same_bits(got, expected)
+    got = same_on_every_kernel(lambda: uniforms_for_bases(bases[::3], 9))
+    assert_same_bits(got, expected[::3])
+    assert same_on_every_kernel(lambda: uniforms_for_bases(bases, 0)).shape == (40, 0)
+
+
+@pytest.mark.parametrize("top53, draw", [(2**53 - 1, 1.0), (2**52, 0.5)])
+def test_endpoint_rounding_is_pinned(top53, draw):
+    # Above 2**52, `(bits >> 11) + 0.5` is not a double and rounds to even:
+    # 2**53 - 1 draws exactly 1.0, outside the documented open interval, and
+    # 2**52 draws 0.5, as 2**52 - 1 does. Both kernels keep this until a
+    # new draw protocol changes them together.
+    target = (top53 << 11) | 0x3FF
+    base = (unmix64(target) - _GOLD) & _MASK  # draw 1 mixes base + _GOLD
+    assert mix64((base + _GOLD) & _MASK) == target
+    got = same_on_every_kernel(lambda: RngState(0, _base=base).uniforms(1))
+    assert got.tolist() == [draw]
+    assert_same_bits(same_on_every_kernel(lambda: uniforms_for_bases([base], 1)), got[None, :])

@@ -29,8 +29,10 @@ from tailseries import (
     sre_model,
     two_sided_pareto,
 )
-from tailseries import simulate
+from tailseries import _kernel, simulate
 from tailseries.distributions import InnovationSpec
+from tailseries.rng import uniforms_for_bases
+from conftest import assert_same_bits, same_on_every_kernel
 
 MODEL_A = two_sided_pareto(0.5, 0.5)
 TWO_POINT = SREDriver(TwoPointLaw(2.0, 0.5, 1.0 / 3.0))
@@ -59,39 +61,12 @@ def reference_nonlinear(z, phi, delta):
     return np.array(x)
 
 
-def assert_same_bits(a, b):
-    """Equal values with equal signs of zero: the same bytes."""
-    assert np.array_equal(a, b) and a.tobytes() == b.tobytes()
-
-
-# The recursion paths this process can run: the Python kernel, and the
-# compiled kernel when it loaded (`test_kernel_loads_where_a_compiler_exists`
-# fails when a compiler exists but the kernel did not load).
-KERNELS = ((simulate._PYTHON_KERNEL,) if simulate._KERNEL is simulate._PYTHON_KERNEL
-           else (simulate._PYTHON_KERNEL, simulate._KERNEL))
 HAVE_CC = shutil.which("cc") is not None
 
 
 def simulate_both_paths(model, n, seed):
-    """`simulate_series` on every recursion path, which must agree: the same
-    bytes, or a `SimulationError` at the same step, which is re-raised."""
-    outcomes = []
-    for kernel in KERNELS:
-        with mock.patch.object(simulate, "_KERNEL", kernel):
-            try:
-                outcomes.append(simulate_series(model, n, RngState(seed)))
-            except SimulationError as err:
-                outcomes.append(err)
-    first = outcomes[0]
-    for other in outcomes[1:]:
-        assert type(other) is type(first)
-        if isinstance(first, SimulationError):
-            assert other.step == first.step
-        else:
-            assert_same_bits(other, first)
-    if isinstance(first, SimulationError):
-        raise first
-    return first
+    """`simulate_series` on every kernel path, which must agree."""
+    return same_on_every_kernel(lambda: simulate_series(model, n, RngState(seed)))
 
 
 UP, DOWN = np.nextafter(1.0, 2.0), np.nextafter(-1.0, -2.0)
@@ -295,7 +270,9 @@ class TestKernelLoader:
 
     @pytest.mark.skipif(not HAVE_CC, reason="no C compiler (cc) on PATH")
     def test_kernel_loads_where_a_compiler_exists(self):
-        assert simulate.RECURSION_PATH == "c" and simulate._KERNEL is not simulate._PYTHON_KERNEL
+        assert simulate.RECURSION_PATH == "c" and _kernel._KERNEL is not _kernel._PYTHON_KERNEL
+        for name in ("uniforms", "two_point_walk", "linear_ar1", "nonlinear_ar1"):
+            assert hasattr(_kernel._KERNEL, name) and hasattr(_kernel._PYTHON_KERNEL, name)
 
     @pytest.mark.skipif(not HAVE_CC, reason="no C compiler (cc) on PATH")
     def test_build_removes_stale_libraries(self, tmp_path):
@@ -303,7 +280,7 @@ class TestKernelLoader:
         stale.write_bytes(b"a library built from an older _recursion.c")
         unrelated = tmp_path / "other.so"
         unrelated.write_bytes(b"")
-        assert simulate._load_kernel([tmp_path]) is not None
+        assert _kernel._load_kernel([tmp_path]) is not None
         (library,) = tmp_path.glob("_recursion-*.so")
         assert library != stale and unrelated.exists()
 
@@ -312,27 +289,27 @@ class TestKernelLoader:
         unwritable = tmp_path / "file"
         unwritable.write_text("")
         cache = tmp_path / "cache"
-        kernel = simulate._load_kernel([unwritable / "sub", cache])
+        kernel = _kernel._load_kernel([unwritable / "sub", cache])
         assert kernel is not None
         (library,) = cache.iterdir()  # the library alone, no partial build left
         assert library.name.startswith("_recursion-") and library.suffix == ".so"
         built = library.stat().st_mtime_ns
-        assert simulate._load_kernel([cache]) is not None
+        assert _kernel._load_kernel([cache]) is not None
         assert library.stat().st_mtime_ns == built
-        with mock.patch.object(simulate, "_KERNEL", kernel):
+        with mock.patch.object(_kernel, "_KERNEL", kernel):
             fresh = simulate_series(nonlinear_ar1(0.8, 0.6, MODEL_A, burnin=10), 5000, RngState(3))
         assert_same_bits(fresh, simulate_both_paths(nonlinear_ar1(0.8, 0.6, MODEL_A, burnin=10),
                                                      5000, 3))
 
     def test_no_compiler_gives_python_path(self, tmp_path, monkeypatch):
         monkeypatch.setenv("PATH", "")
-        assert simulate._load_kernel([tmp_path]) is None
+        assert _kernel._load_kernel([tmp_path]) is None
         assert list(tmp_path.iterdir()) == []
 
     def test_user_cache_follows_xdg(self, tmp_path, monkeypatch):
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-        package_cache, user_cache = simulate._kernel_dirs()
-        assert package_cache == Path(simulate.__file__).parent / "__pycache__"
+        package_cache, user_cache = _kernel._kernel_dirs()
+        assert package_cache == Path(_kernel.__file__).parent / "__pycache__"
         assert user_cache == tmp_path / "tailseries"
 
     def test_no_home_directory(self, monkeypatch):
@@ -343,9 +320,9 @@ class TestKernelLoader:
         monkeypatch.delenv("HOME", raising=False)
         monkeypatch.delenv("XDG_CACHE_HOME", raising=False)
         monkeypatch.setattr(Path, "home", no_home)
-        assert list(simulate._kernel_dirs()) == [Path(simulate.__file__).parent / "__pycache__"]
-        kernel = simulate._load_kernel(simulate._kernel_dirs())
-        assert (kernel is None) == (simulate._KERNEL is simulate._PYTHON_KERNEL)
+        assert list(_kernel._kernel_dirs()) == [Path(_kernel.__file__).parent / "__pycache__"]
+        kernel = _kernel._load_kernel(_kernel._kernel_dirs())
+        assert (kernel is None) == (_kernel._KERNEL is _kernel._PYTHON_KERNEL)
 
 
 class TestSRE:
@@ -375,7 +352,43 @@ class TestSRE:
             sre_model(SREDriver(TwoPointLaw(2.0, 0.5, 0.5)))  # E log A = 0
 
 
+def reference_walks(driver, kappa, horizon, n_paths, seed):
+    """The documented walk: row p is the running product of the multipliers'
+    powers over draws 1..horizon of substream p, in one whole-matrix pass."""
+    u = uniforms_for_bases(RngState(seed).child_bases(n_paths), horizon)
+    with np.errstate(over="ignore"):
+        return np.cumprod(driver.law.sample_from_uniforms(u) ** kappa, axis=1)
+
+
 class TestWalks:
+    # solve_kappa's root for TWO_POINT, small and large exponents, and the
+    # exponents numpy's `**` special-cases (square root, square)
+    @pytest.mark.parametrize("kappa", [1.0000000000000004, 0.0025, 0.7318, 1.37, 11.3, 0.5, 2.0])
+    @pytest.mark.parametrize("horizon", [1, 200])
+    def test_two_point_walk_matches_formula(self, kappa, horizon):
+        # 8193 paths: a full path block and a block of one path
+        paths = same_on_every_kernel(
+            lambda: simulate_walks(TWO_POINT, kappa, horizon, 8193, RngState(15)).paths)
+        assert_same_bits(paths, reference_walks(TWO_POINT, kappa, horizon, 8193, 15))
+
+    @pytest.mark.parametrize("driver", [SREDriver(TwoPointLaw(3.0, 0.4, 0.2)),
+                                        SREDriver(LognormalLaw(-0.5, 1.0))],
+                             ids=["two-point-3", "lognormal"])
+    def test_walk_matches_formula(self, driver):
+        kappa = solve_kappa(driver)
+        paths = same_on_every_kernel(
+            lambda: simulate_walks(driver, kappa, 50, 9000, RngState(16)).paths)
+        assert_same_bits(paths, reference_walks(driver, kappa, 50, 9000, 16))
+
+    def test_overflow_step_in_second_path_block(self):
+        # at kappa = 76 a walk overflows once it stands 14 up-steps above its
+        # start; with seed 6 the first such path is 9360, in the second block
+        with pytest.raises(SimulationError) as err:
+            same_on_every_kernel(lambda: simulate_walks(TWO_POINT, 76.0, 200, 9500, RngState(6)))
+        expected = reference_walks(TWO_POINT, 76.0, 200, 9500, 6)
+        assert err.value.step == int(np.argmax(~np.isfinite(expected.ravel())))
+        assert err.value.step // 200 >= simulate._PATH_BLOCK
+
     def test_mean_w1_is_one(self):
         ens = simulate_walks(TWO_POINT, 1.0, 1, 1_000_000, RngState(10))
         assert ens.paths[:, 0].mean() == pytest.approx(1.0, abs=3e-3)
