@@ -6,6 +6,11 @@ which `_load_kernel` compiles on first import, or, without a compiler,
 
 * ``uniforms(bases, count, first, n, out)``: draws ``first .. first+n-1`` of
   each of the ``count`` streams ``bases`` (`rng.py`), one row per stream;
+* ``pareto_base(u, n, p, out)`` and ``pareto_finish(u, z, n, p, shift)``:
+  the Pareto inverse CDF of `distributions.py` around its power, which stays
+  in numpy: the base ``(1-p)/u`` or ``p/(1-u)``, returning how many ``u``
+  lie outside (0, 1), and then, in place on the power ``z``, ``shift - z``
+  or ``z - shift``;
 * ``two_point_walk(bases, count, n, p_up, up, down, out)``: the running
   product of ``up`` (draw below ``p_up``) or ``down`` over draws ``1..n`` of
   each stream, one row per path;
@@ -13,8 +18,8 @@ which `_load_kernel` compiles on first import, or, without a compiler,
   ``nonlinear_ar1(z, n, phi, delta, state)``: the AR(1) recursions of
   `simulate.py`, overwriting ``z`` with the states and returning the last.
 
-Each writes C-contiguous float64 buffers that the caller allocates at their
-full size. ``RECURSION_PATH`` (``"c"`` or ``"python"``) says which one this
+Each works on C-contiguous buffers that the caller allocates at their full
+size. ``RECURSION_PATH`` (``"c"`` or ``"python"``) says which one this
 process runs. The Python twins are also the tests' bit-for-bit reference.
 """
 
@@ -43,11 +48,14 @@ _KERNEL_SOURCE = Path(__file__).with_name("_recursion.c")
 _KERNEL_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 # ctypes checks dtype, layout and (for the written buffers) writability per call
 _BASES = np.ctypeslib.ndpointer(np.uint64, flags="C_CONTIGUOUS")
+_READ_DOUBLES = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
 _DOUBLES = np.ctypeslib.ndpointer(np.float64, flags=("C_CONTIGUOUS", "WRITEABLE"))
 _SIZE, _DOUBLE = ctypes.c_size_t, ctypes.c_double
 # name: (restype, argtypes)
 _KERNEL_SIGNATURES = {
     "uniforms": (None, (_BASES, _SIZE, ctypes.c_uint64, _SIZE, _DOUBLES)),
+    "pareto_base": (_SIZE, (_READ_DOUBLES, _SIZE, _DOUBLE, _DOUBLES)),
+    "pareto_finish": (None, (_READ_DOUBLES, _DOUBLES, _SIZE, _DOUBLE, _DOUBLE)),
     "two_point_walk": (None, (_BASES, _SIZE, _SIZE, _DOUBLE, _DOUBLE, _DOUBLE, _DOUBLES)),
     "linear_ar1": (_DOUBLE, (_DOUBLES, _SIZE, _DOUBLE, _DOUBLE)),
     "nonlinear_ar1": (_DOUBLE, (_DOUBLES, _SIZE, _DOUBLE, _DOUBLE, _DOUBLE)),
@@ -142,10 +150,41 @@ def _two_point_walk(bases: np.ndarray, count: int, n: int, p_up: float, up: floa
     """``two_point_walk`` of `_recursion.c`, in numpy."""
     # cumprod multiplies left to right, one rounding per step, as the C loop
     # does; its first value is the first multiplier, which the C loop gets as
-    # 1.0 * up or 1.0 * down, exactly the same.
+    # 1.0 * up or 1.0 * down, exactly the same. An overflow gives inf
+    # silently, as in C; the caller raises at its step.
     u = np.empty((count, n))
     _uniforms(bases, count, 1, n, u)
-    np.cumprod(np.where(u < p_up, up, down), axis=1, out=out.reshape(count, n))
+    with np.errstate(over="ignore"):
+        np.cumprod(np.where(u < p_up, up, down), axis=1, out=out.reshape(count, n))
+
+
+def _pareto_base(u: np.ndarray, n: int, p: float, out: np.ndarray) -> int:
+    """``pareto_base`` of `_recursion.c`, in numpy."""
+    # The divisions of the inverse CDF's two branches, as `quantile_fn`
+    # wrote them before its power moved between the two kernel passes; the
+    # C kernel divides the same selected operands once. The domain is
+    # checked first, so u = 0 or 1 divides nothing and warns of nothing; a
+    # subnormal u overflows (1-p)/u to inf silently, as in C.
+    u = u[:n]
+    outside = int(np.count_nonzero((u <= 0.0) | (u >= 1.0)))
+    if outside:
+        return outside
+    with np.errstate(over="ignore"):
+        out[:n] = np.where(u <= (1.0 - p), (1.0 - p) / u, p / (1.0 - u))
+    return 0
+
+
+def _pareto_finish(u: np.ndarray, z: np.ndarray, n: int, p: float, shift: float) -> None:
+    """``pareto_finish`` of `_recursion.c`, in numpy."""
+    # The branches as `quantile_fn` wrote them, on the power z: the C kernel's
+    # 0.0 - z equals -z because z >= 1 on the left branch (its base is at
+    # least 1, and u there is no nan), and z - 0.0 is z for every z.
+    left = u[:n] <= (1.0 - p)
+    power = z[:n]
+    if shift:
+        z[:n] = np.where(left, 1.0 - power, power - 1.0)
+    else:
+        z[:n] = np.where(left, -power, power)
 
 
 def _linear_ar1(z: np.ndarray, n: int, phi: float, state: float) -> float:
@@ -187,7 +226,8 @@ def _nonlinear_ar1(z: np.ndarray, n: int, phi: float, delta: float, state: float
     return state
 
 
-_PYTHON_KERNEL = SimpleNamespace(uniforms=_uniforms, two_point_walk=_two_point_walk,
+_PYTHON_KERNEL = SimpleNamespace(uniforms=_uniforms, pareto_base=_pareto_base,
+                                 pareto_finish=_pareto_finish, two_point_walk=_two_point_walk,
                                  linear_ar1=_linear_ar1, nonlinear_ar1=_nonlinear_ar1)
 _KERNEL = _load_kernel(_kernel_dirs()) or _PYTHON_KERNEL
 RECURSION_PATH = "python" if _KERNEL is _PYTHON_KERNEL else "c"

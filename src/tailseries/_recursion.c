@@ -1,5 +1,6 @@
 /* The compiled kernel of tailseries: the SplitMix64 uniforms of rng.py, the
-two-point geometric walk and the two AR(1) recursions of simulate.py.
+arithmetic around the power in the Pareto inverse CDF of distributions.py,
+the two-point geometric walk and the two AR(1) recursions of simulate.py.
 
 Plain C with no Python C-API: _kernel.py compiles this file with
 
@@ -21,6 +22,7 @@ documented formula.
 #include <math.h>
 #include <stddef.h>
 #include <stdint.h>
+#include <string.h>
 
 /* Draw `counter` of the stream `base` (rng.py):
    ((mix64(base + counter * 0x9E3779B97F4A7C15) >> 11) + 0.5) * 2**-53.
@@ -56,6 +58,52 @@ void two_point_walk(const uint64_t *bases, size_t count, size_t n, double p_up,
             w = w * (splitmix_uniform(bases[p], j + 1) < p_up ? up : down);
             *out++ = w;
         }
+    }
+}
+
+/* `a` where `mask` is all ones, `b` where it is zero, selected on the bits.
+   At -O2 without -march a `?:` on doubles compiles to a branch, which a
+   random u mispredicts half the time; this compiles to no branch. */
+static inline double select_double(uint64_t mask, double a, double b)
+{
+    uint64_t ia, ib;
+    memcpy(&ia, &a, sizeof ia);
+    memcpy(&ib, &b, sizeof ib);
+    ia = (ia & mask) | (ib & ~mask);
+    memcpy(&a, &ia, sizeof a);
+    return a;
+}
+
+/* The base of the power in the inverse CDF (distributions.py): out[i] is
+   (1-p)/u[i] on the left branch, u[i] <= 1-p, and p/(1-u[i]) on the right;
+   one division of the selected operands, as numpy divides each branch.
+   Returns how many u lie outside (0, 1), where `out` means nothing and the
+   caller raises; a nan u is not counted and gives nan. */
+size_t pareto_base(const double *u, size_t n, double p, double *out)
+{
+    const double q = 1.0 - p;
+    size_t outside = 0;
+    for (size_t i = 0; i < n; i++) {
+        double v = u[i];
+        uint64_t left = -(uint64_t)(v <= q);
+        outside += (v <= 0.0) | (v >= 1.0);
+        out[i] = select_double(left, q, p) / select_double(left, v, 1.0 - v);
+    }
+    return outside;
+}
+
+/* The quantile from the power z[i] = base**gamma, in place: shift - z[i] on
+   the left branch and z[i] - shift on the right, with shift 0.0 for the
+   unshifted law and 1.0 for the shifted one. On the left branch the base is
+   at least 1, so z[i] >= 1 and 0.0 - z[i] is exactly -z[i]; the shifted
+   left branch is 1.0 - z[i], which is +0.0, never -0.0, where z[i] is 1.0. */
+void pareto_finish(const double *u, double *z, size_t n, double p, double shift)
+{
+    const double q = 1.0 - p;
+    for (size_t i = 0; i < n; i++) {
+        uint64_t left = -(uint64_t)(u[i] <= q);
+        double zi = z[i];
+        z[i] = select_double(left, shift, zi) - select_double(left, zi, shift);
     }
 }
 

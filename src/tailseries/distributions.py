@@ -12,6 +12,13 @@ Two parametric families are supported, both with extreme value index
 With ``p = 1/2`` these are the two symmetric laws used throughout the
 simulation study. Sampling is inverse-CDF on a seeded `RngState`, so a given
 seed reproduces the same draws everywhere.
+
+The inverse CDF runs in the kernel of `_kernel.py` (the compiled
+``_recursion.c``, or its numpy twins), all but its power: one pass writes
+the base ``(1-p)/u`` or ``p/(1-u)``, numpy raises it to ``gamma`` in place
+with ``**=``, and a second pass subtracts the shift. The power stays numpy's
+own, so the draws keep the bytes of the whole-numpy expression, whichever
+loop (SVML or not) numpy dispatches ``**`` to on the host.
 """
 
 from __future__ import annotations
@@ -20,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _kernel
 from .errors import ConfigurationError, DomainError
 from .rng import RngState
 
@@ -103,20 +111,27 @@ def quantile_fn(spec: InnovationSpec, u):
 
     At the unshifted law's flat CDF segment (u exactly ``1 - p``) the
     infimum convention puts the quantile at the lower support edge ``-1``.
+    A scalar ``u`` takes the same path as an array, so
+    ``quantile_fn(spec, u) == quantile_fn(spec, [u])[0]``.
     """
     u_arr = np.asarray(u, dtype=np.float64)
-    if np.any(u_arr <= 0.0) or np.any(u_arr >= 1.0):
-        raise DomainError("quantile argument must lie strictly inside (0, 1)")
-    g, p = spec.gamma, spec.p
-    left = u_arr <= (1.0 - p)
-    if spec.kind == TWO_SIDED_PARETO:
-        lo = -(((1.0 - p) / u_arr) ** g)
-        hi = (p / (1.0 - u_arr)) ** g
-    else:
-        lo = 1.0 - ((1.0 - p) / u_arr) ** g
-        hi = (p / (1.0 - u_arr)) ** g - 1.0
-    out = np.where(left, lo, hi)
+    flat = np.ascontiguousarray(u_arr).reshape(-1)
+    out = _inverse_cdf(spec, flat, np.empty(flat.size)).reshape(u_arr.shape)
     return float(out) if np.isscalar(u) else out
+
+
+def _inverse_cdf(spec: InnovationSpec, u: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The quantiles of the 1-d float64 array ``u``, written into ``out``."""
+    if out.shape != u.shape:
+        raise ValueError(f"out has shape {out.shape}, not {u.shape}")
+    if _kernel._KERNEL.pareto_base(u, u.size, spec.p, out):
+        raise DomainError("quantile argument must lie strictly inside (0, 1)")
+    # `**=`, not np.power(out, gamma, out=out): numpy computes `** 0.5` as a
+    # square root, as the whole-numpy expression did
+    out **= spec.gamma
+    shift = 1.0 if spec.kind == SHIFTED_TWO_SIDED_PARETO else 0.0
+    _kernel._KERNEL.pareto_finish(u, out, u.size, spec.p, shift)
+    return out
 
 
 def survival_fn(spec: InnovationSpec, x):
@@ -149,8 +164,13 @@ def cdf_fn(spec: InnovationSpec, x):
     return float(out) if np.isscalar(x) else out
 
 
-def sample(spec: InnovationSpec, rng: RngState, n: int) -> np.ndarray:
-    """``n`` independent draws by inverse CDF; advances ``rng`` deterministically."""
+def sample(spec: InnovationSpec, rng: RngState, n: int, out: np.ndarray | None = None
+           ) -> np.ndarray:
+    """``n`` independent draws by inverse CDF; advances ``rng`` deterministically.
+
+    The draws are written into ``out`` (a new array when None), a
+    C-contiguous float64 array of shape ``(n,)``, which is returned.
+    """
     if n < 1:
         raise ConfigurationError("sample size must be >= 1")
-    return quantile_fn(spec, rng.uniforms(n))
+    return _inverse_cdf(spec, rng.uniforms(n), np.empty(n) if out is None else out)

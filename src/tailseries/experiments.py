@@ -162,13 +162,18 @@ class PowerReport:
         }
 
 
-def empirical_quantile(series, q: float) -> float:
-    """The ceil(q*n)-th smallest value (always an element of the series)."""
+def _order_index(q: float, n: int) -> int:
+    """The index of the ceil(q*n)-th smallest of ``n`` values, counted from 0."""
     if not (0 < q < 1):
         raise ConfigurationError("q must lie in (0, 1)")
+    return min(max(int(math.ceil(q * n)), 1), n) - 1
+
+
+def empirical_quantile(series, q: float) -> float:
+    """The ceil(q*n)-th smallest value (always an element of the series)."""
     x = np.asarray(series, dtype=np.float64)
-    m = min(max(int(math.ceil(q * x.size)), 1), x.size)
-    return float(np.partition(x, m - 1)[m - 1])
+    m = _order_index(q, x.size)
+    return float(np.partition(x, m)[m])
 
 
 def _map_substreams(fn, count: int, workers: int) -> list:
@@ -190,8 +195,12 @@ def _map_substreams(fn, count: int, workers: int) -> list:
 
 def _truth_quantile(model: SeriesModel, t: float, rep_length: int, rng: RngState,
                     i: int) -> float:
+    # `empirical_quantile` without its copy: the series is this call's own,
+    # so it is partitioned in place
     series = simulate_series(model, rep_length, rng.substream(i))
-    return empirical_quantile(series, 1.0 - t)
+    m = _order_index(1.0 - t, series.size)
+    series.partition(m)
+    return float(series[m])
 
 
 def true_quantile(model: SeriesModel, t: float, n_reps: int, rep_length: int,

@@ -11,11 +11,12 @@ plus the geometric random walk ``W_j = prod_{i<=j} A_i**kappa`` that drives
 all extremal-dependence quantities of the SRE, and the solver for the moment
 exponent ``kappa`` with ``E A**kappa = 1``.
 
-The two AR(1) recursions step blocks of innovations, and two-point walks are
-drawn and multiplied a block of paths at a time, through the kernel of
-`_kernel.py`: the compiled ``_recursion.c``, or, without a compiler, its
-Python twins, with the same bytes, only slower. ``RECURSION_PATH`` (``"c"``
-or ``"python"``) says which one this process runs. Lognormal walks map the
+The two AR(1) recursions draw each block of innovations into the series
+itself and step it there in place, and two-point walks are drawn and
+multiplied a block of paths at a time, through the kernel of `_kernel.py`:
+the compiled ``_recursion.c``, or, without a compiler, its Python twins,
+with the same bytes, only slower. ``RECURSION_PATH`` (``"c"`` or
+``"python"``) says which one this process runs. Lognormal walks map the
 kernel's uniforms to multipliers in numpy, and the SRE recursion runs in
 Python, on either path.
 
@@ -254,18 +255,19 @@ def simulate_series(model: SeriesModel, n: int, rng: RngState) -> np.ndarray:
     if model.variant in (LINEAR_AR1, NONLINEAR_AR1):
         # Innovations are drawn a block at a time: the draws are counter-based
         # and elementwise, so the values equal one draw of `total`, while the
-        # buffer the recursion reads stays a block, not a whole long series.
-        # Each block's states overwrite its innovations and are copied out once.
+        # uniforms behind a block stay a block, not a whole long series. Each
+        # block is drawn straight into its slice of the series, and its states
+        # overwrite its innovations there.
         linear = model.variant == LINEAR_AR1
         x = np.empty(total)
         state = 0.0
         for start in range(0, total, _DRAW_BLOCK):
-            z = dists.sample(model.innovations, rng, min(_DRAW_BLOCK, total - start))
+            z = x[start:start + _DRAW_BLOCK]
+            dists.sample(model.innovations, rng, z.size, out=z)
             if linear:
                 state = _kernel._KERNEL.linear_ar1(z, z.size, model.phi1, state)
             else:
                 state = _kernel._KERNEL.nonlinear_ar1(z, z.size, model.phi1, model.delta, state)
-            x[start:start + z.size] = z
         _check_finite(x, "linear AR(1) recursion" if linear else "nonlinear AR(1) recursion")
         return x[model.burnin:]
     # SRE

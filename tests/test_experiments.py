@@ -44,6 +44,7 @@ class TestEmpiricalQuantile:
         x = RngState(3).uniforms(97)
         for q in (0.01, 0.37, 0.5, 0.93, 0.999):
             assert empirical_quantile(x, q) in x
+        assert np.array_equal(x, RngState(3).uniforms(97))  # left unsorted
 
     def test_domain(self):
         with pytest.raises(ConfigurationError):
@@ -58,6 +59,16 @@ class TestTrueQuantile:
         exact = quantile_fn(MODEL_A, 0.999)
         assert exact == pytest.approx((2 * 0.001) ** -0.5, rel=1e-12)
         assert abs(value - exact) < max(half_width, 0.02 * exact)
+
+    def test_truth_stage_selects_in_place(self):
+        # each truth series is partitioned in place, to the same order
+        # statistic `empirical_quantile` selects from a copy
+        model = linear_ar1(0.8, MODEL_B, burnin=100)
+        rng = RngState(12)
+        for i in range(3):
+            series = simulate_series(model, 50_000, rng.substream(i))
+            assert (experiments._truth_quantile(model, 0.001, 50_000, rng, i)
+                    == empirical_quantile(series, 0.999))
 
     def test_exceedance_precondition(self):
         model = linear_ar1(0.0, MODEL_A, burnin=0)

@@ -1,5 +1,7 @@
 """Frozen behavior of the random stream: test vectors, substreams, uniformity."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -53,8 +55,11 @@ def test_streaming_equals_block():
 def test_uniforms_open_interval_53bit():
     u = RngState(5).uniforms(200_000)
     assert u.min() > 0.0 and u.max() < 1.0
-    # 53-bit grid: u * 2**53 - 0.5 must be integral
-    assert np.all((u * 2.0**53 - 0.5) % 1.0 == 0.0)
+    # centred 53-bit grid: draw k of the top 53 bits is (2k + 1) / 2**54,
+    # rounded to the nearest double, exactly as the float64 arithmetic rounds
+    top = RngState(5).raw_u64(u.size) >> np.uint64(11)
+    grid = [float(Fraction(2 * k + 1, 2**54)) for k in top.tolist()]
+    assert_same_bits(u, np.array(grid))
 
 
 def test_substreams_differ_and_are_pure():

@@ -2,6 +2,7 @@
 
 import math
 import shutil
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -42,10 +43,18 @@ TWO_POINT = SREDriver(TwoPointLaw(2.0, 0.5, 1.0 / 3.0))
 def constant_innovations(monkeypatch):
     """``constant_innovations(c)`` makes every innovation draw equal ``c`` and
     returns a law to build the model with; its own draws are never used.
-    ``c`` may also be a sequence, which each draw of ``n`` repeats to length ``n``."""
+    ``c`` may also be a sequence, which each draw of ``n`` repeats to length ``n``.
+    Like `sample`, the fake writes into ``out`` when it is given."""
     def use(value):
         value = np.asarray(value, dtype=np.float64)
-        monkeypatch.setattr(simulate.dists, "sample", lambda spec, rng, n: np.resize(value, n))
+
+        def constant_sample(spec, rng, n, out=None):
+            if out is None:
+                return np.resize(value, n)
+            out[...] = np.resize(value, n)
+            return out
+
+        monkeypatch.setattr(simulate.dists, "sample", constant_sample)
         return MODEL_A
     return use
 
@@ -135,9 +144,9 @@ class TestSeriesModels:
         at = simulate._DRAW_BLOCK + 10
         real_sample = simulate.dists.sample
 
-        def sample_with_bad_draw(spec, rng, n):  # draw `at` of the stream is `bad`
+        def sample_with_bad_draw(spec, rng, n, out=None):  # draw `at` of the stream is `bad`
             start = rng.state[1]
-            z = real_sample(spec, rng, n)
+            z = real_sample(spec, rng, n, out=out)
             if start <= at < start + n:
                 z[at - start] = bad
             return z
@@ -382,9 +391,13 @@ class TestWalks:
 
     def test_overflow_step_in_second_path_block(self):
         # at kappa = 76 a walk overflows once it stands 14 up-steps above its
-        # start; with seed 6 the first such path is 9360, in the second block
-        with pytest.raises(SimulationError) as err:
+        # start; with seed 6 the first such path is 9360, in the second block.
+        # No kernel warns of the overflow before the error.
+        with warnings.catch_warnings(record=True) as caught, \
+                pytest.raises(SimulationError) as err:
+            warnings.simplefilter("always")
             same_on_every_kernel(lambda: simulate_walks(TWO_POINT, 76.0, 200, 9500, RngState(6)))
+        assert [str(w.message) for w in caught] == []
         expected = reference_walks(TWO_POINT, 76.0, 200, 9500, 6)
         assert err.value.step == int(np.argmax(~np.isfinite(expected.ravel())))
         assert err.value.step // 200 >= simulate._PATH_BLOCK
