@@ -14,6 +14,9 @@ Ties at comparisons are treated as "not greater"; with continuous data they
 have probability zero. The portmanteau statistic assumes a finite innovation
 variance; callers working with extreme value index >= 1/2 get a warning from
 the experiment harness.
+
+The p-value helpers import scipy.special where they are called, so that
+importing the package, and every run that computes no p-value, loads no scipy.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc, gammainc, gammaincc
 
 from .errors import ConfigurationError, DegenerateInputError, DomainError
 
@@ -38,19 +40,27 @@ class TestReport:
 
 def normal_cdf(x) -> float | np.ndarray:
     """Standard normal CDF via the complementary error function."""
+    from scipy.special import erfc
+
     return 0.5 * erfc(-np.asarray(x, dtype=np.float64) / np.sqrt(2.0))
 
 
 def normal_sf(x) -> float | np.ndarray:
+    from scipy.special import erfc
+
     return 0.5 * erfc(np.asarray(x, dtype=np.float64) / np.sqrt(2.0))
 
 
 def chisq_cdf(x, df: float) -> float | np.ndarray:
     """Chi-square CDF via the regularized lower incomplete gamma function."""
+    from scipy.special import gammainc
+
     return gammainc(df / 2.0, np.asarray(x, dtype=np.float64) / 2.0)
 
 
 def chisq_sf(x, df: float) -> float | np.ndarray:
+    from scipy.special import gammaincc
+
     return gammaincc(df / 2.0, np.asarray(x, dtype=np.float64) / 2.0)
 
 

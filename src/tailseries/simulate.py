@@ -33,7 +33,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from . import _kernel
 from . import distributions as dists
@@ -102,6 +101,8 @@ class LognormalLaw:
         return 1.0  # unbounded support
 
     def sample_from_uniforms(self, u: np.ndarray) -> np.ndarray:
+        from scipy.special import ndtri  # here, so that two-point runs never import scipy
+
         return np.exp(self.mu + self.sigma * ndtri(u))
 
     def to_json(self) -> dict:
@@ -326,6 +327,59 @@ def simulate_walks(driver: SREDriver, kappa: float, horizon: int, n_paths: int,
                         paths=paths, driver=driver)
 
 
+def _brentq(f, xa: float, xb: float, xtol: float, rtol: float) -> float:
+    """Root of ``f`` in ``[xa, xb]``, where ``f`` changes sign, by Brent's method.
+
+    A port of scipy's ``Zeros/brentq.c`` (what ``scipy.optimize.brentq``
+    runs) to Python floats: the same interpolate, extrapolate and bisect
+    steps, the same tolerance ``2*delta`` with
+    ``delta = (xtol + rtol*|x|)/2``, evaluated in the same order, so it
+    returns the same bits. Python floats never fuse a multiply-add, as a C
+    build with contraction would. Raises `NoRootError` on no sign change or
+    after scipy's default of 100 steps without convergence.
+    """
+    xpre, xcur = xa, xb
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise NoRootError(f"no sign change in [{xa:g}, {xb:g}]")
+    for _ in range(100):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
+                spre, scur = scur, stry
+            else:  # bisect
+                spre = scur = sbis
+        else:  # bisect
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+    raise NoRootError("root refinement did not converge in 100 steps")
+
+
 def solve_kappa(driver: SREDriver) -> float:
     """Positive root of ``E A**kappa = 1``, accurate to |E A**kappa - 1| <= 1e-10.
 
@@ -343,7 +397,10 @@ def solve_kappa(driver: SREDriver) -> float:
         return -2.0 * law.mu / law.sigma**2
 
     def g(s: float) -> float:
-        return law.moment(s) - 1.0
+        try:
+            return law.moment(s) - 1.0
+        except OverflowError:  # a power beyond the largest double: taken as above 1
+            return math.inf
 
     lo, cap = _KAPPA_BRACKET
     if g(lo) >= 0:
@@ -353,10 +410,20 @@ def solve_kappa(driver: SREDriver) -> float:
         hi *= 2.0
         if hi > cap:
             raise NoRootError(f"no root found in (0, {cap:g}]")
-    # imported here: scipy.optimize costs ~0.6 s of import time, for this call alone
-    from scipy.optimize import brentq
-
-    kappa = brentq(g, hi / 2.0, hi, xtol=1e-14, rtol=8.9e-16)
+    lo = hi / 2.0
+    # An overflowing moment bounds the root but cannot enter the solver:
+    # bisect until the upper end is finite, which fails only where the moment
+    # overflows before it climbs back to 1. Other brackets stay as they are.
+    while math.isinf(g(hi)):
+        mid = (lo + hi) / 2.0
+        if mid in (lo, hi):
+            raise NoRootError(f"E A**s overflows at every s above {lo!r}, "
+                              f"where it is still below 1")
+        if g(mid) <= 0:
+            lo = mid
+        else:
+            hi = mid
+    kappa = _brentq(g, lo, hi, xtol=1e-14, rtol=8.9e-16)
     if abs(g(kappa)) > 1e-10:
         raise NoRootError("root refinement failed to reach tolerance 1e-10")
     return float(kappa)

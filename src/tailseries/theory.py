@@ -14,6 +14,7 @@ requested tolerance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +22,22 @@ import numpy as np
 from .errors import ConfigurationError, DomainError
 
 _MAX_AR1_HORIZON = 200_000
+
+
+def _check_gamma(gamma: float):
+    if not (0 < gamma < math.inf and 1.0 / gamma < math.inf):
+        raise DomainError("gamma must be finite and > 0, with 1/gamma finite")
+
+
+def _ar1_ratio(phi: float, gamma: float) -> float:
+    """``|phi|**(1/gamma)``, the ratio of the AR(1) tail weights, checked to lie below 1."""
+    if not (abs(phi) < 1):
+        raise DomainError("|phi| must be < 1")
+    _check_gamma(gamma)
+    q = abs(phi) ** (1.0 / gamma)
+    if q == 1.0:  # 1/gamma is too small for |phi|**(1/gamma) to differ from 1
+        raise DomainError(f"|phi|**(1/gamma) rounds to 1 at phi={phi!r}, gamma={gamma!r}")
+    return q
 
 
 @dataclass(frozen=True)
@@ -55,13 +72,9 @@ class CoefficientSequence:
         `hill_avar_linear` are below ``tol``, so doubling the horizon moves
         those evaluators by less than ``tol``.
         """
-        if not (abs(phi) < 1):
-            raise DomainError("|phi| must be < 1")
-        if not (gamma > 0):
-            raise DomainError("gamma must be > 0")
+        q = _ar1_ratio(phi, gamma)
         if phi == 0.0:
             return cls(((0, 1.0),), truncation_tol)
-        q = abs(phi) ** (1.0 / gamma)
         horizon = max(1, int(np.ceil(np.log(truncation_tol) / np.log(q))))
         # extend until sum_{m>J} (m+2)*q**m  <=  (J+3)*q**(J+1)/(1-q)**2 < tol/8
         while horizon < _MAX_AR1_HORIZON:
@@ -90,8 +103,7 @@ def tail_ratio_linear(seq: CoefficientSequence, gamma: float, p: float) -> float
     Equals ``(1/p) * sum_j [ p*psi_j**(1/gamma)*1{psi_j>0}
     + (1-p)*|psi_j|**(1/gamma)*1{psi_j<0} ]`` over the truncated sequence.
     """
-    if not (gamma > 0):
-        raise DomainError("gamma must be > 0")
+    _check_gamma(gamma)
     if not (0 < p <= 1):
         raise DomainError("p must lie in (0, 1]")
     vals, w = _split_weights(seq, gamma)
@@ -101,11 +113,9 @@ def tail_ratio_linear(seq: CoefficientSequence, gamma: float, p: float) -> float
 
 def tail_ratio_ar1(phi: float, gamma: float, p: float = 0.5) -> float:
     """Closed form of `tail_ratio_linear` for ``psi_j = phi**j``."""
-    if not (abs(phi) < 1):
-        raise DomainError("|phi| must be < 1")
-    if not (gamma > 0):
-        raise DomainError("gamma must be > 0")
-    q = abs(phi) ** (1.0 / gamma)
+    q = _ar1_ratio(phi, gamma)
+    if not (0 < p <= 1):
+        raise DomainError("p must lie in (0, 1]")
     if phi >= 0:
         return float(1.0 / (1.0 - q))
     return float((1.0 + q * (1.0 - p) / p) / (1.0 - q * q))
@@ -118,8 +128,7 @@ def hill_avar_linear(seq: CoefficientSequence, gamma: float) -> float:
     ``S = sum_{j>=1} sum_{i>=0} min(|psi_j|**(1/g), |psi_{i+j}|**(1/g))`` and
     ``D = sum_{i>=0} |psi_i|**(1/g)``, over the truncated one-sided sequence.
     """
-    if not (gamma > 0):
-        raise DomainError("gamma must be > 0")
+    _check_gamma(gamma)
     if seq.min_index() < 0:
         raise DomainError("one-sided sequence required (indices >= 0)")
     jmax = max(j for j, _ in seq.pairs)
@@ -138,11 +147,7 @@ def hill_avar_linear(seq: CoefficientSequence, gamma: float) -> float:
 def hill_avar_ar1(phi: float, gamma: float) -> float:
     """Closed form of `hill_avar_linear` for ``psi_j = phi**j``:
     ``gamma**2 * (1+|phi|**(1/gamma)) / (1-|phi|**(1/gamma))``."""
-    if not (abs(phi) < 1):
-        raise DomainError("|phi| must be < 1")
-    if not (gamma > 0):
-        raise DomainError("gamma must be > 0")
-    q = abs(phi) ** (1.0 / gamma)
+    q = _ar1_ratio(phi, gamma)
     return float(gamma * gamma * (1.0 + q) / (1.0 - q))
 
 
@@ -157,14 +162,13 @@ def rmse_ratio_ar1(phi: float, gamma: float) -> float:
     No correction is applied; see `RMSE_RATIO_REPORTED` for the reference
     value quoted for (0.8, 0.3), which this formula does not reproduce.
     """
-    if not (abs(phi) < 1):
-        raise DomainError("|phi| must be < 1")
-    if not (gamma > 0):
-        raise DomainError("gamma must be > 0")
+    q = _ar1_ratio(phi, gamma)
     a = abs(phi)
-    q = a ** (1.0 / gamma)
     num = (1.0 - a ** (1.0 / gamma + 1.0)) ** 2
-    den = (1.0 - q) ** 2 * (1.0 + q) ** (2.0 * gamma)
+    try:
+        den = (1.0 - q) ** 2 * (1.0 + q) ** (2.0 * gamma)
+    except OverflowError:
+        raise DomainError(f"(1+|phi|**(1/gamma))**(2*gamma) overflows at gamma={gamma!r}") from None
     return float((num / den) ** (1.0 / (2.0 * gamma + 1.0)))
 
 
@@ -194,6 +198,7 @@ class SecondOrderTail:
 def shifted_pareto_tail(gamma: float, p: float = 0.5) -> SecondOrderTail:
     """Second-order constants of the shifted two-sided Pareto law:
     ``p*(x+1)**(-1/g) = x**(-1/g) * (p - (p/g)/x + o(1/x))``."""
+    _check_gamma(gamma)
     return SecondOrderTail(c=p, d=-p / gamma, c_tilde=1.0 - p, d_tilde=-(1.0 - p) / gamma)
 
 
@@ -205,8 +210,7 @@ def second_order_constants(seq: CoefficientSequence, gamma: float,
     (negative ones); D_psi weights ``|psi_j|**(1/g+1)`` by c*d or
     c_tilde*d_tilde.
     """
-    if not (gamma > 0):
-        raise DomainError("gamma must be > 0")
+    _check_gamma(gamma)
     vals, w1 = _split_weights(seq, gamma)
     w2 = np.abs(vals) ** (1.0 / gamma + 1.0)
     pos, neg = vals > 0, vals < 0

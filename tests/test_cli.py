@@ -5,9 +5,11 @@ import json
 import numpy as np
 import pytest
 
+from tailseries import _kernel
 from tailseries.cli import parse_and_dispatch
+from tailseries.simulate import TwoPointLaw
 
-from conftest import run_cli
+from conftest import run_cli, run_python
 
 MODEL_JSON = {
     "variant": "linear-ar1", "phi1": 0.8,
@@ -170,6 +172,18 @@ class TestTheory:
     def test_missing_flags_usage_error(self):
         assert parse_and_dispatch(["theory", "hill-avar", "--phi", "0.5"]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        *([quantity, "--gamma", gamma]
+          for quantity in ("tail-ratio", "hill-avar", "rmse-ratio", "second-order")
+          for gamma in ("inf", "1e308", "5e-324")),  # 1e308: |phi|**(1/gamma) rounds to 1
+        ["rmse-ratio", "--gamma", "600"],  # (1+q)**(2*gamma) overflows
+        ["tail-ratio", "--gamma", "1", "--p", "0"],
+    ], ids=" ".join)
+    def test_out_of_domain_exits_3(self, capsys, argv):
+        assert parse_and_dispatch(["theory", *argv, "--phi", "-0.8"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
 
 class TestExtremal:
     def test_theta_with_auto_kappa(self, capsys, driver_file):
@@ -199,6 +213,21 @@ class TestExtremal:
                                     "--x", "1,1", "--mode", "all",
                                     "--paths", "50000", "--horizon", "50"])
         assert payload["limit"] == pytest.approx(2 / 3, abs=0.01)
+
+    def test_overflowing_moment(self, capsys, tmp_path):
+        # doubling the bracket reaches E A**33.5, where 1e10**33.5 overflows
+        law = {"kind": "two-point", "a_up": 1e10, "a_down": 0.5, "p_up": 1e-300}
+        driver = tmp_path / "driver.json"
+        driver.write_text(json.dumps({"law": law}))
+        payload = run_json(capsys, ["extremal", "theta", "--driver", str(driver),
+                                    "--paths", "1000", "--horizon", "20"])
+        assert payload["kappa"] == pytest.approx(30.0, rel=1e-10)
+        assert abs(TwoPointLaw(1e10, 0.5, 1e-300).moment(payload["kappa"]) - 1.0) <= 1e-10
+        # at p_up = 5e-324 the moment overflows before it climbs back to 1
+        driver.write_text(json.dumps({"law": {**law, "p_up": 5e-324}}))
+        assert parse_and_dispatch(["extremal", "theta", "--driver", str(driver)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
 
     def test_cluster_fields(self, capsys, driver_file):
         payload = run_json(capsys, ["extremal", "cluster", "--driver", driver_file,
@@ -262,6 +291,39 @@ class TestExperimentPreset:
 
     def test_unknown_preset(self, tmp_path):
         assert parse_and_dispatch(["experiment", "table9", "--out", str(tmp_path)]) == 2
+
+
+def scipy_after(argv=None):
+    """Exit code and the scipy modules loaded after a fresh process imports
+    `tailseries` and `tailseries.cli` and, given ``argv``, runs that command."""
+    proc = run_python(["-c", (
+        "import json, sys, tailseries, tailseries.cli\n"
+        f"code = tailseries.cli.parse_and_dispatch({argv!r}) if {argv!r} else 0\n"
+        "print(json.dumps([code, sorted(m for m in sys.modules"
+        " if m.partition('.')[0] == 'scipy')]))")], text=True)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+@pytest.mark.skipif(_kernel.RECURSION_PATH != "c",
+                    reason="the no-compiler kernel imports scipy.signal for lfilter")
+@pytest.mark.parametrize("quantity", [None, "theta", "cluster", "hill-avar", "joint"])
+def test_no_scipy_on_import_or_two_point_extremal(tmp_path, driver_file, quantity):
+    argv = quantity and ["extremal", quantity, "--driver", driver_file, "--paths", "2000",
+                         "--horizon", "150", "--kmax", "3", "--x", "1,1",
+                         "--out", str(tmp_path / "out.json")]
+    assert scipy_after(argv) == [0, []]
+
+
+def test_lognormal_extremal_and_diagnose_import_scipy_when_called(tmp_path, series_file):
+    driver = tmp_path / "lognormal.json"
+    driver.write_text(json.dumps({"law": {"kind": "lognormal", "mu": -0.5, "sigma": 1.0}}))
+    out = str(tmp_path / "out.json")
+    for argv in (["extremal", "theta", "--driver", str(driver), "--paths", "2000",
+                  "--horizon", "30", "--out", out],
+                 ["diagnose", "--input", series_file, "--out", out]):
+        code, loaded = scipy_after(argv)
+        assert code == 0 and "scipy.special" in loaded
 
 
 def test_console_script_runs():

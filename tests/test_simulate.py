@@ -456,3 +456,37 @@ class TestSolveKappa:
         drv = SREDriver(TwoPointLaw(3.0, 0.25, 0.2))
         kappa = solve_kappa(drv)
         assert abs(drv.law.moment(kappa) - 1.0) <= 1e-10
+
+    @pytest.mark.parametrize("law, bits", [
+        (TWO_POINT.law, "0x1.0000000000002p+0"),  # 1.0000000000000004
+        (TwoPointLaw(3.0, 0.25, 0.2), "0x1.5829de9cddacfp+0"),
+        (TwoPointLaw(1.5, 0.1, 0.7), "0x1.7bce32dc14f32p-1"),
+    ])
+    def test_pinned_bits(self, law, bits):
+        # scipy.optimize.brentq's bits on x86-64 Linux: the reference on every platform
+        assert solve_kappa(SREDriver(law)).hex() == bits
+
+    def test_brent_port_matches_scipy_brentq(self):
+        from scipy.optimize import brentq
+
+        rng = np.random.default_rng(1009)
+        compared = 0
+        while compared < 2000:
+            log_up, log_down = rng.uniform(0.01, 5.0, 2)
+            law = TwoPointLaw(math.exp(log_up), math.exp(-log_down), rng.uniform(0.001, 0.999))
+            if not law.mean_log() < 0:
+                continue
+
+            def g(s):
+                return law.moment(s) - 1.0
+
+            hi = 1e-6  # the bracket of `solve_kappa`
+            while g(hi) <= 0 and hi <= 64.0:
+                hi *= 2.0
+            if hi > 64.0:
+                with pytest.raises(NoRootError):
+                    solve_kappa(SREDriver(law))
+                continue
+            expected = brentq(g, hi / 2.0, hi, xtol=1e-14, rtol=8.9e-16)
+            assert solve_kappa(SREDriver(law)).hex() == expected.hex(), law
+            compared += 1
