@@ -215,12 +215,12 @@ def weissman_model_ar1_fit(series, target: QuantileTarget, use_abs: bool = False
                          u=float(u[0]), clamped=bool(clamped[0]))
 
 
-def weissman_model_ar1_curve(series, ks, t: float, use_abs: bool = False,
-                             center: bool = True) -> tuple[np.ndarray, float, np.ndarray]:
-    """Model-based estimates over a k grid.
+def weissman_model_ar1_curve(series, ks, t: float) -> tuple[np.ndarray, float, np.ndarray]:
+    """Model-based estimates over a k grid, with the default (centered) AR(1)
+    fit and the Hill step on raw residuals.
 
     Returns (estimates, phi_hat, clamped mask); NaN where the residual Hill
     threshold or the anchor order statistic is not positive.
     """
-    est, phi_hat, _, _, _, clamped = _model_ar1(series, ks, t, use_abs, center)
+    est, phi_hat, _, _, _, clamped = _model_ar1(series, ks, t, False, True)
     return est, phi_hat, clamped

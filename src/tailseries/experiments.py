@@ -4,10 +4,10 @@ The central object is a replicated quantile-estimation experiment: simulate
 R series, evaluate the direct and the model-based extreme-quantile
 estimator on each over a grid of k, and summarize RMSE / L1 / bias /
 standard error against a ground-truth quantile obtained from long
-simulations. The ground truth, the replicates and the power study all run
-their series through one substream map (`_map_substreams`): series i always
-consumes substream i of its stream, so results are bit-identical for any
-worker count.
+simulations. The ground truth, the replicates and the power study each
+reduce their series to one statistic through one series map (`_map_series`):
+series i always consumes substream i of its stream, so results are
+bit-identical for any worker count.
 
 Presets mirror the simulation study's tables and figures at desk scale and
 write plot-ready CSV plus JSON summaries; see `run_preset`.
@@ -52,16 +52,15 @@ INNOVATIONS = {
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """A replicated quantile-estimation experiment over a grid of k."""
+    """A replicated quantile-estimation experiment over a grid of k; every
+    replicate is estimated by the direct, then the model-based estimator."""
 
     model: SeriesModel
     n: int
     replicates: int
     k_grid: tuple
     t: float
-    estimators: tuple = (DIRECT, MODEL_BASED)
     master_seed: int = DEFAULT_SEED
-    use_abs: bool = False
 
     def __post_init__(self):
         if self.replicates < 1:
@@ -72,10 +71,6 @@ class ExperimentSpec:
             raise ConfigurationError("every k must satisfy 1 <= k < n")
         if not (0 < self.t < 1):
             raise ConfigurationError("t must lie in (0, 1)")
-        bad = set(self.estimators) - {DIRECT, MODEL_BASED}
-        if bad or not self.estimators:
-            raise ConfigurationError(f"estimators must be a nonempty subset of "
-                                     f"{{{DIRECT!r}, {MODEL_BASED!r}}}, got {bad}")
 
 
 @dataclass(frozen=True)
@@ -162,45 +157,42 @@ class PowerReport:
         }
 
 
-def _order_index(q: float, n: int) -> int:
-    """The index of the ceil(q*n)-th smallest of ``n`` values, counted from 0."""
+def _select_quantile(x: np.ndarray, q: float) -> float:
+    """The ceil(q*n)-th smallest of the ``n`` values of ``x``, selected in place."""
     if not (0 < q < 1):
         raise ConfigurationError("q must lie in (0, 1)")
-    return min(max(int(math.ceil(q * n)), 1), n) - 1
+    m = min(max(int(math.ceil(q * x.size)), 1), x.size) - 1
+    x.partition(m)
+    return float(x[m])
 
 
 def empirical_quantile(series, q: float) -> float:
     """The ceil(q*n)-th smallest value (always an element of the series)."""
-    x = np.asarray(series, dtype=np.float64)
-    m = _order_index(q, x.size)
-    return float(np.partition(x, m)[m])
+    return _select_quantile(np.array(series, dtype=np.float64), q)
 
 
-def _map_substreams(fn, count: int, workers: int) -> list:
-    """``[fn(i) for i in range(count)]``, spread over a process pool if ``workers > 1``.
+def _series_statistic(statistic, model: SeriesModel, n: int, rng: RngState, i: int):
+    return statistic(simulate_series(model, n, rng.substream(i)))
 
-    Every Monte Carlo loop runs its substreams through here: ``fn(i)`` draws
-    only from substream ``i`` and the results come back in index order, so a
-    fixed-order reduction over them gives the same bytes for any ``workers``.
-    ``fn`` must pickle (a module-level function or a `partial` of one). The
+
+def _map_series(statistic, model: SeriesModel, n: int, rng: RngState, count: int,
+                workers: int) -> list:
+    """``statistic`` of series i = 0..count-1, each ``n`` observations of
+    ``model`` drawn from substream i of ``rng``, in index order.
+
+    Every Monte Carlo stage runs its series through here, so a fixed-order
+    reduction over the results gives the same bytes for any ``workers``. With
+    ``workers > 1`` the series are spread over a process pool; ``statistic``
+    must then pickle (a module-level function or a `partial` of one). The
     pool is capped at ``os.cpu_count()`` processes, since it starts all of
     them at once, and hands each one about four chunks of indices.
     """
+    one = partial(_series_statistic, statistic, model, n, rng)
     workers = min(workers, os.cpu_count() or 1)
     if workers <= 1:
-        return [fn(i) for i in range(count)]
+        return [one(i) for i in range(count)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(count), chunksize=math.ceil(count / (4 * workers))))
-
-
-def _truth_quantile(model: SeriesModel, t: float, rep_length: int, rng: RngState,
-                    i: int) -> float:
-    # `empirical_quantile` without its copy: the series is this call's own,
-    # so it is partitioned in place
-    series = simulate_series(model, rep_length, rng.substream(i))
-    m = _order_index(1.0 - t, series.size)
-    series.partition(m)
-    return float(series[m])
+        return list(pool.map(one, range(count), chunksize=math.ceil(count / (4 * workers))))
 
 
 def true_quantile(model: SeriesModel, t: float, n_reps: int, rep_length: int,
@@ -217,31 +209,29 @@ def true_quantile(model: SeriesModel, t: float, n_reps: int, rep_length: int,
             f"rep_length*t = {rep_length * t:g} < 100: too few exceedances per replicate")
     if n_reps < 2:
         raise ConfigurationError("need at least 2 replicates for an error estimate")
-    quantiles = np.array(_map_substreams(partial(_truth_quantile, model, t, rep_length, rng),
-                                         n_reps, workers))
+    # each series is this stage's own, so its quantile is selected in place
+    quantiles = np.array(_map_series(partial(_select_quantile, q=1.0 - t), model, rep_length,
+                                     rng, n_reps, workers))
     half_width = 2.58 * quantiles.std(ddof=1) / math.sqrt(n_reps)
     return float(quantiles.mean()), float(half_width)
 
 
-def _replicate_estimates(spec: ExperimentSpec, root: RngState, i: int):
-    """Replicate i: its (E, K) estimates, NaN where an estimator failed, and
-    how many model-based rows clamped the tail-ratio factor at some k."""
-    ks = np.asarray(spec.k_grid, dtype=np.int64)
-    series = simulate_series(spec.model, spec.n, root.substream(i))
-    out = np.full((len(spec.estimators), ks.size), np.nan)
-    clamps = 0
-    for e, name in enumerate(spec.estimators):
-        try:
-            if name == DIRECT:
-                out[e] = weissman_direct_curve(series, ks, spec.t, use_abs=spec.use_abs)
-            else:
-                est, _, clamped = weissman_model_ar1_curve(series, ks, spec.t,
-                                                           use_abs=spec.use_abs)
-                out[e] = est
-                clamps += int(clamped.any())
-        except TailSeriesError:
-            pass  # row stays NaN; counted as missing
-    return out, clamps
+def _replicate_estimates(ks: np.ndarray, t: float, series: np.ndarray):
+    """One replicate's (2, K) estimates, direct then model-based, NaN where
+    an estimator failed, and whether the model-based row clamped the
+    tail-ratio factor at some k."""
+    out = np.full((2, ks.size), np.nan)
+    clamped = False
+    try:
+        out[0] = weissman_direct_curve(series, ks, t)
+    except TailSeriesError:
+        pass  # row stays NaN; counted as missing
+    try:
+        out[1], _, clamps = weissman_model_ar1_curve(series, ks, t)
+        clamped = bool(clamps.any())
+    except TailSeriesError:
+        pass
+    return out, clamped
 
 
 def run_quantile_experiment(spec: ExperimentSpec, true_value: float,
@@ -252,10 +242,12 @@ def run_quantile_experiment(spec: ExperimentSpec, true_value: float,
     Deterministic given ``spec.master_seed`` for any ``workers`` value:
     replicate r always uses substream r and aggregation is fixed-order.
     """
-    estimates, clamps = zip(*_map_substreams(
-        partial(_replicate_estimates, spec, RngState(spec.master_seed)), spec.replicates, workers))
-    return summarize_estimates(spec.estimators, spec.k_grid, np.stack(estimates), true_value,
-                               true_half_width, clamp_count=sum(clamps),
+    ks = np.asarray(spec.k_grid, dtype=np.int64)
+    estimates, clamped = zip(*_map_series(partial(_replicate_estimates, ks, spec.t), spec.model,
+                                          spec.n, RngState(spec.master_seed), spec.replicates,
+                                          workers))
+    return summarize_estimates((DIRECT, MODEL_BASED), spec.k_grid, np.stack(estimates),
+                               true_value, true_half_width, clamp_count=sum(clamped),
                                keep_estimates=keep_estimates)
 
 
@@ -308,7 +300,7 @@ def silverman_bandwidth(values: np.ndarray) -> float:
     return 1.06 * scale * values.size ** (-0.2)
 
 
-def kde(values, grid=None, n_grid: int = 512, pad: float = 3.0) -> DensityEstimate:
+def kde(values, grid=None) -> DensityEstimate:
     """Gaussian-kernel density estimate with Silverman's rule bandwidth.
 
     Without an explicit grid, 512 equally spaced points spanning the data
@@ -319,7 +311,7 @@ def kde(values, grid=None, n_grid: int = 512, pad: float = 3.0) -> DensityEstima
         raise DegenerateInputError("need at least 2 distinct values")
     h = silverman_bandwidth(x)
     if grid is None:
-        grid = np.linspace(x.min() - pad * h, x.max() + pad * h, n_grid)
+        grid = np.linspace(x.min() - 3.0 * h, x.max() + 3.0 * h, 512)
     else:
         grid = np.asarray(grid, dtype=np.float64)
     density = np.zeros_like(grid)
@@ -343,11 +335,9 @@ def _check_density_mass(grid, density, values, h):
             f"density grid too coarse: integral {integral:.4f} vs covered mass {covered:.4f}")
 
 
-def _power_rejections(model: SeriesModel, n: int, rng: RngState, h_max: int,
-                      i: int) -> np.ndarray:
-    """Replicate i's rejections at size 0.05: turning point, difference sign,
-    then the portmanteau test at h = 1..h_max."""
-    series = simulate_series(model, n, rng.substream(i))
+def _power_rejections(h_max: int, series: np.ndarray) -> np.ndarray:
+    """One replicate's rejections at size 0.05: turning point, difference
+    sign, then the portmanteau test at h = 1..h_max."""
     resid = residuals_ar1(series, fit_ar1(series))
     _, pvals = ljung_box_curve(resid, h_max)
     return np.concatenate(([turning_point_test(resid).reject_at_5pct,
@@ -370,8 +360,7 @@ def test_power_experiment(model: SeriesModel, n: int, replicates: int,
     if model.innovations.gamma >= 0.5:
         warnings.warn("portmanteau test is unreliable: innovation variance is "
                       "infinite for extreme value index >= 1/2", UserWarning)
-    rows = _map_substreams(partial(_power_rejections, model, n, rng, h_max),
-                           replicates, workers)
+    rows = _map_series(partial(_power_rejections, h_max), model, n, rng, replicates, workers)
     rates = np.sum(rows, axis=0) / replicates
     lb_rates = rates[2:]
     best = int(np.argmax(lb_rates))
@@ -400,24 +389,28 @@ def _study_model(linear: bool, innovations_label: str) -> SeriesModel:
     return nonlinear_ar1(STUDY_PHI, STUDY_DELTA, innovations)
 
 
-def _study_experiment(model: SeriesModel, replicates: int, seed: int,
-                      component: int) -> ExperimentSpec:
-    return ExperimentSpec(model=model, n=STUDY_N, replicates=replicates,
-                          k_grid=DEFAULT_K_GRID, t=STUDY_T,
-                          master_seed=RngState(seed).derive_seed(component))
+def _study_summary(model: SeriesModel, replicates: int, seed: int, scale: str, workers: int,
+                   truth_stream: int, component: int,
+                   keep_estimates: bool = False) -> ErrorSummary:
+    """The truth on truth stream ``truth_stream`` of ``seed``, then the errors
+    of ``replicates`` study replicates on component ``component`` against it."""
+    truth_reps, truth_len = TRUTH_PROTOCOL[scale]
+    root = RngState(seed)
+    truth, half_width = true_quantile(model, STUDY_T, truth_reps, truth_len,
+                                      root.substream(_TRUTH_STREAM + truth_stream),
+                                      workers=workers)
+    spec = ExperimentSpec(model=model, n=STUDY_N, replicates=replicates, k_grid=DEFAULT_K_GRID,
+                          t=STUDY_T, master_seed=root.derive_seed(component))
+    return run_quantile_experiment(spec, truth, half_width, workers=workers,
+                                   keep_estimates=keep_estimates)
 
 
 def _quantile_study(linear: bool, out_dir: Path, replicates: int, seed: int,
                     scale: str, workers: int) -> dict:
-    truth_reps, truth_len = TRUTH_PROTOCOL[scale]
-    root = RngState(seed)
     results = {}
     for i, label in enumerate(("unshifted", "shifted")):
-        model = _study_model(linear, label)
-        truth, half_width = true_quantile(model, STUDY_T, truth_reps, truth_len,
-                                          root.substream(_TRUTH_STREAM + i), workers=workers)
-        spec = _study_experiment(model, replicates, seed, i)
-        summary = run_quantile_experiment(spec, truth, half_width, workers=workers)
+        summary = _study_summary(_study_model(linear, label), replicates, seed, scale, workers,
+                                 truth_stream=i, component=i)
         sub = out_dir / label
         sub.mkdir(parents=True, exist_ok=True)
         (sub / "summary.json").write_text(serialize.dump_json(summary.to_dict()))
@@ -430,18 +423,13 @@ def _quantile_study(linear: bool, out_dir: Path, replicates: int, seed: int,
 
 def _density_study(out_dir: Path, replicates: int, seed: int, scale: str,
                    workers: int) -> dict:
-    truth_reps, truth_len = TRUTH_PROTOCOL[scale]
-    model = _study_model(False, "shifted")
-    root = RngState(seed)
-    truth, half_width = true_quantile(model, STUDY_T, truth_reps, truth_len,
-                                      root.substream(_TRUTH_STREAM), workers=workers)
-    spec = _study_experiment(model, replicates, seed, 1)
-    summary = run_quantile_experiment(spec, truth, half_width, workers=workers,
-                                      keep_estimates=True)
-    k_idx = {name: list(spec.k_grid).index(summary.argmin_rmse[name][0])
-             for name in spec.estimators}
-    direct_vals = summary.estimates[:, 0, k_idx[DIRECT]]
-    model_vals = summary.estimates[:, 1, k_idx[MODEL_BASED]]
+    # truth stream 0 (table2's unshifted law) and component 1 (table2's
+    # shifted-law replicates) are figure4's frozen streams
+    summary = _study_summary(_study_model(False, "shifted"), replicates, seed, scale, workers,
+                             truth_stream=0, component=1, keep_estimates=True)
+    k_direct, k_model = summary.argmin_rmse[DIRECT][0], summary.argmin_rmse[MODEL_BASED][0]
+    direct_vals = summary.estimates[:, 0, summary.k_grid.index(k_direct)]
+    model_vals = summary.estimates[:, 1, summary.k_grid.index(k_model)]
     direct_vals = direct_vals[~np.isnan(direct_vals)]
     model_vals = model_vals[~np.isnan(model_vals)]
     # robust common grid: outliers stretch the range but must not starve the
@@ -462,9 +450,8 @@ def _density_study(out_dir: Path, replicates: int, seed: int, scale: str,
         zip(grid, dens_direct.density, dens_model.density)))
     (out_dir / "summary.json").write_text(serialize.dump_json({
         "schema_version": serialize.SCHEMA_VERSION,
-        "true_value": truth, "true_half_width": half_width,
-        "k_direct": summary.argmin_rmse[DIRECT][0],
-        "k_model": summary.argmin_rmse[MODEL_BASED][0],
+        "true_value": summary.true_value, "true_half_width": summary.true_half_width,
+        "k_direct": k_direct, "k_model": k_model,
         "bandwidth_direct": dens_direct.bandwidth,
         "bandwidth_model": dens_model.bandwidth,
     }))

@@ -141,17 +141,12 @@ def cluster_size_probs(ensemble: WalkEnsemble, kmax: int) -> ExtremalSummary:
     )
 
 
-def _tail_rate(ensemble: WalkEnsemble) -> float:
-    """Geometric rate r with E min(W_j, 1) <= r**j for j past the horizon."""
-    if ensemble.driver is not None:
-        return float(ensemble.driver.law.moment(ensemble.kappa / 2.0))
-    # hand-built ensemble: estimate the per-step rate from the last column
-    last = np.sqrt(ensemble.paths[:, -1]).mean()
-    return float(last ** (1.0 / ensemble.horizon))
+def hill_avar_sre(ensemble: WalkEnsemble) -> HillAvarSRE:
+    """Asymptotic variance of the Hill estimator for the SRE solution.
 
-
-def hill_avar_sre(ensemble: WalkEnsemble, tail_tol: float = DEFAULT_TAIL_TOL) -> HillAvarSRE:
-    """Asymptotic variance of the Hill estimator for the SRE solution."""
+    Raises `HorizonTooSmallError` when the bound on the omitted tail exceeds
+    ``DEFAULT_TAIL_TOL``.
+    """
     _require_paths(ensemble)
     kappa = ensemble.kappa
     paths = ensemble.paths
@@ -160,16 +155,16 @@ def hill_avar_sre(ensemble: WalkEnsemble, tail_tol: float = DEFAULT_TAIL_TOL) ->
         rows = slice(start, start + _PATH_BLOCK)
         per_path[rows] = np.minimum(paths[rows], 1.0).sum(axis=1)
     mean, se = _mean_se(per_path)
-    r = _tail_rate(ensemble)
+    r = float(ensemble.driver.law.moment(kappa / 2.0))  # E min(W_j, 1) <= r**j
     if r < 1.0:
         omitted = r ** (ensemble.horizon + 1) / (1.0 - r)
     else:
         omitted = float("inf")
     scale = kappa ** -2
     bound = 2.0 * scale * omitted
-    if bound > tail_tol:
+    if bound > DEFAULT_TAIL_TOL:
         raise HorizonTooSmallError(
-            f"omitted-tail bound {bound:.3g} exceeds tolerance {tail_tol:g}; "
+            f"omitted-tail bound {bound:.3g} exceeds tolerance {DEFAULT_TAIL_TOL:g}; "
             f"increase the horizon")
     return HillAvarSRE(variance=scale * (1.0 + 2.0 * mean),
                        stderr=2.0 * scale * se, tail_bound=bound)

@@ -126,21 +126,19 @@ def _law_from_json(obj: dict):
 class SREDriver:
     """Law of the i.i.d. pairs (A_t, B_t) of the stochastic recurrence equation.
 
-    ``b_constant`` and ``b_spec`` are mutually exclusive; a random additive
-    part must have positive support (an `InnovationSpec` with p = 1).
+    The additive part ``b`` is a positive constant or a random law with
+    positive support (an `InnovationSpec` with p = 1).
     """
 
     law: TwoPointLaw | LognormalLaw
-    b_constant: float | None = 1.0
-    b_spec: InnovationSpec | None = None
+    b: float | InnovationSpec = 1.0
 
     def __post_init__(self):
-        if (self.b_constant is None) == (self.b_spec is None):
-            raise ConfigurationError("exactly one of b_constant / b_spec is required")
-        if self.b_constant is not None and not (self.b_constant > 0):
+        if isinstance(self.b, InnovationSpec):
+            if self.b.p != 1.0:
+                raise ConfigurationError("random additive part must have positive support (p = 1)")
+        elif not (self.b > 0):
             raise ConfigurationError("constant additive part must be > 0")
-        if self.b_spec is not None and self.b_spec.p != 1.0:
-            raise ConfigurationError("random additive part must have positive support (p = 1)")
 
     def check_drift(self):
         if not (self.law.mean_log() < 0):
@@ -148,13 +146,13 @@ class SREDriver:
                 f"multiplier law must have E[log A] < 0, got {self.law.mean_log():.6g}")
 
     def sample_b(self, rng: RngState, n: int) -> np.ndarray:
-        if self.b_constant is not None:
-            return np.full(n, self.b_constant)
-        return dists.sample(self.b_spec, rng, n)
+        if isinstance(self.b, InnovationSpec):
+            return dists.sample(self.b, rng, n)
+        return np.full(n, self.b)
 
     def to_json(self) -> dict:
-        b = ({"kind": "constant", "value": self.b_constant}
-             if self.b_constant is not None else self.b_spec.to_json())
+        b = (self.b.to_json() if isinstance(self.b, InnovationSpec)
+             else {"kind": "constant", "value": self.b})
         return {"law": self.law.to_json(), "b": b}
 
     @classmethod
@@ -164,8 +162,8 @@ class SREDriver:
         b = json_object(obj.get("b", {"kind": "constant", "value": 1.0}), "driver b")
         if b.get("kind") == "constant":
             json_fields(b, "driver b", ("kind", "value"))
-            return cls(law, b_constant=json_number(b, "value", "driver b"))
-        return cls(law, b_constant=None, b_spec=InnovationSpec.from_json(b))
+            return cls(law, json_number(b, "value", "driver b"))
+        return cls(law, InnovationSpec.from_json(b))
 
 
 @dataclass(frozen=True)
@@ -285,18 +283,24 @@ def simulate_series(model: SeriesModel, n: int, rng: RngState) -> np.ndarray:
 
 @dataclass
 class WalkEnsemble:
-    """Monte Carlo paths of the geometric walk ``W_j``, ``j = 1..horizon``.
+    """Monte Carlo paths of the geometric walk ``W_j``, ``j = 1..horizon``,
+    of the multipliers of ``driver`` raised to ``kappa``.
 
-    ``paths[p, j-1]`` holds ``W_j`` of path ``p``. ``driver`` is kept so
-    downstream consumers can bound truncated tails exactly; hand-built test
-    ensembles may leave it as None.
+    ``paths[p, j-1]`` holds ``W_j`` of path ``p``. The driver's law bounds
+    the walk's tail beyond the horizon.
     """
 
     kappa: float
-    horizon: int
-    n_paths: int
     paths: np.ndarray
-    driver: SREDriver | None = None
+    driver: SREDriver
+
+    @property
+    def n_paths(self) -> int:
+        return self.paths.shape[0]
+
+    @property
+    def horizon(self) -> int:
+        return self.paths.shape[1]
 
 
 def simulate_walks(driver: SREDriver, kappa: float, horizon: int, n_paths: int,
@@ -323,8 +327,7 @@ def simulate_walks(driver: SREDriver, kappa: float, horizon: int, n_paths: int,
             u = uniforms_for_bases(bases, horizon)
             np.cumprod(law.sample_from_uniforms(u) ** kappa, axis=1, out=block)
         _check_finite(block.ravel(), "walk ensemble", offset=start * horizon)
-    return WalkEnsemble(kappa=kappa, horizon=horizon, n_paths=n_paths,
-                        paths=paths, driver=driver)
+    return WalkEnsemble(kappa=kappa, paths=paths, driver=driver)
 
 
 def _brentq(f, xa: float, xb: float, xtol: float, rtol: float) -> float:

@@ -9,7 +9,7 @@ by shifted-Pareto-type innovations.
 
 Infinite coefficient sequences enter through finite truncations; for
 AR(1)-type geometric sequences the truncation horizon is chosen from the
-requested tolerance.
+tolerance ``TRUNCATION_TOL``.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import numpy as np
 from .errors import ConfigurationError, DomainError
 
 _MAX_AR1_HORIZON = 200_000
+TRUNCATION_TOL = 1e-12
 
 
 def _check_gamma(gamma: float):
@@ -45,46 +46,45 @@ class CoefficientSequence:
     """Finite list of moving-average coefficients ``(index j, psi_j)``."""
 
     pairs: tuple[tuple[int, float], ...]
-    truncation_tol: float = 1e-12
 
     def __post_init__(self):
         if not self.pairs:
             raise DomainError("coefficient sequence must be nonempty")
         if all(v == 0.0 for _, v in self.pairs):
             raise DomainError("at least one coefficient must be nonzero")
-        if not (self.truncation_tol > 0):
-            raise ConfigurationError("truncation_tol must be > 0")
         idx = [j for j, _ in self.pairs]
         if len(set(idx)) != len(idx):
             raise ConfigurationError("duplicate coefficient indices")
 
     @classmethod
-    def from_values(cls, values, start: int = 0, truncation_tol: float = 1e-12):
-        pairs = tuple((start + i, float(v)) for i, v in enumerate(values))
-        return cls(pairs, truncation_tol)
+    def from_values(cls, values, start: int = 0):
+        return cls(tuple((start + i, float(v)) for i, v in enumerate(values)))
 
     @classmethod
-    def ar1(cls, phi: float, gamma: float, truncation_tol: float = 1e-12):
-        """Geometric sequence ``psi_j = phi**j`` truncated for tolerance ``tol``.
+    def ar1(cls, phi: float, gamma: float):
+        """Geometric sequence ``psi_j = phi**j`` truncated for ``TRUNCATION_TOL``.
 
         The horizon guarantees both ``|psi_j|**(1/gamma) < tol`` past the end
         and that the weighted tail sums entering `tail_ratio_linear` /
         `hill_avar_linear` are below ``tol``, so doubling the horizon moves
-        those evaluators by less than ``tol``.
+        those evaluators by less than ``tol``. Where ``|phi|**(1/gamma)``
+        is 0.0 (``phi = 0``, or an underflow), every weight
+        ``|psi_j|**(1/gamma)`` with ``j >= 1`` is exactly 0.0, so the
+        sequence is ``psi_0 = 1`` alone.
         """
         q = _ar1_ratio(phi, gamma)
-        if phi == 0.0:
-            return cls(((0, 1.0),), truncation_tol)
-        horizon = max(1, int(np.ceil(np.log(truncation_tol) / np.log(q))))
+        if q == 0.0:
+            return cls(((0, 1.0),))
+        horizon = max(1, int(np.ceil(np.log(TRUNCATION_TOL) / np.log(q))))
         # extend until sum_{m>J} (m+2)*q**m  <=  (J+3)*q**(J+1)/(1-q)**2 < tol/8
         while horizon < _MAX_AR1_HORIZON:
             bound = (horizon + 3) * q ** (horizon + 1) / (1.0 - q) ** 2
-            if bound <= truncation_tol / 8.0:
+            if bound <= TRUNCATION_TOL / 8.0:
                 break
             horizon = int(horizon * 1.3) + 1
         horizon = min(horizon, _MAX_AR1_HORIZON)
         values = np.power(phi, np.arange(horizon + 1, dtype=np.float64))
-        return cls.from_values(values, 0, truncation_tol)
+        return cls.from_values(values)
 
     def min_index(self) -> int:
         return min(j for j, _ in self.pairs)
@@ -148,7 +148,10 @@ def hill_avar_ar1(phi: float, gamma: float) -> float:
     """Closed form of `hill_avar_linear` for ``psi_j = phi**j``:
     ``gamma**2 * (1+|phi|**(1/gamma)) / (1-|phi|**(1/gamma))``."""
     q = _ar1_ratio(phi, gamma)
-    return float(gamma * gamma * (1.0 + q) / (1.0 - q))
+    value = gamma * gamma * (1.0 + q) / (1.0 - q)
+    if not math.isfinite(value):
+        raise DomainError(f"the Hill asymptotic variance overflows at gamma={gamma!r}")
+    return float(value)
 
 
 def rmse_ratio_ar1(phi: float, gamma: float) -> float:

@@ -169,6 +169,13 @@ class TestTheory:
         assert payload["d_psi"] == pytest.approx(0.95292311401515741, rel=1e-9)
         assert payload["D_psi"] == pytest.approx(-1.3446042520437852, rel=1e-9)
 
+    def test_second_order_underflowing_ratio_is_silent(self):
+        # 0.8**(1/1e-300) underflows to 0.0; the result is psi_0's alone
+        proc = run_cli(["theory", "second-order", "--phi", "0.8", "--gamma", "1e-300"],
+                       text=True)
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert json.loads(proc.stdout)["d_psi"] == 0.5
+
     def test_missing_flags_usage_error(self):
         assert parse_and_dispatch(["theory", "hill-avar", "--phi", "0.5"]) == 2
 
@@ -178,9 +185,11 @@ class TestTheory:
           for gamma in ("inf", "1e308", "5e-324")),  # 1e308: |phi|**(1/gamma) rounds to 1
         ["rmse-ratio", "--gamma", "600"],  # (1+q)**(2*gamma) overflows
         ["tail-ratio", "--gamma", "1", "--p", "0"],
+        ["hill-avar", "--gamma", "1e200", "--phi", "0"],  # gamma*gamma overflows
     ], ids=" ".join)
     def test_out_of_domain_exits_3(self, capsys, argv):
-        assert parse_and_dispatch(["theory", *argv, "--phi", "-0.8"]) == 3
+        # phi is -0.8 unless the case sets it: the last --phi wins
+        assert parse_and_dispatch(["theory", argv[0], "--phi", "-0.8", *argv[1:]]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
 

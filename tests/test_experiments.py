@@ -1,6 +1,7 @@
 """Monte Carlo harness: conventions, aggregation identities, determinism, KDE."""
 
 import dataclasses
+from functools import partial
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from tailseries import (
 )
 from tailseries import experiments
 from tailseries import test_power_experiment as power_experiment
-from tailseries.experiments import DIRECT, MODEL_BASED, silverman_bandwidth
+from tailseries.experiments import DIRECT, silverman_bandwidth
 from scipy.special import ndtri
 
 MODEL_A = two_sided_pareto(0.5, 0.5)
@@ -65,10 +66,11 @@ class TestTrueQuantile:
         # statistic `empirical_quantile` selects from a copy
         model = linear_ar1(0.8, MODEL_B, burnin=100)
         rng = RngState(12)
+        selected = experiments._map_series(partial(experiments._select_quantile, q=1.0 - 0.001),
+                                           model, 50_000, rng, 3, 1)
         for i in range(3):
             series = simulate_series(model, 50_000, rng.substream(i))
-            assert (experiments._truth_quantile(model, 0.001, 50_000, rng, i)
-                    == empirical_quantile(series, 0.999))
+            assert selected[i] == empirical_quantile(series, 0.999)
 
     def test_exceedance_precondition(self):
         model = linear_ar1(0.0, MODEL_A, burnin=0)
@@ -193,14 +195,6 @@ class TestRunExperiment:
         capped = stage(24, 10**6)
         assert pools == [(4, 2)]  # 4 processes, 24 substreams in chunks of ceil(24 / 16)
         assert _identical(capped, stage(24, 1))
-
-    def test_estimator_subset(self):
-        spec = ExperimentSpec(model=linear_ar1(0.8, MODEL_A, burnin=500), n=400,
-                              replicates=5, k_grid=(20, 40), t=0.005,
-                              estimators=(DIRECT,), master_seed=7)
-        summary = run_quantile_experiment(spec, 20.0)
-        assert summary.rmse.shape == (1, 2)
-        assert DIRECT in summary.argmin_rmse and MODEL_BASED not in summary.argmin_rmse
 
     def test_csv_rows_schema(self):
         summary = run_quantile_experiment(SMALL_SPEC, 20.0)

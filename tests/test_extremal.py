@@ -34,10 +34,8 @@ def ensemble():
     return simulate_walks(DRIVER, 1.0, 200, 100_000, RngState(1001))
 
 
-def hook(paths, kappa=1.0):
-    paths = np.asarray(paths, dtype=np.float64)
-    return WalkEnsemble(kappa=kappa, horizon=paths.shape[1],
-                        n_paths=paths.shape[0], paths=paths)
+def hook(paths, kappa=1.0, driver=DRIVER):
+    return WalkEnsemble(kappa=kappa, paths=np.asarray(paths, dtype=np.float64), driver=driver)
 
 
 class TestExtremalIndex:
@@ -132,7 +130,10 @@ def _enumeration_sum(n_terms: int) -> tuple[float, float]:
 
 class TestHillAvarSRE:
     def test_zero_hook_iid_value(self):
-        result = hill_avar_sre(hook(np.zeros((50, 10)), kappa=2.0))
+        # multipliers of 1e-300: every W_j = (1e-300)**2j is 0.0, and so is
+        # the tail bound r**11 / (1 - r) with r = E A = 1e-300
+        vanishing = SREDriver(TwoPointLaw(1e-300, 1e-300, 0.5))
+        result = hill_avar_sre(hook(np.zeros((50, 10)), kappa=2.0, driver=vanishing))
         assert result.variance == 0.25
         assert result.tail_bound == 0.0
 
@@ -162,12 +163,14 @@ class TestBlockedReductions:
     whole-matrix forms bit for bit, across block boundaries."""
 
     def test_equal_whole_matrix(self):
-        ens = simulate_walks(DRIVER, 1.0, 60, 2 * _PATH_BLOCK + 5, RngState(57))
+        # horizon 150: the omitted-tail bound 2 * r**151 / (1 - r) is below
+        # the tolerance for r = E sqrt(A) = 2*sqrt(2)/3
+        ens = simulate_walks(DRIVER, 1.0, 150, 2 * _PATH_BLOCK + 5, RngState(57))
         paths, count = ens.paths, 6
         part = np.partition(paths, paths.shape[1] - count, axis=1)[:, -count:]
         assert np.array_equal(extremal._top_order_stats(paths, count), -np.sort(-part, axis=1))
         per_path = np.minimum(paths, 1.0).sum(axis=1)
-        result = hill_avar_sre(ens, tail_tol=float("inf"))
+        result = hill_avar_sre(ens)
         assert result.variance == 1.0 + 2.0 * per_path.mean()
         assert result.stderr == 2.0 * (per_path.std(ddof=1) / np.sqrt(per_path.size))
 

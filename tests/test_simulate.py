@@ -280,7 +280,7 @@ class TestKernelLoader:
     @pytest.mark.skipif(not HAVE_CC, reason="no C compiler (cc) on PATH")
     def test_kernel_loads_where_a_compiler_exists(self):
         assert simulate.RECURSION_PATH == "c" and _kernel._KERNEL is not _kernel._PYTHON_KERNEL
-        for name in ("uniforms", "two_point_walk", "linear_ar1", "nonlinear_ar1"):
+        for name in _kernel._KERNEL_SIGNATURES:
             assert hasattr(_kernel._KERNEL, name) and hasattr(_kernel._PYTHON_KERNEL, name)
 
     @pytest.mark.skipif(not HAVE_CC, reason="no C compiler (cc) on PATH")
@@ -347,12 +347,11 @@ class TestSRE:
 
     def test_b_spec_positive_support_required(self):
         with pytest.raises(ConfigurationError):
-            SREDriver(TwoPointLaw(2.0, 0.5, 1.0 / 3.0), b_constant=None,
-                      b_spec=two_sided_pareto(0.5, 0.5))  # p < 1
+            SREDriver(TwoPointLaw(2.0, 0.5, 1.0 / 3.0), two_sided_pareto(0.5, 0.5))  # p < 1
 
     def test_random_b_runs(self):
-        drv = SREDriver(TwoPointLaw(2.0, 0.5, 1.0 / 3.0), b_constant=None,
-                        b_spec=InnovationSpec("two-sided-pareto", gamma=0.25, p=1.0))
+        drv = SREDriver(TwoPointLaw(2.0, 0.5, 1.0 / 3.0),
+                        InnovationSpec("two-sided-pareto", gamma=0.25, p=1.0))
         series = simulate_series(sre_model(drv, burnin=100), 1000, RngState(3))
         assert np.all(series > 0)
 

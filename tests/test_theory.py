@@ -101,10 +101,9 @@ class TestHillAvar:
     def test_truncation_converged(self):
         # doubling the horizon moves the result by less than the tolerance
         tol = 1e-12
-        base = CoefficientSequence.ar1(0.8, 1.0, tol)
+        base = CoefficientSequence.ar1(0.8, 1.0)
         jmax = max(j for j, _ in base.pairs)
-        doubled = CoefficientSequence.from_values(
-            np.power(0.8, np.arange(2 * jmax + 1)), 0, tol)
+        doubled = CoefficientSequence.from_values(np.power(0.8, np.arange(2 * jmax + 1)))
         assert abs(hill_avar_linear(base, 1.0)
                    - hill_avar_linear(doubled, 1.0)) < tol
 
