@@ -10,6 +10,14 @@ are evaluated by Monte Carlo over a `WalkEnsemble`:
 * Hill asymptotic var:  kappa**-2 * (1 + 2 * sum_{j>=1} E min(W_j, 1))
 * joint exceedances:    E min (or max) over j of x_j**-kappa * W_j, W_0 = 1
 
+The ensemble holds no walk matrix: theta and the Hill variance read the
+per-path maxima and capped sums that `simulate_walks` took in its one pass,
+the cluster sizes regenerate the paths a block at a time and keep each
+path's top values, and the joint exceedances regenerate only the first
+``k-1`` steps. Every reduction works on one path's row alone, and every
+mean and standard error is taken over the full-length per-path arrays, so
+no result depends on the block size.
+
 Every point estimate is returned with its Monte Carlo standard error. Walk
 tails beyond the ensemble horizon are controlled through the fractional
 moment ``r = E[A**(kappa/2)] < 1``: ``min(w,1) <= sqrt(w)`` gives
@@ -24,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, HorizonTooSmallError
-from .simulate import _PATH_BLOCK, WalkEnsemble
+from .simulate import WalkEnsemble
 
 DEFAULT_TAIL_TOL = 1e-2
 
@@ -90,21 +98,17 @@ def _mean_se(values: np.ndarray) -> tuple[float, float]:
 def extremal_index(ensemble: WalkEnsemble) -> tuple[float, float]:
     """(theta, Monte Carlo stderr) from per-path maxima of the walk."""
     _require_paths(ensemble)
-    capped_max = np.minimum(ensemble.paths.max(axis=1), 1.0)
+    capped_max = np.minimum(ensemble.maxima, 1.0)
     mean, se = _mean_se(capped_max)
     return 1.0 - mean, se
 
 
-def _top_order_stats(paths: np.ndarray, count: int) -> np.ndarray:
-    """Top ``count`` values of each path, column c = (c+1)-th largest.
-
-    Computed a block of paths at a time, so no copy of the whole ensemble is made.
-    """
-    top = np.empty((paths.shape[0], count))
-    for start in range(0, paths.shape[0], _PATH_BLOCK):
-        rows = slice(start, start + _PATH_BLOCK)
-        part = np.partition(paths[rows], paths.shape[1] - count, axis=1)[:, -count:]
-        top[rows] = -np.sort(-part, axis=1)
+def _top_order_stats(ensemble: WalkEnsemble, count: int) -> np.ndarray:
+    """Top ``count`` values of each path, column c = (c+1)-th largest."""
+    top = np.empty((ensemble.n_paths, count))
+    for start, rows in ensemble.blocks(ensemble.horizon):
+        part = np.partition(rows, rows.shape[1] - count, axis=1)[:, -count:]
+        top[start:start + rows.shape[0]] = -np.sort(-part, axis=1)
     return top
 
 
@@ -117,7 +121,7 @@ def cluster_size_probs(ensemble: WalkEnsemble, kmax: int) -> ExtremalSummary:
         raise ConfigurationError(
             f"horizon {ensemble.horizon} must exceed kmax {kmax} (U_(kmax+1) needed)")
     p = ensemble.n_paths
-    top = _top_order_stats(ensemble.paths, kmax + 1)
+    top = _top_order_stats(ensemble, kmax + 1)
     capped = np.empty((p, kmax + 2))
     capped[:, 0] = 1.0  # min(U_0, 1) convention
     np.minimum(top, 1.0, out=capped[:, 1:])
@@ -149,12 +153,7 @@ def hill_avar_sre(ensemble: WalkEnsemble) -> HillAvarSRE:
     """
     _require_paths(ensemble)
     kappa = ensemble.kappa
-    paths = ensemble.paths
-    per_path = np.empty(paths.shape[0])
-    for start in range(0, paths.shape[0], _PATH_BLOCK):
-        rows = slice(start, start + _PATH_BLOCK)
-        per_path[rows] = np.minimum(paths[rows], 1.0).sum(axis=1)
-    mean, se = _mean_se(per_path)
+    mean, se = _mean_se(ensemble.capped_sums)
     r = float(ensemble.driver.law.moment(kappa / 2.0))  # E min(W_j, 1) <= r**j
     if r < 1.0:
         omitted = r ** (ensemble.horizon + 1) / (1.0 - r)
@@ -179,9 +178,11 @@ def joint_exceedance(ensemble: WalkEnsemble, query: JointExceedanceQuery) -> tup
     weights = np.asarray(query.x, dtype=np.float64) ** (-ensemble.kappa)
     if k == 1:  # only W_0 = 1 enters: the mean is exactly x_0**-kappa
         return float(weights[0]), 0.0
-    segment = np.empty((ensemble.n_paths, k))
-    segment[:, 0] = 1.0  # W_0
-    segment[:, 1:] = ensemble.paths[:, :k - 1]
-    scaled = segment * weights[None, :]
-    reduced = scaled.min(axis=1) if query.mode == "all" else scaled.max(axis=1)
+    extreme = np.min if query.mode == "all" else np.max
+    reduced = np.empty(ensemble.n_paths)
+    for start, rows in ensemble.blocks(k - 1):  # W_1..W_{k-1}
+        segment = np.empty((rows.shape[0], k))
+        segment[:, 0] = 1.0  # W_0
+        segment[:, 1:] = rows
+        reduced[start:start + rows.shape[0]] = extreme(segment * weights[None, :], axis=1)
     return _mean_se(reduced)

@@ -30,6 +30,7 @@ draws 1..J of substream ``p`` of the supplied stream.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,7 +47,7 @@ NONLINEAR_AR1 = "nonlinear-ar1"
 SRE = "sre"
 
 _KAPPA_BRACKET = (1e-6, 64.0)
-_PATH_BLOCK = 8192
+_PATH_BLOCK = 1024  # walk paths per block: 1.6 MB at 200 steps, within a 2 MiB L2 cache
 _DRAW_BLOCK = 65_536  # innovations per draw in the AR(1) recursions
 
 
@@ -281,53 +282,100 @@ def simulate_series(model: SeriesModel, n: int, rng: RngState) -> np.ndarray:
     return x[model.burnin:]
 
 
-@dataclass
+@dataclass(eq=False)
 class WalkEnsemble:
     """Monte Carlo paths of the geometric walk ``W_j``, ``j = 1..horizon``,
     of the multipliers of ``driver`` raised to ``kappa``.
 
-    ``paths[p, j-1]`` holds ``W_j`` of path ``p``. The driver's law bounds
-    the walk's tail beyond the horizon.
+    The ensemble holds no walk matrix. It keeps the base of the stream whose
+    substream ``p`` drives path ``p``, and two per-path summaries:
+    ``maxima[p] = max_j W_j`` and ``capped_sums[p] = sum_j min(W_j, 1)``.
+    `blocks` regenerates the paths a block at a time, and ``paths[p]``
+    regenerates one row; both equal the rows of the whole matrix bit for
+    bit, because each path is counter-based on its own substream. The
+    driver's law bounds the walk's tail beyond the horizon.
     """
 
     kappa: float
-    paths: np.ndarray
     driver: SREDriver
+    n_paths: int
+    horizon: int
+    base: int  # base of the stream whose substream p drives path p
+    maxima: np.ndarray
+    capped_sums: np.ndarray
+
+    def _fill(self, start: int, out: np.ndarray):
+        """``W_1..W_n`` of paths ``start..start+count-1`` into the C-contiguous
+        ``(count, n)`` array ``out``."""
+        count, n = out.shape
+        bases = RngState(0, _base=self.base).child_bases(count, start=start)
+        law = self.driver.law
+        if isinstance(law, TwoPointLaw):
+            # `**` as on a whole block of multipliers, so the two powers are
+            # the same bits as each element of `sample_from_uniforms(u)**kappa`
+            up, down = np.array([law.a_up, law.a_down]) ** self.kappa
+            _kernel._KERNEL.two_point_walk(bases, count, n, law.p_up, up, down, out)
+        else:
+            u = uniforms_for_bases(bases, n)
+            np.cumprod(law.sample_from_uniforms(u) ** self.kappa, axis=1, out=out)
+
+    def blocks(self, n: int):
+        """Yield ``(start, rows)`` for each block of paths, ``rows[i]`` holding
+        ``W_1..W_n`` of path ``start + i``. Every block is written into one
+        buffer, which the next block overwrites."""
+        if not (1 <= n <= self.horizon):
+            raise ConfigurationError(f"steps must lie in 1..{self.horizon}, got {n}")
+        buffer = np.empty(min(_PATH_BLOCK, self.n_paths) * n)
+        for start in range(0, self.n_paths, _PATH_BLOCK):
+            count = min(_PATH_BLOCK, self.n_paths - start)
+            rows = buffer[:count * n].reshape(count, n)
+            self._fill(start, rows)
+            yield start, rows
 
     @property
-    def n_paths(self) -> int:
-        return self.paths.shape[0]
+    def paths(self) -> "_PathRows":
+        """``paths[p]``: ``W_1..W_horizon`` of path ``p``, regenerated on each access."""
+        return _PathRows(self)
 
-    @property
-    def horizon(self) -> int:
-        return self.paths.shape[1]
+
+class _PathRows:
+    def __init__(self, ensemble: WalkEnsemble):
+        self._ensemble = ensemble
+
+    def __getitem__(self, p: int) -> np.ndarray:
+        ens = self._ensemble
+        p = operator.index(p)
+        if p < 0:
+            p += ens.n_paths
+        if not (0 <= p < ens.n_paths):
+            raise IndexError(f"path {p} out of range for {ens.n_paths} paths")
+        row = np.empty((1, ens.horizon))
+        ens._fill(p, row)
+        return row[0]
 
 
 def simulate_walks(driver: SREDriver, kappa: float, horizon: int, n_paths: int,
                    rng: RngState) -> WalkEnsemble:
-    """Generate ``n_paths`` independent walk paths, one substream per path."""
+    """Generate ``n_paths`` independent walk paths, one substream per path.
+
+    One pass over the blocks of paths checks that every value is finite and
+    takes the per-path summaries; no block outlives its pass.
+    """
     if not (kappa > 0):
         raise ConfigurationError("kappa must be > 0")
     if horizon < 1 or n_paths < 1:
         raise ConfigurationError("horizon and n_paths must be >= 1")
     driver.check_drift()
-    law = driver.law
-    if isinstance(law, TwoPointLaw):
-        # `**` as on a whole block of multipliers, so the two powers are the
-        # same bits as each element of `sample_from_uniforms(u)**kappa`
-        up, down = np.array([law.a_up, law.a_down]) ** kappa
-    paths = np.empty((n_paths, horizon))
-    for start in range(0, n_paths, _PATH_BLOCK):
-        count = min(_PATH_BLOCK, n_paths - start)
-        bases = rng.child_bases(count, start=start)
-        block = paths[start:start + count]
-        if isinstance(law, TwoPointLaw):
-            _kernel._KERNEL.two_point_walk(bases, count, horizon, law.p_up, up, down, block)
-        else:
-            u = uniforms_for_bases(bases, horizon)
-            np.cumprod(law.sample_from_uniforms(u) ** kappa, axis=1, out=block)
-        _check_finite(block.ravel(), "walk ensemble", offset=start * horizon)
-    return WalkEnsemble(kappa=kappa, paths=paths, driver=driver)
+    ens = WalkEnsemble(kappa=kappa, driver=driver, n_paths=n_paths, horizon=horizon,
+                       base=rng.state[0], maxima=np.empty(n_paths),
+                       capped_sums=np.empty(n_paths))
+    for start, rows in ens.blocks(horizon):
+        done = slice(start, start + rows.shape[0])
+        _check_finite(rows.ravel(), "walk ensemble", offset=start * horizon)
+        rows.max(axis=1, out=ens.maxima[done])
+        np.minimum(rows, 1.0, out=rows)  # the buffer is rewritten by the next block
+        rows.sum(axis=1, out=ens.capped_sums[done])
+    return ens
 
 
 def _brentq(f, xa: float, xb: float, xtol: float, rtol: float) -> float:

@@ -141,7 +141,10 @@ def hill_avar_linear(seq: CoefficientSequence, gamma: float) -> float:
     num = 0.0
     for j in range(1, jmax + 1):
         num += np.minimum(w[j], w[j:]).sum()
-    return float(gamma * gamma * (1.0 + 2.0 * num / denom))
+    value = gamma * gamma * (1.0 + 2.0 * num / denom)
+    if not math.isfinite(value):
+        raise DomainError(f"the Hill asymptotic variance overflows at gamma={gamma!r}")
+    return float(value)
 
 
 def hill_avar_ar1(phi: float, gamma: float) -> float:

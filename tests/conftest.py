@@ -68,3 +68,13 @@ def same_on_every_kernel(run):
     if isinstance(first, SimulationError):
         raise first
     return first
+
+
+def walk_matrix(ensemble, n=None):
+    """The ``n_paths x n`` matrix of ``W_1..W_n`` (default: the whole horizon)
+    of ``ensemble``, assembled from its blocks: row p is path p."""
+    n = ensemble.horizon if n is None else n
+    out = np.empty((ensemble.n_paths, n))
+    for start, rows in ensemble.blocks(n):
+        out[start:start + rows.shape[0]] = rows
+    return out

@@ -1,5 +1,9 @@
 """Extremal quantities against closed-form, enumeration, and cross-generator oracles."""
 
+import tracemalloc
+from dataclasses import dataclass
+from unittest import mock
+
 import numpy as np
 import pytest
 from scipy.stats import binom
@@ -18,8 +22,9 @@ from tailseries import (
     joint_exceedance,
     simulate_walks,
 )
-from tailseries import extremal
-from tailseries.simulate import _PATH_BLOCK
+from tailseries import LognormalLaw, _kernel, extremal, solve_kappa
+from tailseries.simulate import _PATH_BLOCK, RECURSION_PATH
+from conftest import KERNELS, assert_same_bits, walk_matrix
 
 DRIVER = SREDriver(TwoPointLaw(2.0, 0.5, 1.0 / 3.0))  # E A = 1, kappa = 1
 
@@ -34,8 +39,22 @@ def ensemble():
     return simulate_walks(DRIVER, 1.0, 200, 100_000, RngState(1001))
 
 
+@dataclass(eq=False)
+class MatrixEnsemble(WalkEnsemble):
+    """An ensemble whose paths are the rows of a given matrix."""
+
+    matrix: np.ndarray = None
+
+    def blocks(self, n):
+        for start in range(0, self.n_paths, _PATH_BLOCK):
+            yield start, self.matrix[start:start + _PATH_BLOCK, :n]
+
+
 def hook(paths, kappa=1.0, driver=DRIVER):
-    return WalkEnsemble(kappa=kappa, paths=np.asarray(paths, dtype=np.float64), driver=driver)
+    paths = np.asarray(paths, dtype=np.float64)
+    return MatrixEnsemble(kappa=kappa, driver=driver, n_paths=paths.shape[0],
+                          horizon=paths.shape[1], base=0, maxima=paths.max(axis=1),
+                          capped_sums=np.minimum(paths, 1.0).sum(axis=1), matrix=paths)
 
 
 class TestExtremalIndex:
@@ -108,11 +127,14 @@ class TestClusterSizes:
             cluster_size_probs(ensemble, 0)
 
     def test_deterministic_and_read_only(self, ensemble):
-        before = ensemble.paths.copy()
-        a = cluster_size_probs(ensemble, 10)
-        b = cluster_size_probs(ensemble, 10)
-        assert np.array_equal(a.theta_k, b.theta_k)
-        assert np.array_equal(ensemble.paths, before)
+        rows = (0, 1, ensemble.n_paths - 1)
+        before = [ensemble.paths[p] for p in rows]
+        query = JointExceedanceQuery((1.0, 2.0, 0.7), "some")
+        for functional in (extremal_index, lambda ens: cluster_size_probs(ens, 10),
+                           hill_avar_sre, lambda ens: joint_exceedance(ens, query)):
+            assert_same_bits(flat(functional(ensemble)), flat(functional(ensemble)))
+        for p, row in zip(rows, before):
+            assert_same_bits(ensemble.paths[p], row)
 
 
 def _enumeration_sum(n_terms: int) -> tuple[float, float]:
@@ -158,21 +180,135 @@ class TestHillAvarSRE:
             hill_avar_sre(short)
 
 
-class TestBlockedReductions:
-    """The reductions that run a block of paths at a time equal their
-    whole-matrix forms bit for bit, across block boundaries."""
+def flat(result) -> np.ndarray:
+    """Every number of a functional's result, in one array."""
+    if isinstance(result, extremal.ExtremalSummary):
+        result = (result.theta, result.theta_k, result.pi_k, result.mc_stderr["theta"],
+                  result.mc_stderr["theta_k"], result.mc_stderr["pi_k"],
+                  result.horizon_remainder)
+    elif isinstance(result, extremal.HillAvarSRE):
+        result = (result.variance, result.stderr, result.tail_bound)
+    return np.concatenate([np.atleast_1d(np.asarray(part, dtype=np.float64)) for part in result])
 
-    def test_equal_whole_matrix(self):
-        # horizon 150: the omitted-tail bound 2 * r**151 / (1 - r) is below
-        # the tolerance for r = E sqrt(A) = 2*sqrt(2)/3
-        ens = simulate_walks(DRIVER, 1.0, 150, 2 * _PATH_BLOCK + 5, RngState(57))
-        paths, count = ens.paths, 6
-        part = np.partition(paths, paths.shape[1] - count, axis=1)[:, -count:]
-        assert np.array_equal(extremal._top_order_stats(paths, count), -np.sort(-part, axis=1))
-        per_path = np.minimum(paths, 1.0).sum(axis=1)
-        result = hill_avar_sre(ens)
-        assert result.variance == 1.0 + 2.0 * per_path.mean()
-        assert result.stderr == 2.0 * (per_path.std(ddof=1) / np.sqrt(per_path.size))
+
+# The whole-matrix forms the functionals had while the ensemble held its
+# walk matrix, as they were written there, with `ensemble.paths` the matrix.
+
+def matrix_extremal_index(ensemble, paths):
+    capped_max = np.minimum(paths.max(axis=1), 1.0)
+    mean, se = extremal._mean_se(capped_max)
+    return 1.0 - mean, se
+
+
+def matrix_cluster_size_probs(ensemble, paths, kmax):
+    p = ensemble.n_paths
+    count = kmax + 1
+    part = np.partition(paths, paths.shape[1] - count, axis=1)[:, -count:]
+    top = -np.sort(-part, axis=1)
+    capped = np.empty((p, kmax + 2))
+    capped[:, 0] = 1.0  # min(U_0, 1) convention
+    np.minimum(top, 1.0, out=capped[:, 1:])
+    diffs = capped[:, :-1] - capped[:, 1:]         # per-path theta_k terms, k=1..kmax+1
+    theta_all = diffs.mean(axis=0)
+    theta_all_se = diffs.std(axis=0, ddof=1) / np.sqrt(p)
+    theta = float(theta_all[0])
+    pi_terms = diffs[:, :-1] - diffs[:, 1:]        # per-path (theta_k - theta_{k+1})
+    pi_k = pi_terms.mean(axis=0) / theta
+    pi_se = pi_terms.std(axis=0, ddof=1) / (np.sqrt(p) * theta)
+    return extremal.ExtremalSummary(
+        theta=theta,
+        theta_k=theta_all[:kmax].copy(),
+        pi_k=pi_k,
+        mc_stderr={"theta": float(theta_all_se[0]),
+                   "theta_k": theta_all_se[:kmax].copy(),
+                   "pi_k": pi_se},
+        horizon_remainder=float(np.minimum(top[:, kmax], 1.0).mean()),
+    )
+
+
+def matrix_hill_avar_sre(ensemble, paths):
+    kappa = ensemble.kappa
+    per_path = np.minimum(paths, 1.0).sum(axis=1)
+    mean, se = extremal._mean_se(per_path)
+    r = float(ensemble.driver.law.moment(kappa / 2.0))  # E min(W_j, 1) <= r**j
+    if r < 1.0:
+        omitted = r ** (ensemble.horizon + 1) / (1.0 - r)
+    else:
+        omitted = float("inf")
+    scale = kappa ** -2
+    bound = 2.0 * scale * omitted
+    return extremal.HillAvarSRE(variance=scale * (1.0 + 2.0 * mean),
+                                stderr=2.0 * scale * se, tail_bound=bound)
+
+
+def matrix_joint_exceedance(ensemble, paths, query):
+    k = len(query.x)
+    weights = np.asarray(query.x, dtype=np.float64) ** (-ensemble.kappa)
+    segment = np.empty((ensemble.n_paths, k))
+    segment[:, 0] = 1.0  # W_0
+    segment[:, 1:] = paths[:, :k - 1]
+    scaled = segment * weights[None, :]
+    reduced = scaled.min(axis=1) if query.mode == "all" else scaled.max(axis=1)
+    return extremal._mean_se(reduced)
+
+
+class TestBlockedReductions:
+    """The functionals, which reduce the ensemble a block of paths at a time
+    or read its per-path summaries, equal their whole-matrix forms bit for
+    bit, across block boundaries, on every kernel path."""
+
+    # horizons at which the omitted-tail bound is below the tolerance:
+    # 2 * r**151 / (1 - r) for r = E sqrt(A) = 2*sqrt(2)/3, and
+    # 2 * r**81 / (1 - r) for r = exp(-1/8)
+    @pytest.mark.parametrize("driver, horizon", [(DRIVER, 150),
+                                                 (SREDriver(LognormalLaw(-0.5, 1.0)), 80)],
+                             ids=["two-point", "lognormal"])
+    @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: "python" if k is
+                             _kernel._PYTHON_KERNEL else "c")
+    def test_equal_whole_matrix(self, driver, horizon, kernel):
+        kappa = solve_kappa(driver)
+        queries = [JointExceedanceQuery(x, mode) for mode in ("all", "some")
+                   for x in ((1.0, 1.0), (0.5, 2.0, 1.0, 3.0), (1.5,) * (horizon + 1))]
+        with mock.patch.object(_kernel, "_KERNEL", kernel):
+            ens = simulate_walks(driver, kappa, horizon, 2 * _PATH_BLOCK + 5, RngState(57))
+            paths = walk_matrix(ens)
+            assert_same_bits(flat(extremal_index(ens)), flat(matrix_extremal_index(ens, paths)))
+            for kmax in (1, 6):
+                assert_same_bits(flat(cluster_size_probs(ens, kmax)),
+                                 flat(matrix_cluster_size_probs(ens, paths, kmax)))
+            assert_same_bits(flat(hill_avar_sre(ens)), flat(matrix_hill_avar_sre(ens, paths)))
+            for query in queries:
+                assert_same_bits(flat(joint_exceedance(ens, query)),
+                                 flat(matrix_joint_exceedance(ens, paths, query)))
+
+    def test_joint_on_first_steps_equals_matrix_prefix(self):
+        # a query of k thresholds regenerates W_1..W_{k-1} only; that equals
+        # an ensemble holding just the first k-1 columns of the whole matrix
+        ens = simulate_walks(DRIVER, 1.0, 60, 2 * _PATH_BLOCK + 5, RngState(58))
+        paths = walk_matrix(ens)
+        for x in ((1.0, 1.0), (2.0, 0.3, 1.0, 1.0), (0.8,) * 61):
+            for mode in ("all", "some"):
+                query = JointExceedanceQuery(x, mode)
+                assert_same_bits(flat(joint_exceedance(ens, query)),
+                                 flat(joint_exceedance(hook(paths[:, :len(x) - 1]), query)))
+
+
+@pytest.mark.skipif(RECURSION_PATH == "python",
+                    reason="the numpy twin of the walk kernel holds several block-sized "
+                           "temporaries while it draws")
+def test_theta_and_hill_avar_memory_stays_below_the_matrix():
+    # 10,000 x 1,000 walk values are an 80 MB matrix; the ensemble holds two
+    # per-path arrays and one block of paths at a time
+    n_paths, horizon = 10_000, 1_000
+    tracemalloc.start()
+    try:
+        ens = simulate_walks(DRIVER, 1.0, horizon, n_paths, RngState(59))
+        extremal_index(ens)
+        hill_avar_sre(ens)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n_paths * horizon * 8 / 4
 
 
 class TestJointExceedance:

@@ -33,7 +33,7 @@ from tailseries import (
 from tailseries import _kernel, simulate
 from tailseries.distributions import InnovationSpec
 from tailseries.rng import uniforms_for_bases
-from conftest import assert_same_bits, same_on_every_kernel
+from conftest import assert_same_bits, same_on_every_kernel, walk_matrix
 
 MODEL_A = two_sided_pareto(0.5, 0.5)
 TWO_POINT = SREDriver(TwoPointLaw(2.0, 0.5, 1.0 / 3.0))
@@ -374,9 +374,9 @@ class TestWalks:
     @pytest.mark.parametrize("kappa", [1.0000000000000004, 0.0025, 0.7318, 1.37, 11.3, 0.5, 2.0])
     @pytest.mark.parametrize("horizon", [1, 200])
     def test_two_point_walk_matches_formula(self, kappa, horizon):
-        # 8193 paths: a full path block and a block of one path
+        # 8193 paths: full path blocks and a block of one path
         paths = same_on_every_kernel(
-            lambda: simulate_walks(TWO_POINT, kappa, horizon, 8193, RngState(15)).paths)
+            lambda: walk_matrix(simulate_walks(TWO_POINT, kappa, horizon, 8193, RngState(15))))
         assert_same_bits(paths, reference_walks(TWO_POINT, kappa, horizon, 8193, 15))
 
     @pytest.mark.parametrize("driver", [SREDriver(TwoPointLaw(3.0, 0.4, 0.2)),
@@ -385,13 +385,51 @@ class TestWalks:
     def test_walk_matches_formula(self, driver):
         kappa = solve_kappa(driver)
         paths = same_on_every_kernel(
-            lambda: simulate_walks(driver, kappa, 50, 9000, RngState(16)).paths)
+            lambda: walk_matrix(simulate_walks(driver, kappa, 50, 9000, RngState(16))))
         assert_same_bits(paths, reference_walks(driver, kappa, 50, 9000, 16))
 
-    def test_overflow_step_in_second_path_block(self):
+    @pytest.mark.parametrize("driver", [TWO_POINT, SREDriver(LognormalLaw(-0.5, 1.0))],
+                             ids=["two-point", "lognormal"])
+    def test_summaries_prefixes_and_rows_match_matrix(self, driver):
+        # three path blocks; the summaries, any prefix of the horizon and
+        # single rows are the values of the whole matrix, bit for bit
+        kappa, n_paths = solve_kappa(driver), 2 * simulate._PATH_BLOCK + 5
+
+        def run():
+            ens = simulate_walks(driver, kappa, 40, n_paths, RngState(17))
+            paths = walk_matrix(ens)
+            assert_same_bits(ens.maxima, paths.max(axis=1))
+            assert_same_bits(ens.capped_sums, np.minimum(paths, 1.0).sum(axis=1))
+            for n in (1, 7, 39):
+                assert_same_bits(walk_matrix(ens, n), paths[:, :n])
+            for p in (0, 1, n_paths - 1):
+                assert_same_bits(ens.paths[p], paths[p])
+            assert_same_bits(ens.paths[-1], paths[-1])
+            return paths
+
+        same_on_every_kernel(run)
+
+    def test_paths_ignore_later_draws_on_the_callers_stream(self):
+        rng = RngState(18)
+        ens = simulate_walks(TWO_POINT, 1.0, 30, 50, rng)
+        before = walk_matrix(ens)
+        rng.uniforms(1000)
+        assert_same_bits(walk_matrix(ens), before)
+        assert_same_bits(before, reference_walks(TWO_POINT, 1.0, 30, 50, 18))
+
+    def test_blocks_and_rows_out_of_range(self):
+        ens = simulate_walks(TWO_POINT, 1.0, 30, 50, RngState(19))
+        for n in (0, 31):
+            with pytest.raises(ConfigurationError):
+                next(ens.blocks(n))
+        for p in (50, -51):
+            with pytest.raises(IndexError):
+                ens.paths[p]
+
+    def test_overflow_step_past_first_path_block(self):
         # at kappa = 76 a walk overflows once it stands 14 up-steps above its
-        # start; with seed 6 the first such path is 9360, in the second block.
-        # No kernel warns of the overflow before the error.
+        # start; with seed 6 the first such path is 9360, past the first
+        # path block. No kernel warns of the overflow before the error.
         with warnings.catch_warnings(record=True) as caught, \
                 pytest.raises(SimulationError) as err:
             warnings.simplefilter("always")
@@ -403,31 +441,31 @@ class TestWalks:
 
     def test_mean_w1_is_one(self):
         ens = simulate_walks(TWO_POINT, 1.0, 1, 1_000_000, RngState(10))
-        assert ens.paths[:, 0].mean() == pytest.approx(1.0, abs=3e-3)
+        assert walk_matrix(ens)[:, 0].mean() == pytest.approx(1.0, abs=3e-3)
 
     def test_two_point_fractions(self):
         ens = simulate_walks(TWO_POINT, 1.0, 1, 1_000_000, RngState(11))
-        assert np.mean(ens.paths[:, 0] == 2.0) == pytest.approx(1.0 / 3.0, abs=2e-3)
+        assert np.mean(walk_matrix(ens)[:, 0] == 2.0) == pytest.approx(1.0 / 3.0, abs=2e-3)
 
     def test_degenerate_multiplier_rejected(self):
         with pytest.raises(ConfigurationError):
             simulate_walks(SREDriver(TwoPointLaw(1.0, 1.0, 0.5)), 1.0, 10, 10, RngState(1))
 
     def test_paths_positive_and_drifting_down(self):
-        ens = simulate_walks(TWO_POINT, 1.0, 200, 5000, RngState(12))
-        assert np.all(ens.paths > 0)
-        assert np.log(ens.paths[:, -1]).mean() < 0
+        paths = walk_matrix(simulate_walks(TWO_POINT, 1.0, 200, 5000, RngState(12)))
+        assert np.all(paths > 0)
+        assert np.log(paths[:, -1]).mean() < 0
 
     def test_path_block_boundaries_do_not_matter(self):
         # path p depends only on substream p, not on the batch layout
         big = simulate_walks(TWO_POINT, 1.0, 50, 9000, RngState(13))
         small = simulate_walks(TWO_POINT, 1.0, 50, 100, RngState(13))
-        assert np.array_equal(big.paths[:100], small.paths)
+        assert np.array_equal(walk_matrix(big)[:100], walk_matrix(small))
 
     def test_deterministic(self):
         a = simulate_walks(TWO_POINT, 1.0, 30, 500, RngState(14))
         b = simulate_walks(TWO_POINT, 1.0, 30, 500, RngState(14))
-        assert np.array_equal(a.paths, b.paths)
+        assert np.array_equal(walk_matrix(a), walk_matrix(b))
 
 
 class TestSolveKappa:

@@ -93,6 +93,11 @@ class TestHillAvar:
             seq = CoefficientSequence.from_values(values)
             assert hill_avar_linear(seq, gamma) >= gamma * gamma - 1e-12
 
+    def test_overflow_raises(self):
+        # gamma**2 overflows at phi = 0, where the sequence is psi_0 = 1 alone
+        with pytest.raises(DomainError):
+            hill_avar_linear(CoefficientSequence.ar1(0.0, 1e200), 1e200)
+
     def test_two_sided_sequence_rejected(self):
         seq = CoefficientSequence(((-1, 0.5), (0, 1.0)))
         with pytest.raises(DomainError):
