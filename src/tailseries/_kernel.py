@@ -16,7 +16,14 @@ which `_load_kernel` compiles on first import, or, without a compiler,
   each stream, one row per path;
 * ``linear_ar1(z, n, phi, state)`` and
   ``nonlinear_ar1(z, n, phi, delta, state)``: the AR(1) recursions of
-  `simulate.py`, overwriting ``z`` with the states and returning the last.
+  `simulate.py`, overwriting ``z`` with the states and returning the last;
+* ``capped_top(rows, count, n, k, capped)``: row p of ``capped`` gets 1.0
+  and then the ``k`` largest of ``min(rows[p], 1)``, in descending order, the
+  per-path order statistics of `extremal.cluster_size_probs`;
+* ``cluster_moments(capped, count, width, theta_mean, theta_sd, pi_mean,
+  pi_sd)``: the means and standard deviations (ddof 1) over the rows of
+  ``capped`` of its per-path theta terms ``capped[:, c] - capped[:, c+1]``
+  and of the differences of those, the pi terms.
 
 Each works on C-contiguous buffers that the caller allocates at their full
 size. ``RECURSION_PATH`` (``"c"`` or ``"python"``) says which one this
@@ -59,7 +66,11 @@ _KERNEL_SIGNATURES = {
     "two_point_walk": (None, (_BASES, _SIZE, _SIZE, _DOUBLE, _DOUBLE, _DOUBLE, _DOUBLES)),
     "linear_ar1": (_DOUBLE, (_DOUBLES, _SIZE, _DOUBLE, _DOUBLE)),
     "nonlinear_ar1": (_DOUBLE, (_DOUBLES, _SIZE, _DOUBLE, _DOUBLE, _DOUBLE)),
+    "capped_top": (None, (_READ_DOUBLES, _SIZE, _SIZE, _SIZE, _DOUBLES)),
+    "cluster_moments": (None, (_READ_DOUBLES, _SIZE, _SIZE, *(_DOUBLES,) * 4)),
 }
+# walk values the numpy twin draws at once, in whole rows: each temporary is about 512 KB
+_TWIN_CHUNK = 65_536
 
 
 def _kernel_dirs():
@@ -151,11 +162,16 @@ def _two_point_walk(bases: np.ndarray, count: int, n: int, p_up: float, up: floa
     # cumprod multiplies left to right, one rounding per step, as the C loop
     # does; its first value is the first multiplier, which the C loop gets as
     # 1.0 * up or 1.0 * down, exactly the same. An overflow gives inf
-    # silently, as in C; the caller raises at its step.
-    u = np.empty((count, n))
-    _uniforms(bases, count, 1, n, u)
-    with np.errstate(over="ignore"):
-        np.cumprod(np.where(u < p_up, up, down), axis=1, out=out.reshape(count, n))
+    # silently, as in C; the caller raises at its step. Each row is its own
+    # product, so drawing a chunk of rows at a time changes no bits.
+    out = out.reshape(count, n)
+    chunk = max(1, _TWIN_CHUNK // n)
+    for start in range(0, count, chunk):
+        rows = out[start:start + chunk]
+        u = np.empty(rows.shape)
+        _uniforms(bases[start:], rows.shape[0], 1, n, u)
+        with np.errstate(over="ignore"):
+            np.cumprod(np.where(u < p_up, up, down), axis=1, out=rows)
 
 
 def _pareto_base(u: np.ndarray, n: int, p: float, out: np.ndarray) -> int:
@@ -226,9 +242,30 @@ def _nonlinear_ar1(z: np.ndarray, n: int, phi: float, delta: float, state: float
     return state
 
 
+def _capped_top(rows: np.ndarray, count: int, n: int, k: int, capped: np.ndarray) -> None:
+    """``capped_top`` of `_recursion.c`, in numpy."""
+    part = np.partition(rows.reshape(count, n), n - k, axis=1)[:, -k:]
+    capped = capped.reshape(count, k + 1)
+    capped[:, 0] = 1.0  # min(U_0, 1) convention
+    np.minimum(-np.sort(-part, axis=1), 1.0, out=capped[:, 1:])
+
+
+def _cluster_moments(capped: np.ndarray, count: int, width: int, theta_mean: np.ndarray,
+                     theta_sd: np.ndarray, pi_mean: np.ndarray, pi_sd: np.ndarray) -> None:
+    """``cluster_moments`` of `_recursion.c`, in numpy."""
+    capped = capped.reshape(count, width)
+    diffs = capped[:, :-1] - capped[:, 1:]         # per-path theta_k terms, k=1..kmax+1
+    theta_mean[:] = diffs.mean(axis=0)
+    theta_sd[:] = diffs.std(axis=0, ddof=1)
+    pi_terms = diffs[:, :-1] - diffs[:, 1:]        # per-path (theta_k - theta_{k+1})
+    pi_mean[:] = pi_terms.mean(axis=0)
+    pi_sd[:] = pi_terms.std(axis=0, ddof=1)
+
+
 _PYTHON_KERNEL = SimpleNamespace(uniforms=_uniforms, pareto_base=_pareto_base,
                                  pareto_finish=_pareto_finish, two_point_walk=_two_point_walk,
-                                 linear_ar1=_linear_ar1, nonlinear_ar1=_nonlinear_ar1)
+                                 linear_ar1=_linear_ar1, nonlinear_ar1=_nonlinear_ar1,
+                                 capped_top=_capped_top, cluster_moments=_cluster_moments)
 _KERNEL = _load_kernel(_kernel_dirs()) or _PYTHON_KERNEL
 RECURSION_PATH = "python" if _KERNEL is _PYTHON_KERNEL else "c"
 if _KERNEL is _PYTHON_KERNEL:

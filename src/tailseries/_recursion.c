@@ -1,6 +1,8 @@
 /* The compiled kernel of tailseries: the SplitMix64 uniforms of rng.py, the
 arithmetic around the power in the Pareto inverse CDF of distributions.py,
-the two-point geometric walk and the two AR(1) recursions of simulate.py.
+the two-point geometric walk and the two AR(1) recursions of simulate.py,
+and the per-path top values and column moments of the cluster sizes in
+extremal.py.
 
 Plain C with no Python C-API: _kernel.py compiles this file with
 
@@ -134,4 +136,135 @@ double nonlinear_ar1(double *z, size_t n, double phi, double delta, double state
         z[i] = state;
     }
     return state;
+}
+
+/* Insert v into the descending top[0..i], dropping top[i]. */
+static inline void insert_descending(double *top, size_t i, double v)
+{
+    for (; i > 0 && top[i - 1] < v; i--)
+        top[i] = top[i - 1];
+    top[i] = v;
+}
+
+/* Row p of `capped` (count rows of k+1) holds 1.0, then the k largest of
+   min(rows[p][j], 1), j < n, in descending order; 1 <= k <= n. The walk
+   values are finite and never -0.0, and capping is monotone, so these are
+   min(., 1) of the k largest values, the same bits as a sort: a value is
+   only compared and copied. Each row keeps its top values sorted in place.
+   Once k values are in, a value enters only above the k-th, `last`; while
+   last < 1 that is the same as its uncapped value exceeding last, so most
+   values cost one compare, and once last is 1 no value can enter. */
+void capped_top(const double *rows, size_t count, size_t n, size_t k, double *capped)
+{
+    for (size_t p = 0; p < count; p++, rows += n, capped += k + 1) {
+        double *top = capped + 1;
+        size_t j;
+        capped[0] = 1.0; /* min(U_0, 1) */
+        for (j = 0; j < k; j++)
+            insert_descending(top, j, rows[j] < 1.0 ? rows[j] : 1.0);
+        for (double last = top[k - 1]; j < n && last < 1.0; j++) {
+            if (rows[j] > last) {
+                insert_descending(top, k - 1, rows[j] < 1.0 ? rows[j] : 1.0);
+                last = top[k - 1];
+            }
+        }
+    }
+}
+
+/* x, or (x - center[c])**2 when there is a center: a term of a sum, or of a
+   sum of squared deviations. */
+static inline double term(double x, const double *center, size_t c)
+{
+    if (center) {
+        x = x - center[c];
+        x = x * x;
+    }
+    return x;
+}
+
+/* The one pi term of row i of a capped array of width 3,
+   (c[0] - c[1]) - (c[1] - c[2]), as a `term`. */
+static inline double pi_term(const double *capped, size_t i, const double *center)
+{
+    const double *row = capped + 3 * i;
+    return term((row[0] - row[1]) - (row[1] - row[2]), center, 0);
+}
+
+/* numpy's pairwise summation (pairwise_sum in loops_utils.h.src) of the pi
+   terms of rows i < n: what numpy adds to a reduction's initial 0.0 when
+   an array of one column reduces over its rows as a 1-d array. */
+static double pairwise_pi(const double *capped, size_t n, const double *center)
+{
+    if (n < 8) {
+        double res = -0.0;
+        for (size_t i = 0; i < n; i++)
+            res += pi_term(capped, i, center);
+        return res;
+    }
+    if (n <= 128) {
+        double r[8], res;
+        size_t i;
+        for (i = 0; i < 8; i++)
+            r[i] = pi_term(capped, i, center);
+        for (; i < n - n % 8; i += 8)
+            for (size_t j = 0; j < 8; j++)
+                r[j] += pi_term(capped, i + j, center);
+        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; i++)
+            res += pi_term(capped, i, center);
+        return res;
+    }
+    size_t n2 = n / 2;
+    n2 -= n2 % 8;
+    return pairwise_pi(capped, n2, center) + pairwise_pi(capped + 3 * n2, n - n2, center);
+}
+
+/* Column sums over the rows of `capped` of the `term`s of its per-path theta
+   terms d_c = capped[c] - capped[c+1], c < width-1, and pi terms
+   pi_c = d_c - d_{c+1}, c < width-2, each made on the fly, in numpy's order
+   for the arrays of these terms: a C-contiguous (count, m >= 2) array sums
+   its rows in order onto 0.0, and a (count, 1) one sums pairwise. */
+static void sum_terms(const double *capped, size_t count, size_t width,
+                      const double *theta_center, const double *pi_center,
+                      double *theta_sum, double *pi_sum)
+{
+    const size_t npi = width - 2;
+    for (size_t c = 0; c <= npi; c++)
+        theta_sum[c] = 0.0;
+    for (size_t c = 0; c < npi; c++)
+        pi_sum[c] = 0.0;
+    for (size_t p = 0; p < count; p++) {
+        const double *row = capped + p * width;
+        double d = row[0] - row[1];
+        for (size_t c = 0; c < npi; c++) {
+            double next = row[c + 1] - row[c + 2];
+            theta_sum[c] += term(d, theta_center, c);
+            if (npi > 1)
+                pi_sum[c] += term(d - next, pi_center, c);
+            d = next;
+        }
+        theta_sum[npi] += term(d, theta_center, npi);
+    }
+    if (npi == 1)
+        pi_sum[0] += pairwise_pi(capped, count, pi_center);
+}
+
+/* Means and standard deviations (ddof 1) over the count >= 2 rows of
+   `capped` (width >= 3 columns) of its per-path theta and pi terms, in two
+   passes, with the same bits as numpy's mean and std(ddof=1) over axis 0 of
+   the arrays of these terms: the mean is the column sum over count, and
+   the deviation sqrt(sum((x - mean)**2) / (count-1)). */
+void cluster_moments(const double *capped, size_t count, size_t width,
+                     double *theta_mean, double *theta_sd, double *pi_mean, double *pi_sd)
+{
+    sum_terms(capped, count, width, NULL, NULL, theta_mean, pi_mean);
+    for (size_t c = 0; c < width - 1; c++)
+        theta_mean[c] = theta_mean[c] / (double)count;
+    for (size_t c = 0; c < width - 2; c++)
+        pi_mean[c] = pi_mean[c] / (double)count;
+    sum_terms(capped, count, width, theta_mean, pi_mean, theta_sd, pi_sd);
+    for (size_t c = 0; c < width - 1; c++)
+        theta_sd[c] = sqrt(theta_sd[c] / (double)(count - 1));
+    for (size_t c = 0; c < width - 2; c++)
+        pi_sd[c] = sqrt(pi_sd[c] / (double)(count - 1));
 }

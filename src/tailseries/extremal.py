@@ -12,11 +12,15 @@ are evaluated by Monte Carlo over a `WalkEnsemble`:
 
 The ensemble holds no walk matrix: theta and the Hill variance read the
 per-path maxima and capped sums that `simulate_walks` took in its one pass,
-the cluster sizes regenerate the paths a block at a time and keep each
-path's top values, and the joint exceedances regenerate only the first
-``k-1`` steps. Every reduction works on one path's row alone, and every
-mean and standard error is taken over the full-length per-path arrays, so
-no result depends on the block size.
+and the joint exceedances regenerate only the first ``k-1`` steps. The
+cluster sizes regenerate the paths a block at a time; the compiled kernel
+keeps each path's top ``kmax+1`` capped values (``capped_top``) and then
+takes the column means and standard deviations of the per-path theta_k and
+pi_k terms in two passes over that one array (``cluster_moments``), with
+numpy's summation order, so no array of those terms is built. Every
+reduction works on one path's row alone, and every mean and standard error
+is taken over the full-length per-path arrays, so no result depends on the
+block size.
 
 Every point estimate is returned with its Monte Carlo standard error. Walk
 tails beyond the ensemble horizon are controlled through the fractional
@@ -31,6 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _kernel
 from .errors import ConfigurationError, HorizonTooSmallError
 from .simulate import WalkEnsemble
 
@@ -103,15 +108,6 @@ def extremal_index(ensemble: WalkEnsemble) -> tuple[float, float]:
     return 1.0 - mean, se
 
 
-def _top_order_stats(ensemble: WalkEnsemble, count: int) -> np.ndarray:
-    """Top ``count`` values of each path, column c = (c+1)-th largest."""
-    top = np.empty((ensemble.n_paths, count))
-    for start, rows in ensemble.blocks(ensemble.horizon):
-        part = np.partition(rows, rows.shape[1] - count, axis=1)[:, -count:]
-        top[start:start + rows.shape[0]] = -np.sort(-part, axis=1)
-    return top
-
-
 def cluster_size_probs(ensemble: WalkEnsemble, kmax: int) -> ExtremalSummary:
     """Limiting cluster-size probabilities pi_1..pi_kmax and theta_1..theta_kmax."""
     _require_paths(ensemble)
@@ -120,28 +116,28 @@ def cluster_size_probs(ensemble: WalkEnsemble, kmax: int) -> ExtremalSummary:
     if ensemble.horizon <= kmax:
         raise ConfigurationError(
             f"horizon {ensemble.horizon} must exceed kmax {kmax} (U_(kmax+1) needed)")
-    p = ensemble.n_paths
-    top = _top_order_stats(ensemble, kmax + 1)
+    p, kernel = ensemble.n_paths, _kernel._KERNEL
+    # row p: min(U_0, 1) = 1, then min(U_k, 1) for k = 1..kmax+1
     capped = np.empty((p, kmax + 2))
-    capped[:, 0] = 1.0  # min(U_0, 1) convention
-    np.minimum(top, 1.0, out=capped[:, 1:])
-    diffs = capped[:, :-1] - capped[:, 1:]         # per-path theta_k terms, k=1..kmax+1
-    theta_all = diffs.mean(axis=0)
-    theta_all_se = diffs.std(axis=0, ddof=1) / np.sqrt(p)
+    for start, rows in ensemble.blocks(ensemble.horizon):
+        count, n = rows.shape
+        kernel.capped_top(rows, count, n, kmax + 1, capped[start:start + count])
+    theta_all, theta_all_sd = np.empty(kmax + 1), np.empty(kmax + 1)
+    pi_mean, pi_sd = np.empty(kmax), np.empty(kmax)
+    kernel.cluster_moments(capped, p, kmax + 2, theta_all, theta_all_sd, pi_mean, pi_sd)
     theta = float(theta_all[0])
     if theta == 0.0:
         raise ConfigurationError("estimated theta is 0; cluster sizes are undefined")
-    pi_terms = diffs[:, :-1] - diffs[:, 1:]        # per-path (theta_k - theta_{k+1})
-    pi_k = pi_terms.mean(axis=0) / theta
-    pi_se = pi_terms.std(axis=0, ddof=1) / (np.sqrt(p) * theta)
+    theta_all_se = theta_all_sd / np.sqrt(p)
     return ExtremalSummary(
         theta=theta,
         theta_k=theta_all[:kmax].copy(),
-        pi_k=pi_k,
+        pi_k=pi_mean / theta,
         mc_stderr={"theta": float(theta_all_se[0]),
                    "theta_k": theta_all_se[:kmax].copy(),
-                   "pi_k": pi_se},
-        horizon_remainder=float(np.minimum(top[:, kmax], 1.0).mean()),
+                   "pi_k": pi_sd / (np.sqrt(p) * theta)},
+        # a contiguous copy, which numpy sums as one 1-d array, pairwise
+        horizon_remainder=float(capped[:, kmax + 1].copy().mean()),
     )
 
 

@@ -23,8 +23,8 @@ from tailseries import (
     simulate_walks,
 )
 from tailseries import LognormalLaw, _kernel, extremal, solve_kappa
-from tailseries.simulate import _PATH_BLOCK, RECURSION_PATH
-from conftest import KERNELS, assert_same_bits, walk_matrix
+from tailseries.simulate import _PATH_BLOCK
+from conftest import KERNELS, assert_same_bits, same_on_every_kernel, walk_matrix
 
 DRIVER = SREDriver(TwoPointLaw(2.0, 0.5, 1.0 / 3.0))  # E A = 1, kappa = 1
 
@@ -273,7 +273,7 @@ class TestBlockedReductions:
             ens = simulate_walks(driver, kappa, horizon, 2 * _PATH_BLOCK + 5, RngState(57))
             paths = walk_matrix(ens)
             assert_same_bits(flat(extremal_index(ens)), flat(matrix_extremal_index(ens, paths)))
-            for kmax in (1, 6):
+            for kmax in (1, 2, 6, 20):
                 assert_same_bits(flat(cluster_size_probs(ens, kmax)),
                                  flat(matrix_cluster_size_probs(ens, paths, kmax)))
             assert_same_bits(flat(hill_avar_sre(ens)), flat(matrix_hill_avar_sre(ens, paths)))
@@ -293,22 +293,114 @@ class TestBlockedReductions:
                                  flat(joint_exceedance(hook(paths[:, :len(x) - 1]), query)))
 
 
-@pytest.mark.skipif(RECURSION_PATH == "python",
-                    reason="the numpy twin of the walk kernel holds several block-sized "
-                           "temporaries while it draws")
-def test_theta_and_hill_avar_memory_stays_below_the_matrix():
-    # 10,000 x 1,000 walk values are an 80 MB matrix; the ensemble holds two
-    # per-path arrays and one block of paths at a time
-    n_paths, horizon = 10_000, 1_000
+def kernel_capped_top(rows, k):
+    count, n = rows.shape
+    capped = np.empty((count, k + 1))
+    _kernel._KERNEL.capped_top(rows, count, n, k, capped)
+    return capped
+
+
+def sorted_capped_top(rows, k):
+    """1.0, then the k largest of min(row, 1) in descending order, by a full sort."""
+    top = -np.sort(-np.minimum(rows, 1.0), axis=1)[:, :k]
+    return np.hstack([np.ones((rows.shape[0], 1)), top])
+
+
+def kernel_cluster_moments(capped):
+    count, width = capped.shape
+    out = np.empty(2 * (width - 1) + 2 * (width - 2))
+    theta_mean, theta_sd, pi_mean, pi_sd = np.split(
+        out, np.cumsum([width - 1, width - 1, width - 2]))
+    _kernel._KERNEL.cluster_moments(capped, count, width, theta_mean, theta_sd, pi_mean, pi_sd)
+    return out
+
+
+def numpy_cluster_moments(capped):
+    """Mean and std(ddof=1) over the paths of the arrays of per-path theta and pi terms."""
+    diffs = capped[:, :-1] - capped[:, 1:]
+    pi_terms = diffs[:, :-1] - diffs[:, 1:]
+    return np.concatenate([diffs.mean(axis=0), diffs.std(axis=0, ddof=1),
+                           pi_terms.mean(axis=0), pi_terms.std(axis=0, ddof=1)])
+
+
+class TestClusterKernels:
+    """``capped_top`` and ``cluster_moments`` agree on every kernel path with
+    a full sort and with numpy's mean and std over the arrays of terms."""
+
+    @pytest.mark.parametrize("rows, k", [
+        (np.arange(40).reshape(4, 10) % 3 / 2.0, 4),            # ties, values >= 1
+        (np.full((3, 7), 0.25), 3),                              # one value, all tied
+        (np.linspace(0.1, 3.0, 60).reshape(3, 20), 5),           # rising: every value enters
+        (np.linspace(0.9, 0.01, 60).reshape(3, 20), 5),          # falling: none enters
+        (np.linspace(0.9, 0.01, 60).reshape(3, 20)[:, ::-1].copy(), 20),  # k = n
+        (np.array([[0.3], [1.0], [7.0], [0.0]]), 1),             # n = 1
+        (np.zeros((5, 12)), 6),                                  # all-zero rows
+        (np.array([[2.0, 0.5, 1.0, 0.5, 3.0, 0.25, 1.0, 0.5]]), 6),
+    ], ids=["ties", "tied", "rising", "falling", "k-is-n", "n-is-1", "zero", "mixed"])
+    def test_capped_top_edges(self, rows, k):
+        assert_same_bits(same_on_every_kernel(lambda: kernel_capped_top(rows, k)),
+                         sorted_capped_top(rows, k))
+
+    @pytest.mark.parametrize("k", [1, 2, 21, 80])
+    def test_capped_top_on_walks(self, k):
+        ens = simulate_walks(SREDriver(LognormalLaw(-0.5, 1.0)), 1.0, 80, 300, RngState(60))
+        rows = walk_matrix(ens)
+        assert_same_bits(same_on_every_kernel(lambda: kernel_capped_top(rows, k)),
+                         sorted_capped_top(rows, k))
+
+    @pytest.mark.parametrize("n_paths", [2, 3, _PATH_BLOCK, 2 * _PATH_BLOCK + 5])
+    @pytest.mark.parametrize("kmax", [1, 2, 6, 20, 39])  # 39: horizon - 1
+    def test_cluster_moments_equal_numpy(self, n_paths, kmax):
+        ens = simulate_walks(DRIVER, 1.0, 40, n_paths, RngState(61))
+        walks = sorted_capped_top(walk_matrix(ens), kmax + 1)
+        # descending values with every bit pattern, not only powers of two
+        noise = -np.sort(-np.random.default_rng(n_paths).random((n_paths, kmax + 2)), axis=1)
+        for capped in (walks, noise):
+            assert_same_bits(same_on_every_kernel(lambda: kernel_cluster_moments(capped)),
+                             numpy_cluster_moments(capped))
+
+    def test_cluster_moments_sum_one_column_pairwise(self):
+        # at kmax = 1 the pi terms are one column, which numpy sums as a 1-d
+        # array, pairwise; its blocks of 128 and their halving reach down here
+        capped = -np.sort(-np.random.default_rng(62).random((100_003, 3)), axis=1)
+        assert_same_bits(same_on_every_kernel(lambda: kernel_cluster_moments(capped)),
+                         numpy_cluster_moments(capped))
+
+
+# 10,000 x 1,000 walk values are an 80 MB matrix; the ensemble holds two
+# per-path arrays and one block of paths at a time, and the cluster sizes
+# one row of kmax+2 capped values per path
+MEMORY_PATHS, MEMORY_HORIZON = 10_000, 1_000
+
+
+def traced_peak(run) -> int:
     tracemalloc.start()
     try:
-        ens = simulate_walks(DRIVER, 1.0, horizon, n_paths, RngState(59))
-        extremal_index(ens)
-        hill_avar_sre(ens)
-        peak = tracemalloc.get_traced_memory()[1]
+        run()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < n_paths * horizon * 8 / 4
+
+
+@pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: "python" if k is
+                         _kernel._PYTHON_KERNEL else "c")
+def test_theta_and_hill_avar_memory_stays_below_the_matrix(kernel):
+    def run():
+        ens = simulate_walks(DRIVER, 1.0, MEMORY_HORIZON, MEMORY_PATHS, RngState(59))
+        extremal_index(ens)
+        hill_avar_sre(ens)
+
+    with mock.patch.object(_kernel, "_KERNEL", kernel):
+        assert traced_peak(run) < MEMORY_PATHS * MEMORY_HORIZON * 8 / 4
+
+
+@pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: "python" if k is
+                         _kernel._PYTHON_KERNEL else "c")
+def test_cluster_sizes_memory_stays_below_the_matrix(kernel):
+    with mock.patch.object(_kernel, "_KERNEL", kernel):
+        ens = simulate_walks(DRIVER, 1.0, MEMORY_HORIZON, MEMORY_PATHS, RngState(59))
+        assert traced_peak(lambda: cluster_size_probs(ens, 20)) < (
+            MEMORY_PATHS * MEMORY_HORIZON * 8 / 4)
 
 
 class TestJointExceedance:
