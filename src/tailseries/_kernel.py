@@ -14,6 +14,10 @@ which `_load_kernel` compiles on first import, or, without a compiler,
 * ``two_point_walk(bases, count, n, p_up, up, down, out)``: the running
   product of ``up`` (draw below ``p_up``) or ``down`` over draws ``1..n`` of
   each stream, one row per path;
+* ``walk_summary(rows, count, n, maxima, capped_sums)``: the flat index of
+  the first non-finite value of ``rows`` (``count * n`` when there is none)
+  and, when every value is finite, each row's maximum and sum of
+  ``min(W_j, 1)``, the per-path summaries of `simulate.simulate_walks`;
 * ``linear_ar1(z, n, phi, state)`` and
   ``nonlinear_ar1(z, n, phi, delta, state)``: the AR(1) recursions of
   `simulate.py`, overwriting ``z`` with the states and returning the last;
@@ -64,6 +68,7 @@ _KERNEL_SIGNATURES = {
     "pareto_base": (_SIZE, (_READ_DOUBLES, _SIZE, _DOUBLE, _DOUBLES)),
     "pareto_finish": (None, (_READ_DOUBLES, _DOUBLES, _SIZE, _DOUBLE, _DOUBLE)),
     "two_point_walk": (None, (_BASES, _SIZE, _SIZE, _DOUBLE, _DOUBLE, _DOUBLE, _DOUBLES)),
+    "walk_summary": (_SIZE, (_READ_DOUBLES, _SIZE, _SIZE, _DOUBLES, _DOUBLES)),
     "linear_ar1": (_DOUBLE, (_DOUBLES, _SIZE, _DOUBLE, _DOUBLE)),
     "nonlinear_ar1": (_DOUBLE, (_DOUBLES, _SIZE, _DOUBLE, _DOUBLE, _DOUBLE)),
     "capped_top": (None, (_READ_DOUBLES, _SIZE, _SIZE, _SIZE, _DOUBLES)),
@@ -174,6 +179,18 @@ def _two_point_walk(bases: np.ndarray, count: int, n: int, p_up: float, up: floa
             np.cumprod(np.where(u < p_up, up, down), axis=1, out=rows)
 
 
+def _walk_summary(rows: np.ndarray, count: int, n: int, maxima: np.ndarray,
+                  capped_sums: np.ndarray) -> int:
+    """``walk_summary`` of `_recursion.c`, in numpy."""
+    rows = rows.reshape(count, n)
+    bad = ~np.isfinite(rows.ravel())
+    if bad.any():
+        return int(np.argmax(bad))
+    rows.max(axis=1, out=maxima[:count])
+    np.minimum(rows, 1.0).sum(axis=1, out=capped_sums[:count])
+    return count * n
+
+
 def _pareto_base(u: np.ndarray, n: int, p: float, out: np.ndarray) -> int:
     """``pareto_base`` of `_recursion.c`, in numpy."""
     # The divisions of the inverse CDF's two branches, as `quantile_fn`
@@ -264,6 +281,7 @@ def _cluster_moments(capped: np.ndarray, count: int, width: int, theta_mean: np.
 
 _PYTHON_KERNEL = SimpleNamespace(uniforms=_uniforms, pareto_base=_pareto_base,
                                  pareto_finish=_pareto_finish, two_point_walk=_two_point_walk,
+                                 walk_summary=_walk_summary,
                                  linear_ar1=_linear_ar1, nonlinear_ar1=_nonlinear_ar1,
                                  capped_top=_capped_top, cluster_moments=_cluster_moments)
 _KERNEL = _load_kernel(_kernel_dirs()) or _PYTHON_KERNEL

@@ -1,8 +1,8 @@
 /* The compiled kernel of tailseries: the SplitMix64 uniforms of rng.py, the
 arithmetic around the power in the Pareto inverse CDF of distributions.py,
-the two-point geometric walk and the two AR(1) recursions of simulate.py,
-and the per-path top values and column moments of the cluster sizes in
-extremal.py.
+the two-point geometric walk, its per-path summaries and the two AR(1)
+recursions of simulate.py, and the per-path top values and column moments of
+the cluster sizes in extremal.py.
 
 Plain C with no Python C-API: _kernel.py compiles this file with
 
@@ -21,6 +21,7 @@ _kernel.py bit for bit; the comments there say why each twin equals the
 documented formula.
 */
 
+#include <float.h>
 #include <math.h>
 #include <stddef.h>
 #include <stdint.h>
@@ -136,6 +137,101 @@ double nonlinear_ar1(double *z, size_t n, double phi, double delta, double state
         z[i] = state;
     }
     return state;
+}
+
+/* min(x, 1) as numpy's minimum takes it; a nan x stays nan. */
+static inline double cap_one(double x)
+{
+    return 1.0 < x ? 1.0 : x;
+}
+
+/* The larger of a and b; b when either is nan. */
+static inline double max_of(double a, double b)
+{
+    return a > b ? a : b;
+}
+
+/* numpy's pairwise summation (pairwise_sum in loops_utils.h.src) of
+   min(x[i], 1), i < n: what numpy adds to a reduction's initial 0.0 when a
+   C-contiguous row of capped values reduces along the row. The eight
+   partial sums are named variables, not an array as in numpy, so that the
+   compiler keeps them in registers; the additions are the same. */
+static double pairwise_capped(const double *x, size_t n)
+{
+    if (n < 8) {
+        double res = -0.0;
+        for (size_t i = 0; i < n; i++)
+            res += cap_one(x[i]);
+        return res;
+    }
+    if (n <= 128) {
+        double r0 = cap_one(x[0]), r1 = cap_one(x[1]), r2 = cap_one(x[2]), r3 = cap_one(x[3]);
+        double r4 = cap_one(x[4]), r5 = cap_one(x[5]), r6 = cap_one(x[6]), r7 = cap_one(x[7]);
+        double res;
+        size_t i;
+        for (i = 8; i < n - n % 8; i += 8) {
+            r0 += cap_one(x[i]);
+            r1 += cap_one(x[i + 1]);
+            r2 += cap_one(x[i + 2]);
+            r3 += cap_one(x[i + 3]);
+            r4 += cap_one(x[i + 4]);
+            r5 += cap_one(x[i + 5]);
+            r6 += cap_one(x[i + 6]);
+            r7 += cap_one(x[i + 7]);
+        }
+        res = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7));
+        for (; i < n; i++)
+            res += cap_one(x[i]);
+        return res;
+    }
+    size_t n2 = n / 2;
+    n2 -= n2 % 8;
+    return pairwise_capped(x, n2) + pairwise_capped(x + n2, n - n2);
+}
+
+/* The largest of x[0..n-1], n >= 1, over eight running maxima, which the
+   processor updates side by side. The maximum of values that are not nan is
+   exact in any order; a nan x[i] is passed over unless it is x[0]. */
+static double row_max(const double *x, size_t n)
+{
+    double m0 = x[0], m1 = m0, m2 = m0, m3 = m0, m4 = m0, m5 = m0, m6 = m0, m7 = m0;
+    size_t i = 0;
+    for (; i + 8 <= n; i += 8) {
+        m0 = max_of(x[i], m0);
+        m1 = max_of(x[i + 1], m1);
+        m2 = max_of(x[i + 2], m2);
+        m3 = max_of(x[i + 3], m3);
+        m4 = max_of(x[i + 4], m4);
+        m5 = max_of(x[i + 5], m5);
+        m6 = max_of(x[i + 6], m6);
+        m7 = max_of(x[i + 7], m7);
+    }
+    for (; i < n; i++)
+        m0 = max_of(x[i], m0);
+    return max_of(max_of(max_of(m0, m1), max_of(m2, m3)), max_of(max_of(m4, m5), max_of(m6, m7)));
+}
+
+/* The per-path summaries of the walk rows (count rows of n >= 1):
+   maxima[p] = max_j rows[p][j] and capped_sums[p] = 0.0 + the pairwise sum
+   of min(rows[p][j], 1), the same bits as numpy's max and sum along each
+   row. Returns the flat index of the first non-finite value, where the
+   summaries mean nothing and the caller raises, or count * n when every
+   value is finite. A +inf makes the maximum inf, and a nan or -inf makes
+   the capped sum nan or -inf, so only a row whose summaries are not both
+   finite is searched for its first non-finite value. */
+size_t walk_summary(const double *rows, size_t count, size_t n, double *maxima,
+                    double *capped_sums)
+{
+    for (size_t p = 0; p < count; p++, rows += n) {
+        double top = row_max(rows, n), sum = 0.0 + pairwise_capped(rows, n);
+        if (!(fabs(top) <= DBL_MAX && fabs(sum) <= DBL_MAX))
+            for (size_t j = 0; j < n; j++)
+                if (!(fabs(rows[j]) <= DBL_MAX))
+                    return p * n + j;
+        maxima[p] = top;
+        capped_sums[p] = sum;
+    }
+    return count * n;
 }
 
 /* Insert v into the descending top[0..i], dropping top[i]. */

@@ -16,7 +16,6 @@ write plot-ready CSV plus JSON summaries; see `run_preset`.
 from __future__ import annotations
 
 import math
-import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -31,7 +30,8 @@ from .distributions import shifted_two_sided_pareto, two_sided_pareto
 from .errors import ConfigurationError, DegenerateInputError, TailSeriesError
 from .estimators import fit_ar1, residuals_ar1, weissman_direct_curve, weissman_model_ar1_curve
 from .rng import RngState
-from .simulate import LINEAR_AR1, NONLINEAR_AR1, SeriesModel, linear_ar1, nonlinear_ar1, simulate_series
+from .simulate import (LINEAR_AR1, NONLINEAR_AR1, SeriesModel, _usable_cpus, linear_ar1,
+                       nonlinear_ar1, simulate_series)
 
 DIRECT = "direct"
 MODEL_BASED = "model-based"
@@ -184,11 +184,12 @@ def _map_series(statistic, model: SeriesModel, n: int, rng: RngState, count: int
     reduction over the results gives the same bytes for any ``workers``. With
     ``workers > 1`` the series are spread over a process pool; ``statistic``
     must then pickle (a module-level function or a `partial` of one). The
-    pool is capped at ``os.cpu_count()`` processes, since it starts all of
-    them at once, and hands each one about four chunks of indices.
+    pool is capped at the usable CPUs (`simulate._usable_cpus`), since it
+    starts all of its processes at once, and hands each one about four
+    chunks of indices.
     """
     one = partial(_series_statistic, statistic, model, n, rng)
-    workers = min(workers, os.cpu_count() or 1)
+    workers = min(workers, _usable_cpus())
     if workers <= 1:
         return [one(i) for i in range(count)]
     with ProcessPoolExecutor(max_workers=workers) as pool:

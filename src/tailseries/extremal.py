@@ -13,14 +13,16 @@ are evaluated by Monte Carlo over a `WalkEnsemble`:
 The ensemble holds no walk matrix: theta and the Hill variance read the
 per-path maxima and capped sums that `simulate_walks` took in its one pass,
 and the joint exceedances regenerate only the first ``k-1`` steps. The
-cluster sizes regenerate the paths a block at a time; the compiled kernel
-keeps each path's top ``kmax+1`` capped values (``capped_top``) and then
-takes the column means and standard deviations of the per-path theta_k and
-pi_k terms in two passes over that one array (``cluster_moments``), with
-numpy's summation order, so no array of those terms is built. Every
-reduction works on one path's row alone, and every mean and standard error
-is taken over the full-length per-path arrays, so no result depends on the
-block size.
+cluster sizes regenerate the whole paths; the compiled kernel keeps each
+path's top ``kmax+1`` capped values (``capped_top``) and then takes the
+column means and standard deviations of the per-path theta_k and pi_k terms
+in two passes over that one array (``cluster_moments``), with numpy's
+summation order, so no array of those terms is built. Each regeneration is
+a pass of `WalkEnsemble._map_blocks`, which spreads the blocks of paths over
+the usable CPUs. Every reduction in a pass works on one path's row alone and
+writes that path's entry, and every mean and standard error is taken
+serially over the full-length per-path arrays, so no result depends on the
+block size or the number of CPUs.
 
 Every point estimate is returned with its Monte Carlo standard error. Walk
 tails beyond the ensemble horizon are controlled through the fractional
@@ -36,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernel
-from .errors import ConfigurationError, HorizonTooSmallError
+from .errors import ConfigurationError, DomainError, HorizonTooSmallError
 from .simulate import WalkEnsemble
 
 DEFAULT_TAIL_TOL = 1e-2
@@ -119,9 +121,12 @@ def cluster_size_probs(ensemble: WalkEnsemble, kmax: int) -> ExtremalSummary:
     p, kernel = ensemble.n_paths, _kernel._KERNEL
     # row p: min(U_0, 1) = 1, then min(U_k, 1) for k = 1..kmax+1
     capped = np.empty((p, kmax + 2))
-    for start, rows in ensemble.blocks(ensemble.horizon):
+
+    def top(start, rows):
         count, n = rows.shape
         kernel.capped_top(rows, count, n, kmax + 1, capped[start:start + count])
+
+    ensemble._map_blocks(ensemble.horizon, top)
     theta_all, theta_all_sd = np.empty(kmax + 1), np.empty(kmax + 1)
     pi_mean, pi_sd = np.empty(kmax), np.empty(kmax)
     kernel.cluster_moments(capped, p, kmax + 2, theta_all, theta_all_sd, pi_mean, pi_sd)
@@ -166,19 +171,35 @@ def hill_avar_sre(ensemble: WalkEnsemble) -> HillAvarSRE:
 
 
 def joint_exceedance(ensemble: WalkEnsemble, query: JointExceedanceQuery) -> tuple[float, float]:
-    """Limiting joint-exceedance functional (limit, Monte Carlo stderr)."""
+    """Limiting joint-exceedance functional (limit, Monte Carlo stderr).
+
+    Raises `DomainError` when the limit or its standard error is not finite,
+    as where some ``x_j**-kappa`` exceeds the largest double.
+    """
     _require_paths(ensemble)
     k = len(query.x)
     if k > ensemble.horizon + 1:
         raise ConfigurationError(f"query length {k} exceeds horizon + 1")
-    weights = np.asarray(query.x, dtype=np.float64) ** (-ensemble.kappa)
+    with np.errstate(over="ignore"):  # an infinite weight is checked for below
+        weights = np.asarray(query.x, dtype=np.float64) ** (-ensemble.kappa)
     if k == 1:  # only W_0 = 1 enters: the mean is exactly x_0**-kappa
-        return float(weights[0]), 0.0
-    extreme = np.min if query.mode == "all" else np.max
-    reduced = np.empty(ensemble.n_paths)
-    for start, rows in ensemble.blocks(k - 1):  # W_1..W_{k-1}
-        segment = np.empty((rows.shape[0], k))
-        segment[:, 0] = 1.0  # W_0
-        segment[:, 1:] = rows
-        reduced[start:start + rows.shape[0]] = extreme(segment * weights[None, :], axis=1)
-    return _mean_se(reduced)
+        limit, se = float(weights[0]), 0.0
+    else:
+        extreme = np.min if query.mode == "all" else np.max
+        reduced = np.empty(ensemble.n_paths)
+
+        def reduce(start, rows):  # rows: W_1..W_{k-1}
+            # column-major, so that numpy takes each row's extreme a whole
+            # column at a time: the same values, and far faster for small k
+            segment = np.empty((rows.shape[0], k), order="F")
+            segment[:, 0] = 1.0  # W_0
+            segment[:, 1:] = rows
+            reduced[start:start + rows.shape[0]] = extreme(segment * weights[None, :], axis=1)
+
+        ensemble._map_blocks(k - 1, reduce)
+        with np.errstate(over="ignore", invalid="ignore"):
+            limit, se = _mean_se(reduced)
+    if not (np.isfinite(limit) and np.isfinite(se)):
+        raise DomainError(f"joint-exceedance limit {limit} or its standard error {se} is not "
+                          f"finite: the thresholds' x_j**-kappa are too large for a double")
+    return limit, se

@@ -13,12 +13,14 @@ exponent ``kappa`` with ``E A**kappa = 1``.
 
 The two AR(1) recursions draw each block of innovations into the series
 itself and step it there in place, and two-point walks are drawn and
-multiplied a block of paths at a time, through the kernel of `_kernel.py`:
-the compiled ``_recursion.c``, or, without a compiler, its Python twins,
-with the same bytes, only slower. ``RECURSION_PATH`` (``"c"`` or
-``"python"``) says which one this process runs. Lognormal walks map the
-kernel's uniforms to multipliers in numpy, and the SRE recursion runs in
-Python, on either path.
+multiplied a block of paths at a time and summarized per path, through the
+kernel of `_kernel.py`: the compiled ``_recursion.c``, or, without a
+compiler, its Python twins, with the same bytes, only slower.
+``RECURSION_PATH`` (``"c"`` or ``"python"``) says which one this process
+runs. Lognormal walks map the kernel's uniforms to multipliers in numpy, and
+the SRE recursion runs in Python, on either path. Each pass over the walk
+runs its blocks on every CPU the process may use, one thread per contiguous
+range of paths; no value depends on the number of threads.
 
 Draw protocol (frozen): AR variants start at 0 and consume one innovation per
 step, ``burnin + n`` steps in total. The SRE consumes one block of uniforms
@@ -31,6 +33,8 @@ from __future__ import annotations
 
 import math
 import operator
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,7 +51,10 @@ NONLINEAR_AR1 = "nonlinear-ar1"
 SRE = "sre"
 
 _KAPPA_BRACKET = (1e-6, 64.0)
-_PATH_BLOCK = 1024  # walk paths per block: 1.6 MB at 200 steps, within a 2 MiB L2 cache
+# walk paths per block of the whole horizon: 1.6 MB at 200 steps, within a
+# 2 MiB L2 cache. A block of fewer steps holds as many values in more paths,
+# and the threads of one pass share those values.
+_PATH_BLOCK = 1024
 _DRAW_BLOCK = 65_536  # innovations per draw in the AR(1) recursions
 
 
@@ -240,11 +247,19 @@ def sre_model(driver: SREDriver, burnin: int = 10_000) -> SeriesModel:
     return SeriesModel(SRE, driver=driver, burnin=burnin)
 
 
-def _check_finite(x: np.ndarray, what: str, offset: int = 0):
-    """Raise at the first non-finite value of ``x``, whose first value is step ``offset``."""
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the platform
+    has one, else the CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _check_finite(x: np.ndarray, what: str):
+    """Raise at the first non-finite value of ``x``."""
     bad = ~np.isfinite(x)
     if bad.any():
-        raise SimulationError(f"non-finite value in {what}", step=offset + int(np.argmax(bad)))
+        raise SimulationError(f"non-finite value in {what}", step=int(np.argmax(bad)))
 
 
 def simulate_series(model: SeriesModel, n: int, rng: RngState) -> np.ndarray:
@@ -290,10 +305,11 @@ class WalkEnsemble:
     The ensemble holds no walk matrix. It keeps the base of the stream whose
     substream ``p`` drives path ``p``, and two per-path summaries:
     ``maxima[p] = max_j W_j`` and ``capped_sums[p] = sum_j min(W_j, 1)``.
-    `blocks` regenerates the paths a block at a time, and ``paths[p]``
-    regenerates one row; both equal the rows of the whole matrix bit for
-    bit, because each path is counter-based on its own substream. The
-    driver's law bounds the walk's tail beyond the horizon.
+    `blocks` regenerates the paths a block at a time, `_map_blocks` does so
+    on every usable CPU, and ``paths[p]`` regenerates one row; all equal the
+    rows of the whole matrix bit for bit, because each path is counter-based
+    on its own substream. The driver's law bounds the walk's tail beyond the
+    horizon.
     """
 
     kappa: float
@@ -319,18 +335,60 @@ class WalkEnsemble:
             u = uniforms_for_bases(bases, n)
             np.cumprod(law.sample_from_uniforms(u) ** self.kappa, axis=1, out=out)
 
-    def blocks(self, n: int):
-        """Yield ``(start, rows)`` for each block of paths, ``rows[i]`` holding
-        ``W_1..W_n`` of path ``start + i``. Every block is written into one
-        buffer, which the next block overwrites."""
+    def _block_paths(self, n: int) -> int:
+        """Paths per block of ``W_1..W_n``: about ``_PATH_BLOCK * horizon`` values."""
         if not (1 <= n <= self.horizon):
             raise ConfigurationError(f"steps must lie in 1..{self.horizon}, got {n}")
-        buffer = np.empty(min(_PATH_BLOCK, self.n_paths) * n)
-        for start in range(0, self.n_paths, _PATH_BLOCK):
-            count = min(_PATH_BLOCK, self.n_paths - start)
+        return _PATH_BLOCK * self.horizon // n
+
+    def blocks(self, n: int, start: int = 0, stop: int | None = None, size: int | None = None):
+        """Yield ``(first, rows)`` for each block of ``size`` paths (default:
+        about ``_PATH_BLOCK * horizon`` values) of paths ``start..stop-1``
+        (default: all), ``rows[i]`` holding ``W_1..W_n`` of path ``first + i``.
+        Every block is written into one buffer, which the next block
+        overwrites."""
+        size = size or self._block_paths(n)
+        stop = self.n_paths if stop is None else stop
+        buffer = np.empty(min(size, stop - start) * n)
+        for first in range(start, stop, size):
+            count = min(size, stop - first)
             rows = buffer[:count * n].reshape(count, n)
-            self._fill(start, rows)
-            yield start, rows
+            self._fill(first, rows)
+            yield first, rows
+
+    def _map_blocks(self, n: int, reduce) -> list:
+        """Call ``reduce(first, rows)`` on every block of ``W_1..W_n``, spread
+        over the usable CPUs.
+
+        The paths are split into contiguous ranges, one per usable CPU but
+        never more than `blocks` ``(n)`` has blocks. The ranges share that
+        one block's worth of values, so memory does not grow with the CPU
+        count: each walks its own blocks of ``1/ranges`` of the paths in
+        order, into a buffer of its own, on a thread of its own (the kernel's
+        ctypes calls and numpy's loops release the GIL). ``reduce`` may write
+        only the rows ``first..first+len(rows)-1`` of per-path arrays, so no
+        result depends on the number of ranges. A range stops at the first
+        block for which ``reduce`` returns a value other than None; returns
+        those values in path order.
+        """
+        size = self._block_paths(n)
+        ranges = min(_usable_cpus(), -(-self.n_paths // size))
+        size = max(1, size // ranges)
+        edges = [self.n_paths * i // ranges for i in range(ranges + 1)]
+
+        def walk(i):
+            for first, rows in self.blocks(n, edges[i], edges[i + 1], size):
+                value = reduce(first, rows)
+                if value is not None:
+                    return value
+            return None
+
+        if ranges == 1:
+            stops = [walk(0)]
+        else:
+            with ThreadPoolExecutor(ranges) as pool:
+                stops = list(pool.map(walk, range(ranges)))
+        return [value for value in stops if value is not None]
 
     @property
     def paths(self) -> "_PathRows":
@@ -358,8 +416,10 @@ def simulate_walks(driver: SREDriver, kappa: float, horizon: int, n_paths: int,
                    rng: RngState) -> WalkEnsemble:
     """Generate ``n_paths`` independent walk paths, one substream per path.
 
-    One pass over the blocks of paths checks that every value is finite and
-    takes the per-path summaries; no block outlives its pass.
+    One pass over the blocks of paths, on every usable CPU, checks that every
+    value is finite and takes the per-path summaries (the kernel's
+    ``walk_summary``); no block outlives its pass. A non-finite value raises
+    `SimulationError` at the first one in path order.
     """
     if not (kappa > 0):
         raise ConfigurationError("kappa must be > 0")
@@ -369,12 +429,17 @@ def simulate_walks(driver: SREDriver, kappa: float, horizon: int, n_paths: int,
     ens = WalkEnsemble(kappa=kappa, driver=driver, n_paths=n_paths, horizon=horizon,
                        base=rng.state[0], maxima=np.empty(n_paths),
                        capped_sums=np.empty(n_paths))
-    for start, rows in ens.blocks(horizon):
-        done = slice(start, start + rows.shape[0])
-        _check_finite(rows.ravel(), "walk ensemble", offset=start * horizon)
-        rows.max(axis=1, out=ens.maxima[done])
-        np.minimum(rows, 1.0, out=rows)  # the buffer is rewritten by the next block
-        rows.sum(axis=1, out=ens.capped_sums[done])
+
+    def summarize(start, rows):
+        count = rows.shape[0]
+        done = slice(start, start + count)
+        bad = _kernel._KERNEL.walk_summary(rows, count, horizon, ens.maxima[done],
+                                           ens.capped_sums[done])
+        return start * horizon + bad if bad < count * horizon else None
+
+    bad_steps = ens._map_blocks(horizon, summarize)
+    if bad_steps:
+        raise SimulationError("non-finite value in walk ensemble", step=min(bad_steps))
     return ens
 
 

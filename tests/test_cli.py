@@ -1,6 +1,7 @@
 """CLI surface: flows, exit codes, config merging, byte determinism."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -222,6 +223,22 @@ class TestExtremal:
                                     "--x", "1,1", "--mode", "all",
                                     "--paths", "50000", "--horizon", "50"])
         assert payload["limit"] == pytest.approx(2 / 3, abs=0.01)
+
+    @pytest.mark.parametrize("x, mode", [("1e-300,1", "some"), ("1e-300", "some"),
+                                         ("1e-300", "all")])
+    def test_joint_non_finite_limit_exits_3(self, capsys, driver_file, x, mode):
+        assert parse_and_dispatch(["extremal", "joint", "--driver", driver_file, "--x", x,
+                                   "--mode", mode, "--kappa", "3", "--paths", "2000"]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
+
+    def test_joint_all_with_a_tiny_first_threshold_is_finite(self, capsys, driver_file):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the infinite weight of x_0 warns of nothing
+            payload = run_json(capsys, ["extremal", "joint", "--driver", driver_file,
+                                        "--x", "1e-300,1", "--mode", "all", "--kappa", "3",
+                                        "--paths", "2000"])
+        assert 0 < payload["limit"] < 10 and 0 < payload["stderr"] < 1
 
     def test_overflowing_moment(self, capsys, tmp_path):
         # doubling the bracket reaches E A**33.5, where 1e10**33.5 overflows

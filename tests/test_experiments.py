@@ -191,7 +191,7 @@ class TestRunExperiment:
                 return map(fn, iterable)
 
         monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(experiments, "_usable_cpus", lambda: 4)
         capped = stage(24, 10**6)
         assert pools == [(4, 2)]  # 4 processes, 24 substreams in chunks of ceil(24 / 16)
         assert _identical(capped, stage(24, 1))

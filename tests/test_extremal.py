@@ -10,6 +10,7 @@ from scipy.stats import binom
 
 from tailseries import (
     ConfigurationError,
+    DomainError,
     HorizonTooSmallError,
     JointExceedanceQuery,
     RngState,
@@ -22,7 +23,7 @@ from tailseries import (
     joint_exceedance,
     simulate_walks,
 )
-from tailseries import LognormalLaw, _kernel, extremal, solve_kappa
+from tailseries import LognormalLaw, _kernel, extremal, simulate, solve_kappa
 from tailseries.simulate import _PATH_BLOCK
 from conftest import KERNELS, assert_same_bits, same_on_every_kernel, walk_matrix
 
@@ -45,9 +46,9 @@ class MatrixEnsemble(WalkEnsemble):
 
     matrix: np.ndarray = None
 
-    def blocks(self, n):
-        for start in range(0, self.n_paths, _PATH_BLOCK):
-            yield start, self.matrix[start:start + _PATH_BLOCK, :n]
+    def _fill(self, start, out):
+        count, n = out.shape
+        out[...] = self.matrix[start:start + count, :n]
 
 
 def hook(paths, kappa=1.0, driver=DRIVER):
@@ -293,6 +294,37 @@ class TestBlockedReductions:
                                  flat(joint_exceedance(hook(paths[:, :len(x) - 1]), query)))
 
 
+class TestThreadCounts:
+    """The walk passes run on every usable CPU, and every functional gives the
+    same bits whatever their number, on every kernel path and for both laws."""
+
+    @pytest.mark.parametrize("driver, horizon", [(DRIVER, 150),
+                                                 (SREDriver(LognormalLaw(-0.5, 1.0)), 80)],
+                             ids=["two-point", "lognormal"])
+    def test_same_bits_at_any_thread_count(self, monkeypatch, driver, horizon):
+        kappa, n_paths = solve_kappa(driver), 2 * _PATH_BLOCK + 5
+        queries = [JointExceedanceQuery(x, mode) for mode in ("all", "some")
+                   for x in ((1.0, 1.0), (0.5, 2.0, 1.0), (1.5,) * (horizon + 1))]
+
+        def run():
+            ens = simulate_walks(driver, kappa, horizon, n_paths, RngState(60))
+            paths = walk_matrix(ens)
+            for query in queries:  # value-sized blocks: k = 2, 3 and horizon + 1
+                assert_same_bits(flat(joint_exceedance(ens, query)),
+                                 flat(matrix_joint_exceedance(ens, paths, query)))
+            return np.concatenate([ens.maxima, ens.capped_sums, flat(extremal_index(ens)),
+                                   flat(cluster_size_probs(ens, 1)),
+                                   flat(cluster_size_probs(ens, 20)), flat(hill_avar_sre(ens)),
+                                   *(flat(joint_exceedance(ens, query)) for query in queries)])
+
+        outcomes = []
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(simulate, "_usable_cpus", lambda cpus=cpus: cpus)
+            outcomes.append(same_on_every_kernel(run))
+        for other in outcomes[1:]:
+            assert_same_bits(other, outcomes[0])
+
+
 def kernel_capped_top(rows, k):
     count, n = rows.shape
     capped = np.empty((count, k + 1))
@@ -439,6 +471,21 @@ class TestJointExceedance:
             unit, _ = joint_exceedance(ensemble, JointExceedanceQuery((1.0,) * 4, mode))
             scaled, _ = joint_exceedance(ensemble, JointExceedanceQuery((2.5,) * 4, mode))
             assert scaled == pytest.approx(2.5 ** -1.0 * unit, rel=1e-12)
+
+    def test_non_finite_limit_raises(self):
+        # at kappa 3, 1e-300**-3 is beyond the largest double: no finite limit
+        ens = simulate_walks(DRIVER, 3.0, 20, 500, RngState(61))
+        for x in ((1e-300,), (1e-300, 1.0)):
+            for mode in ("all", "some") if len(x) == 1 else ("some",):
+                with pytest.raises(DomainError, match="not finite"):
+                    joint_exceedance(ens, JointExceedanceQuery(x, mode))
+        # all thresholds exceeded: W_0's infinite weight drops out of the minimum
+        query = JointExceedanceQuery((1e-300, 1.0), "all")
+        limit, se = joint_exceedance(ens, query)
+        assert np.isfinite(limit) and np.isfinite(se)
+        with np.errstate(over="ignore"):
+            expected = matrix_joint_exceedance(ens, walk_matrix(ens), query)
+        assert_same_bits(flat((limit, se)), flat(expected))
 
     def test_query_validation(self, ensemble):
         with pytest.raises(ConfigurationError):

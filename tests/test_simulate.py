@@ -2,6 +2,7 @@
 
 import math
 import shutil
+import sys
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -33,7 +34,7 @@ from tailseries import (
 from tailseries import _kernel, simulate
 from tailseries.distributions import InnovationSpec
 from tailseries.rng import uniforms_for_bases
-from conftest import assert_same_bits, same_on_every_kernel, walk_matrix
+from conftest import KERNELS, assert_same_bits, same_on_every_kernel, walk_matrix
 
 MODEL_A = two_sided_pareto(0.5, 0.5)
 TWO_POINT = SREDriver(TwoPointLaw(2.0, 0.5, 1.0 / 3.0))
@@ -466,6 +467,115 @@ class TestWalks:
         a = simulate_walks(TWO_POINT, 1.0, 30, 500, RngState(14))
         b = simulate_walks(TWO_POINT, 1.0, 30, 500, RngState(14))
         assert np.array_equal(walk_matrix(a), walk_matrix(b))
+
+
+class TestWalkThreads:
+    """The walk passes spread over the usable CPUs; no result depends on how many."""
+
+    def test_usable_cpus_follow_the_affinity_mask(self, monkeypatch):
+        monkeypatch.setattr(simulate.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(simulate.os, "cpu_count", lambda: 8)
+        assert simulate._usable_cpus() == 1
+        monkeypatch.setattr(simulate.os, "sched_getaffinity", lambda pid: {0, 2, 5},
+                            raising=False)
+        assert simulate._usable_cpus() == 3
+
+    def test_usable_cpus_without_an_affinity_mask(self, monkeypatch):
+        monkeypatch.delattr(simulate.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(simulate.os, "cpu_count", lambda: 6)
+        assert simulate._usable_cpus() == 6
+        monkeypatch.setattr(simulate.os, "cpu_count", lambda: None)
+        assert simulate._usable_cpus() == 1
+
+    def test_blocks_hold_a_horizon_of_values(self):
+        ens = simulate_walks(TWO_POINT, 1.0, 40, 2 * simulate._PATH_BLOCK + 5, RngState(21))
+        sizes = {n: [rows.shape[0] for _, rows in ens.blocks(n)] for n in (40, 20, 13, 1)}
+        assert sizes == {40: [1024, 1024, 5], 20: [2048, 5], 13: [2053], 1: [2053]}
+
+    def test_more_threads_than_cores_with_a_short_switch_interval(self, monkeypatch):
+        # eight ranges write their own rows of the shared per-path arrays while
+        # the interpreter switches threads every microsecond; a row lost or
+        # written by the wrong range would change these bits
+        def run():
+            ens = simulate_walks(TWO_POINT, 1.0, 20, 8 * simulate._PATH_BLOCK + 3,
+                                 RngState(22))
+            return np.concatenate([ens.maxima, ens.capped_sums])
+
+        monkeypatch.setattr(simulate, "_usable_cpus", lambda: 1)
+        serial = same_on_every_kernel(run)
+        monkeypatch.setattr(simulate, "_usable_cpus", lambda: 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = same_on_every_kernel(run)
+        finally:
+            sys.setswitchinterval(interval)
+        assert_same_bits(threaded, serial)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_overflow_step_in_a_later_range(self, monkeypatch, cpus):
+        # kappa 76, seed 6: the first overflowing path, 9360, lies in the last
+        # range of paths at every one of these thread counts
+        monkeypatch.setattr(simulate, "_usable_cpus", lambda: cpus)
+        with pytest.raises(SimulationError) as err:
+            same_on_every_kernel(lambda: simulate_walks(TWO_POINT, 76.0, 200, 9500, RngState(6)))
+        expected = reference_walks(TWO_POINT, 76.0, 200, 9500, 6)
+        assert err.value.step == int(np.argmax(~np.isfinite(expected.ravel())))
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("placed", [
+        [(2 * simulate._PATH_BLOCK + 3, 17, np.inf)],
+        [(2 * simulate._PATH_BLOCK + 1, 0, np.nan), (5, 39, np.inf), (700, 2, np.nan)],
+    ], ids=["later-range", "every-range"])
+    def test_placed_non_finite_step(self, monkeypatch, cpus, placed):
+        # the first non-finite value in path order, whichever range finds its
+        # own first
+        fill = simulate.WalkEnsemble._fill
+
+        def spoiled(ens, start, out):
+            fill(ens, start, out)
+            for p, j, value in placed:
+                if start <= p < start + out.shape[0]:
+                    out[p - start, j] = value
+
+        monkeypatch.setattr(simulate.WalkEnsemble, "_fill", spoiled)
+        monkeypatch.setattr(simulate, "_usable_cpus", lambda: cpus)
+        with pytest.raises(SimulationError) as err:
+            same_on_every_kernel(lambda: simulate_walks(TWO_POINT, 1.0, 40,
+                                                        2 * simulate._PATH_BLOCK + 5,
+                                                        RngState(20)))
+        assert err.value.step == min(p * 40 + j for p, j, _ in placed)
+
+
+def kernel_walk_summary(rows):
+    """``walk_summary`` of ``rows``: its index, then the maxima and capped sums."""
+    count, n = rows.shape
+    maxima, capped_sums = np.empty(count), np.empty(count)
+    index = _kernel._KERNEL.walk_summary(rows, count, n, maxima, capped_sums)
+    return np.concatenate([[float(index)], maxima, capped_sums])
+
+
+class TestWalkSummary:
+    @pytest.mark.parametrize("n", [1, 7, 8, 128, 129, 200, 10_000])
+    def test_equals_numpy_on_finite_rows(self, n):
+        rows = np.random.default_rng(n).lognormal(-0.3, 1.5, (5, n))
+        rows[0, 0], rows[-1, -1] = 1.0, 0.0
+        out = same_on_every_kernel(lambda: kernel_walk_summary(rows))
+        assert out[0] == 5 * n
+        assert_same_bits(out[1:6], rows.max(axis=1))
+        assert_same_bits(out[6:], np.minimum(rows, 1.0).sum(axis=1))
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 128, 129, 200])
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, -np.inf])
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    def test_index_of_the_first_non_finite_value(self, n, bad, where):
+        rows = np.random.default_rng(n).lognormal(-0.3, 1.5, (3, n))
+        index = {"first": 0, "middle": 3 * n // 2, "last": 3 * n - 1}[where]
+        rows.ravel()[index] = bad
+        rows.ravel()[index + 1:] = np.inf  # later non-finite values do not count
+        for kernel in KERNELS:
+            with mock.patch.object(_kernel, "_KERNEL", kernel):
+                assert kernel_walk_summary(rows)[0] == index
 
 
 class TestSolveKappa:
