@@ -34,7 +34,6 @@ from .estimators import (
     residuals_ar1,
     weissman_direct,
     weissman_direct_curve,
-    weissman_model_ar1,
     weissman_model_ar1_curve,
     weissman_model_ar1_fit,
 )
@@ -49,7 +48,6 @@ from .extremal import (
 )
 from .diagnostics import (
     TestReport,
-    chisq_cdf,
     chisq_sf,
     difference_sign_test,
     ljung_box_curve,

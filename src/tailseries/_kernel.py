@@ -30,8 +30,10 @@ which `_load_kernel` compiles on first import, or, without a compiler,
   and of the differences of those, the pi terms.
 
 Each works on C-contiguous buffers that the caller allocates at their full
-size. ``RECURSION_PATH`` (``"c"`` or ``"python"``) says which one this
-process runs. The Python twins are also the tests' bit-for-bit reference.
+size. The entries are listed once, in ``_KERNEL_SIGNATURES``; the Python
+twin of entry ``name`` is the function ``_name``. ``RECURSION_PATH``
+(``"c"`` or ``"python"``) says which one this process runs. The Python
+twins are also the tests' bit-for-bit reference.
 """
 
 from __future__ import annotations
@@ -166,16 +168,17 @@ def _two_point_walk(bases: np.ndarray, count: int, n: int, p_up: float, up: floa
     """``two_point_walk`` of `_recursion.c`, in numpy."""
     # cumprod multiplies left to right, one rounding per step, as the C loop
     # does; its first value is the first multiplier, which the C loop gets as
-    # 1.0 * up or 1.0 * down, exactly the same. An overflow gives inf
-    # silently, as in C; the caller raises at its step. Each row is its own
-    # product, so drawing a chunk of rows at a time changes no bits.
+    # 1.0 * up or 1.0 * down, exactly the same. An overflow gives inf, and
+    # inf * 0.0 gives nan, silently, as in C; the caller raises at its step.
+    # Each row is its own product, so drawing a chunk of rows at a time
+    # changes no bits.
     out = out.reshape(count, n)
     chunk = max(1, _TWIN_CHUNK // n)
     for start in range(0, count, chunk):
         rows = out[start:start + chunk]
         u = np.empty(rows.shape)
         _uniforms(bases[start:], rows.shape[0], 1, n, u)
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             np.cumprod(np.where(u < p_up, up, down), axis=1, out=rows)
 
 
@@ -279,11 +282,8 @@ def _cluster_moments(capped: np.ndarray, count: int, width: int, theta_mean: np.
     pi_sd[:] = pi_terms.std(axis=0, ddof=1)
 
 
-_PYTHON_KERNEL = SimpleNamespace(uniforms=_uniforms, pareto_base=_pareto_base,
-                                 pareto_finish=_pareto_finish, two_point_walk=_two_point_walk,
-                                 walk_summary=_walk_summary,
-                                 linear_ar1=_linear_ar1, nonlinear_ar1=_nonlinear_ar1,
-                                 capped_top=_capped_top, cluster_moments=_cluster_moments)
+# a missing twin fails here, at import
+_PYTHON_KERNEL = SimpleNamespace(**{name: globals()["_" + name] for name in _KERNEL_SIGNATURES})
 _KERNEL = _load_kernel(_kernel_dirs()) or _PYTHON_KERNEL
 RECURSION_PATH = "python" if _KERNEL is _PYTHON_KERNEL else "c"
 if _KERNEL is _PYTHON_KERNEL:

@@ -51,13 +51,6 @@ def normal_sf(x) -> float | np.ndarray:
     return 0.5 * erfc(np.asarray(x, dtype=np.float64) / np.sqrt(2.0))
 
 
-def chisq_cdf(x, df: float) -> float | np.ndarray:
-    """Chi-square CDF via the regularized lower incomplete gamma function."""
-    from scipy.special import gammainc
-
-    return gammainc(df / 2.0, np.asarray(x, dtype=np.float64) / 2.0)
-
-
 def chisq_sf(x, df: float) -> float | np.ndarray:
     from scipy.special import gammaincc
 

@@ -42,7 +42,7 @@ class InnovationSpec:
     """Parametric description of an innovation law."""
 
     kind: str
-    gamma: float = float("nan")
+    gamma: float
     p: float = 1.0
 
     def __post_init__(self):

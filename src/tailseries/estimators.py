@@ -185,16 +185,10 @@ def _model_ar1(series, ks, t: float, use_abs: bool, center: bool):
     return est, phi_hat, gammas, anchors, u, clamped
 
 
-def weissman_model_ar1(series, target: QuantileTarget, use_abs: bool = False,
-                       center: bool = True) -> float:
-    """Model-based extreme-quantile estimate via AR(1) residual analysis."""
-    return weissman_model_ar1_fit(series, target, use_abs=use_abs, center=center).estimate
-
-
 def weissman_model_ar1_fit(series, target: QuantileTarget, use_abs: bool = False,
                            center: bool = True) -> ModelBasedFit:
-    """As `weissman_model_ar1`, returning the intermediate quantities; one
-    point of `weissman_model_ar1_curve`.
+    """Model-based extreme-quantile estimate via AR(1) residual analysis,
+    with its intermediate quantities; one point of `weissman_model_ar1_curve`.
 
     Steps: phi_hat = `fit_ar1`; residuals Z_t = X_t - phi_hat*X_{t-1};
     gamma_hat = Hill on the top k residual order statistics (absolute values

@@ -44,6 +44,7 @@ STUDY_PHI = 0.8
 STUDY_DELTA = 0.6
 STUDY_N = 2000
 STUDY_T = 0.001
+POWER_LAGS = 30  # the power study's portmanteau test runs at every h = 1..POWER_LAGS
 INNOVATIONS = {
     "unshifted": two_sided_pareto(0.5, 0.5),
     "shifted": shifted_two_sided_pareto(0.3, 0.5),
@@ -301,20 +302,13 @@ def silverman_bandwidth(values: np.ndarray) -> float:
     return 1.06 * scale * values.size ** (-0.2)
 
 
-def kde(values, grid=None) -> DensityEstimate:
-    """Gaussian-kernel density estimate with Silverman's rule bandwidth.
-
-    Without an explicit grid, 512 equally spaced points spanning the data
-    range extended by 3 bandwidths are used.
-    """
+def kde(values, grid) -> DensityEstimate:
+    """Gaussian-kernel density estimate on ``grid`` with Silverman's rule bandwidth."""
     x = np.asarray(values, dtype=np.float64)
     if x.size < 2 or np.unique(x).size < 2:
         raise DegenerateInputError("need at least 2 distinct values")
     h = silverman_bandwidth(x)
-    if grid is None:
-        grid = np.linspace(x.min() - 3.0 * h, x.max() + 3.0 * h, 512)
-    else:
-        grid = np.asarray(grid, dtype=np.float64)
+    grid = np.asarray(grid, dtype=np.float64)
     density = np.zeros_like(grid)
     norm = 1.0 / (x.size * h * math.sqrt(2.0 * math.pi))
     for start in range(0, grid.size, 1024):
@@ -336,22 +330,22 @@ def _check_density_mass(grid, density, values, h):
             f"density grid too coarse: integral {integral:.4f} vs covered mass {covered:.4f}")
 
 
-def _power_rejections(h_max: int, series: np.ndarray) -> np.ndarray:
+def _power_rejections(series: np.ndarray) -> np.ndarray:
     """One replicate's rejections at size 0.05: turning point, difference
-    sign, then the portmanteau test at h = 1..h_max."""
+    sign, then the portmanteau test at h = 1..POWER_LAGS."""
     resid = residuals_ar1(series, fit_ar1(series))
-    _, pvals = ljung_box_curve(resid, h_max)
+    _, pvals = ljung_box_curve(resid, POWER_LAGS)
     return np.concatenate(([turning_point_test(resid).reject_at_5pct,
                             difference_sign_test(resid).reject_at_5pct], pvals < 0.05))
 
 
 def test_power_experiment(model: SeriesModel, n: int, replicates: int,
-                          rng: RngState, h_max: int = 30, workers: int = 1) -> PowerReport:
+                          rng: RngState, workers: int = 1) -> PowerReport:
     """Rejection rates of the residual tests after (mis)fitting a linear AR(1).
 
     Per replicate: simulate, fit the AR(1) coefficient, form residuals, run
     the turning point and difference-sign tests at size 0.05, and the
-    portmanteau test at every h = 1..h_max. The portmanteau power is
+    portmanteau test at every h = 1..POWER_LAGS. The portmanteau power is
     reported per h and maximized over h. Replicate r uses substream r of
     ``rng``; ``workers`` processes run the replicates in parallel without
     changing the result.
@@ -361,7 +355,7 @@ def test_power_experiment(model: SeriesModel, n: int, replicates: int,
     if model.innovations.gamma >= 0.5:
         warnings.warn("portmanteau test is unreliable: innovation variance is "
                       "infinite for extreme value index >= 1/2", UserWarning)
-    rows = _map_series(partial(_power_rejections, h_max), model, n, rng, replicates, workers)
+    rows = _map_series(_power_rejections, model, n, rng, replicates, workers)
     rates = np.sum(rows, axis=0) / replicates
     lb_rates = rates[2:]
     best = int(np.argmax(lb_rates))

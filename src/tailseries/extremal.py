@@ -150,16 +150,17 @@ def hill_avar_sre(ensemble: WalkEnsemble) -> HillAvarSRE:
     """Asymptotic variance of the Hill estimator for the SRE solution.
 
     Raises `HorizonTooSmallError` when the bound on the omitted tail exceeds
-    ``DEFAULT_TAIL_TOL``.
+    ``DEFAULT_TAIL_TOL``, or when ``E A**(kappa/2) >= 1``, where no horizon
+    bounds it.
     """
     _require_paths(ensemble)
     kappa = ensemble.kappa
     mean, se = _mean_se(ensemble.capped_sums)
     r = float(ensemble.driver.law.moment(kappa / 2.0))  # E min(W_j, 1) <= r**j
-    if r < 1.0:
-        omitted = r ** (ensemble.horizon + 1) / (1.0 - r)
-    else:
-        omitted = float("inf")
+    if not (r < 1.0):
+        raise HorizonTooSmallError(
+            f"E A**(kappa/2) = {r:.6g} >= 1, so no horizon bounds the omitted tail")
+    omitted = r ** (ensemble.horizon + 1) / (1.0 - r)
     scale = kappa ** -2
     bound = 2.0 * scale * omitted
     if bound > DEFAULT_TAIL_TOL:

@@ -65,11 +65,8 @@ class RngState:
     be handed out deterministically and used concurrently.
     """
 
-    algorithm = ALGORITHM
-
     def __init__(self, master_seed: int, _base: int | None = None):
-        self.master_seed = int(master_seed) & _MASK64
-        self._base = mix64(self.master_seed) if _base is None else (_base & _MASK64)
+        self._base = mix64(int(master_seed)) if _base is None else (_base & _MASK64)
         self._count = 0
 
     @property
@@ -81,9 +78,7 @@ class RngState:
         """Child stream ``i`` (i >= 0), derived purely from this stream's base."""
         if i < 0:
             raise ValueError("substream index must be >= 0")
-        base = mix64((self._base + (i + 1) * _STREAM_SALT) & _MASK64)
-        child = RngState(self.master_seed, _base=base)
-        return child
+        return RngState(0, _base=mix64((self._base + (i + 1) * _STREAM_SALT) & _MASK64))
 
     def child_bases(self, n: int, start: int = 0) -> np.ndarray:
         """Bases of children ``start .. start+n-1`` as a uint64 array.
@@ -108,9 +103,6 @@ class RngState:
                                  n, out)
         self._count += n
         return out
-
-    def uniform(self) -> float:
-        return float(self.uniforms(1)[0])
 
     def derive_seed(self, i: int) -> int:
         """A 64-bit master seed for an independent component, mixed from child ``i``."""

@@ -76,7 +76,10 @@ class TwoPointLaw:
         return self.p_up * np.log(self.a_up) + (1 - self.p_up) * np.log(self.a_down)
 
     def moment(self, s: float) -> float:
-        return self.p_up * self.a_up**s + (1 - self.p_up) * self.a_down**s
+        try:
+            return self.p_up * self.a_up**s + (1 - self.p_up) * self.a_down**s
+        except OverflowError:  # a power beyond the largest double
+            return math.inf
 
     def prob_above_one(self) -> float:
         return (self.p_up if self.a_up > 1 else 0.0) + ((1 - self.p_up) if self.a_down > 1 else 0.0)
@@ -103,7 +106,12 @@ class LognormalLaw:
         return self.mu
 
     def moment(self, s: float) -> float:
-        return float(np.exp(s * self.mu + 0.5 * (s * self.sigma) ** 2))
+        try:
+            exponent = s * self.mu + 0.5 * (s * self.sigma) ** 2
+        except OverflowError:  # a square beyond the largest double
+            return math.inf
+        with np.errstate(over="ignore"):
+            return float(np.exp(exponent))
 
     def prob_above_one(self) -> float:
         return 1.0  # unbounded support
@@ -326,14 +334,19 @@ class WalkEnsemble:
         count, n = out.shape
         bases = RngState(0, _base=self.base).child_bases(count, start=start)
         law = self.driver.law
+        # a power or product beyond the largest double (and inf * 0.0 after
+        # it) is left to `simulate_walks`, which raises at the first
+        # non-finite value
         if isinstance(law, TwoPointLaw):
             # `**` as on a whole block of multipliers, so the two powers are
             # the same bits as each element of `sample_from_uniforms(u)**kappa`
-            up, down = np.array([law.a_up, law.a_down]) ** self.kappa
+            with np.errstate(over="ignore"):
+                up, down = np.array([law.a_up, law.a_down]) ** self.kappa
             _kernel._KERNEL.two_point_walk(bases, count, n, law.p_up, up, down, out)
         else:
             u = uniforms_for_bases(bases, n)
-            np.cumprod(law.sample_from_uniforms(u) ** self.kappa, axis=1, out=out)
+            with np.errstate(over="ignore", invalid="ignore"):
+                np.cumprod(law.sample_from_uniforms(u) ** self.kappa, axis=1, out=out)
 
     def _block_paths(self, n: int) -> int:
         """Paths per block of ``W_1..W_n``: about ``_PATH_BLOCK * horizon`` values."""
@@ -356,7 +369,7 @@ class WalkEnsemble:
             self._fill(first, rows)
             yield first, rows
 
-    def _map_blocks(self, n: int, reduce) -> list:
+    def _map_blocks(self, n: int, reduce):
         """Call ``reduce(first, rows)`` on every block of ``W_1..W_n``, spread
         over the usable CPUs.
 
@@ -368,8 +381,9 @@ class WalkEnsemble:
         ctypes calls and numpy's loops release the GIL). ``reduce`` may write
         only the rows ``first..first+len(rows)-1`` of per-path arrays, so no
         result depends on the number of ranges. A range stops at the first
-        block for which ``reduce`` returns a value other than None; returns
-        those values in path order.
+        block for which ``reduce`` raises, and the error of the first such
+        range in path order is raised, so it is the error of the first such
+        block at any number of ranges.
         """
         size = self._block_paths(n)
         ranges = min(_usable_cpus(), -(-self.n_paths // size))
@@ -378,17 +392,13 @@ class WalkEnsemble:
 
         def walk(i):
             for first, rows in self.blocks(n, edges[i], edges[i + 1], size):
-                value = reduce(first, rows)
-                if value is not None:
-                    return value
-            return None
+                reduce(first, rows)
 
         if ranges == 1:
-            stops = [walk(0)]
+            walk(0)
         else:
             with ThreadPoolExecutor(ranges) as pool:
-                stops = list(pool.map(walk, range(ranges)))
-        return [value for value in stops if value is not None]
+                list(pool.map(walk, range(ranges)))  # re-raises the first range's error
 
     @property
     def paths(self) -> "_PathRows":
@@ -419,7 +429,9 @@ def simulate_walks(driver: SREDriver, kappa: float, horizon: int, n_paths: int,
     One pass over the blocks of paths, on every usable CPU, checks that every
     value is finite and takes the per-path summaries (the kernel's
     ``walk_summary``); no block outlives its pass. A non-finite value raises
-    `SimulationError` at the first one in path order.
+    `SimulationError` at the first one in path order: each block raises at
+    its own first one, and `WalkEnsemble._map_blocks` raises the error of
+    the first such block.
     """
     if not (kappa > 0):
         raise ConfigurationError("kappa must be > 0")
@@ -435,11 +447,10 @@ def simulate_walks(driver: SREDriver, kappa: float, horizon: int, n_paths: int,
         done = slice(start, start + count)
         bad = _kernel._KERNEL.walk_summary(rows, count, horizon, ens.maxima[done],
                                            ens.capped_sums[done])
-        return start * horizon + bad if bad < count * horizon else None
+        if bad < count * horizon:
+            raise SimulationError("non-finite value in walk ensemble", step=start * horizon + bad)
 
-    bad_steps = ens._map_blocks(horizon, summarize)
-    if bad_steps:
-        raise SimulationError("non-finite value in walk ensemble", step=min(bad_steps))
+    ens._map_blocks(horizon, summarize)
     return ens
 
 
@@ -513,10 +524,7 @@ def solve_kappa(driver: SREDriver) -> float:
         return -2.0 * law.mu / law.sigma**2
 
     def g(s: float) -> float:
-        try:
-            return law.moment(s) - 1.0
-        except OverflowError:  # a power beyond the largest double: taken as above 1
-            return math.inf
+        return law.moment(s) - 1.0  # inf where a power overflows: taken as above 1
 
     lo, cap = _KAPPA_BRACKET
     if g(lo) >= 0:

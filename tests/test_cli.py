@@ -255,6 +255,23 @@ class TestExtremal:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
 
+    def test_overflowing_power_of_a_given_kappa(self, tmp_path):
+        # at kappa 3000, 2.0**3000 overflows: these two paths never step up,
+        # so theta runs on finite walks, but E A**1500 is inf and bounds no
+        # omitted tail of the Hill variance
+        driver = tmp_path / "driver.json"
+        driver.write_text(json.dumps({"law": {"kind": "two-point", "a_up": 2.0,
+                                              "a_down": 0.5, "p_up": 0.01}}))
+        argv = ["--driver", str(driver), "--kappa", "3000", "--paths", "2", "--horizon", "3"]
+        theta = run_cli(["extremal", "theta", *argv], text=True)
+        assert theta.returncode == 0 and theta.stderr == ""
+        assert json.loads(theta.stdout)["theta"] == 1
+        avar = run_cli(["extremal", "hill-avar", *argv], text=True)
+        assert avar.returncode == 2 and avar.stdout == ""
+        assert "Traceback" not in avar.stderr and "RuntimeWarning" not in avar.stderr
+        assert avar.stderr.startswith("error: E A**(kappa/2) = inf >= 1")
+        assert avar.stderr.count("\n") == 1, avar.stderr
+
     def test_cluster_fields(self, capsys, driver_file):
         payload = run_json(capsys, ["extremal", "cluster", "--driver", driver_file,
                                     "--paths", "5000", "--horizon", "100",

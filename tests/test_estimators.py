@@ -20,7 +20,6 @@ from tailseries import (
     two_sided_pareto,
     weissman_direct,
     weissman_direct_curve,
-    weissman_model_ar1,
     weissman_model_ar1_curve,
     weissman_model_ar1_fit,
 )
@@ -239,7 +238,7 @@ class TestWeissmanModel:
     def test_sanity_near_truth_model_a(self):
         # a single n=2000 draw lands within a factor ~2 of the true quantile
         series = simulate_series(linear_ar1(0.8, MODEL_A, burnin=10_000), 2000, RngState(47))
-        est = weissman_model_ar1(series, QuantileTarget(t=0.001, k=600, n=2000))
+        est = weissman_model_ar1_fit(series, QuantileTarget(t=0.001, k=600, n=2000)).estimate
         assert 15 < est < 80  # truth is near 37.9
 
 
@@ -250,7 +249,7 @@ PUBLIC_ESTIMATORS = {
     "fit_ar1": fit_ar1,
     "weissman_direct": lambda x: weissman_direct(x, T),
     "weissman_direct_curve": lambda x: weissman_direct_curve(x, [10, 50], 0.001),
-    "weissman_model_ar1": lambda x: weissman_model_ar1(x, T),
+    "weissman_model_ar1": lambda x: weissman_model_ar1_fit(x, T).estimate,
     "weissman_model_ar1_fit": lambda x: weissman_model_ar1_fit(x, T),
     "weissman_model_ar1_curve": lambda x: weissman_model_ar1_curve(x, [10, 50], 0.001),
 }

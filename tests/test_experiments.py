@@ -1,7 +1,9 @@
 """Monte Carlo harness: conventions, aggregation identities, determinism, KDE."""
 
 import dataclasses
+from concurrent.futures import ProcessPoolExecutor
 from functools import partial
+from multiprocessing import get_all_start_methods, get_context
 
 import numpy as np
 import pytest
@@ -152,6 +154,7 @@ def _identical(a, b):
 
 
 each_stage = pytest.mark.parametrize("stage", STAGES.values(), ids=list(STAGES))
+START_METHODS = [method for method in ("fork", "spawn") if method in get_all_start_methods()]
 
 
 class TestRunExperiment:
@@ -161,7 +164,12 @@ class TestRunExperiment:
         assert np.array_equal(a.estimates, b.estimates, equal_nan=True)
 
     @each_stage
-    def test_workers_do_not_change_results(self, stage):
+    @pytest.mark.parametrize("start_method", START_METHODS)
+    def test_workers_do_not_change_results(self, stage, start_method, monkeypatch):
+        # spawn, the default on macOS and Windows, starts each worker from a
+        # fresh interpreter; fork copies this one
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor",
+                            partial(ProcessPoolExecutor, mp_context=get_context(start_method)))
         assert _identical(stage(24, 1), stage(24, 3))
 
     @each_stage
@@ -207,7 +215,8 @@ class TestRunExperiment:
 class TestKde:
     def test_normal_density_at_zero(self):
         z = ndtri(RngState(55).uniforms(10_000))
-        est = kde(z)
+        h = silverman_bandwidth(z)
+        est = kde(z, grid=np.linspace(z.min() - 3 * h, z.max() + 3 * h, 512))
         at0 = np.interp(0.0, est.grid, est.density)
         assert at0 == pytest.approx(1 / np.sqrt(2 * np.pi), rel=0.05)
 
@@ -220,14 +229,15 @@ class TestKde:
 
     def test_shift_invariance(self):
         v = RngState(57).uniforms(500)
-        base = kde(v)
+        h = silverman_bandwidth(v)
+        base = kde(v, grid=np.linspace(v.min() - 3 * h, v.max() + 3 * h, 512))
         shifted = kde(v + 10.0, grid=base.grid + 10.0)
         assert shifted.bandwidth == pytest.approx(base.bandwidth, rel=1e-12)
         assert np.allclose(shifted.density, base.density, atol=1e-12)
 
     def test_degenerate_input(self):
         with pytest.raises(DegenerateInputError):
-            kde(np.ones(50))
+            kde(np.ones(50), grid=np.linspace(-2.0, 4.0, 512))
 
     def test_silverman_rule(self):
         v = ndtri(RngState(58).uniforms(4000))

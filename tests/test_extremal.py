@@ -1,6 +1,7 @@
 """Extremal quantities against closed-form, enumeration, and cross-generator oracles."""
 
 import tracemalloc
+import warnings
 from dataclasses import dataclass
 from unittest import mock
 
@@ -179,6 +180,20 @@ class TestHillAvarSRE:
         short = simulate_walks(DRIVER, 1.0, 20, 1000, RngState(56))
         with pytest.raises(HorizonTooSmallError):
             hill_avar_sre(short)
+
+    @pytest.mark.parametrize("law, kappa", [
+        (TwoPointLaw(2.0, 0.5, 0.01), 3000.0),  # 2.0**1500 overflows
+        (TwoPointLaw(2.0, 0.5, 0.01), 20.0),    # E A**10 = 10.24..., finite
+        (LognormalLaw(-0.5, 1.0), 3000.0),     # exp of 1500**2/2 overflows
+        (LognormalLaw(-0.5, 1.0), 1e200),      # (kappa/2)**2 overflows
+    ])
+    def test_no_horizon_bounds_a_moment_at_or_above_one(self, law, kappa):
+        # paths that never step up keep every walk value finite, but
+        # E A**(kappa/2) >= 1 bounds no omitted tail, at any horizon
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(HorizonTooSmallError, match=r"E A\*\*\(kappa/2\) = .* >= 1"):
+                hill_avar_sre(hook(np.zeros((2, 3)), kappa=kappa, driver=SREDriver(law)))
 
 
 def flat(result) -> np.ndarray:

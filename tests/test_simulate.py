@@ -3,6 +3,7 @@
 import math
 import shutil
 import sys
+import time
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -440,6 +441,22 @@ class TestWalks:
         assert err.value.step == int(np.argmax(~np.isfinite(expected.ravel())))
         assert err.value.step // 200 >= simulate._PATH_BLOCK
 
+    @pytest.mark.parametrize("law", [TwoPointLaw(2.0, 0.5, 0.01), LognormalLaw(-0.5, 1.0)],
+                             ids=["two-point", "lognormal"])
+    def test_overflowing_powers_warn_of_nothing(self, law):
+        # at kappa 3000 the power of a multiplier not near 1 overflows to inf
+        # or underflows to 0.0, and inf * 0.0 = nan follows; the error names
+        # the first non-finite step, and no kernel warns before it
+        driver = SREDriver(law)
+        with warnings.catch_warnings(record=True) as caught, \
+                pytest.raises(SimulationError) as err:
+            warnings.simplefilter("always")
+            same_on_every_kernel(lambda: simulate_walks(driver, 3000.0, 3, 2000, RngState(1)))
+        assert [str(w.message) for w in caught] == []
+        with np.errstate(invalid="ignore"):
+            expected = reference_walks(driver, 3000.0, 3, 2000, 1)
+        assert err.value.step == int(np.argmax(~np.isfinite(expected.ravel())))
+
     def test_mean_w1_is_one(self):
         ens = simulate_walks(TWO_POINT, 1.0, 1, 1_000_000, RngState(10))
         assert walk_matrix(ens)[:, 0].mean() == pytest.approx(1.0, abs=3e-3)
@@ -521,6 +538,29 @@ class TestWalkThreads:
             same_on_every_kernel(lambda: simulate_walks(TWO_POINT, 76.0, 200, 9500, RngState(6)))
         expected = reference_walks(TWO_POINT, 76.0, 200, 9500, 6)
         assert err.value.step == int(np.argmax(~np.isfinite(expected.ravel())))
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("failing", [
+        [2 * simulate._PATH_BLOCK + 3],
+        [2 * simulate._PATH_BLOCK + 1, 5, 700],
+    ], ids=["later-range", "every-range"])
+    def test_map_blocks_raises_the_error_of_the_first_range(self, monkeypatch, cpus, failing):
+        # a reduction raises for a block that holds a failing path; the
+        # block of the first such path sleeps before it raises, so the ranges
+        # after it fail first, yet its error is the one raised
+        ens = simulate_walks(TWO_POINT, 1.0, 40, 2 * simulate._PATH_BLOCK + 5, RngState(20))
+        monkeypatch.setattr(simulate, "_usable_cpus", lambda: cpus)
+
+        def reduce(first, rows):
+            hit = [p for p in failing if first <= p < first + rows.shape[0]]
+            if min(failing) in hit:
+                time.sleep(0.05)
+            if hit:
+                raise ValueError(min(hit))
+
+        with pytest.raises(ValueError) as err:
+            ens._map_blocks(40, reduce)
+        assert err.value.args == (min(failing),)
 
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     @pytest.mark.parametrize("placed", [
