@@ -93,6 +93,9 @@ def _cmd_simulate(args) -> int:
 def _cmd_estimate(args) -> int:
     series = _read_series(args.input)
     n = series.size
+    # one check for every method, with the exit code of hill's own
+    if not (1 <= args.k <= n - 1):
+        raise DomainError(f"k must satisfy 1 <= k <= n - 1 = {n - 1}, got {args.k}")
     flags = []
     payload = {"schema_version": serialize.SCHEMA_VERSION, "method": args.method,
                "k": args.k, "n": n}

@@ -7,7 +7,8 @@ standard error against a ground-truth quantile obtained from long
 simulations. The ground truth, the replicates and the power study each
 reduce their series to one statistic through one series map (`_map_series`):
 series i always consumes substream i of its stream, so results are
-bit-identical for any worker count.
+bit-identical for any worker count. The ground truth never holds a whole
+series: it folds each block of draws into the series' largest values.
 
 Presets mirror the simulation study's tables and figures at desk scale and
 write plot-ready CSV plus JSON summaries; see `run_preset`.
@@ -31,7 +32,7 @@ from .errors import ConfigurationError, DegenerateInputError, TailSeriesError
 from .estimators import fit_ar1, residuals_ar1, weissman_direct_curve, weissman_model_ar1_curve
 from .rng import RngState
 from .simulate import (LINEAR_AR1, NONLINEAR_AR1, SeriesModel, _usable_cpus, linear_ar1,
-                       nonlinear_ar1, simulate_series)
+                       nonlinear_ar1, series_blocks, simulate_series)
 
 DIRECT = "direct"
 MODEL_BASED = "model-based"
@@ -158,28 +159,49 @@ class PowerReport:
         }
 
 
-def _select_quantile(x: np.ndarray, q: float) -> float:
-    """The ceil(q*n)-th smallest of the ``n`` values of ``x``, selected in place."""
+def _fold_quantile(blocks, size: int, q: float) -> float:
+    """The ceil(q*size)-th smallest of the ``size`` values that ``blocks``
+    yields in turn, holding one block and the largest values seen so far.
+
+    With ``m`` the 0-based index of that rank, the minimum of the largest
+    ``size - m`` values is the element ``x.partition(m)`` places at ``m``, so
+    the result does not depend on how the values are cut into blocks. Once
+    ``size - m`` values are held, only a value above the least of them can
+    enter.
+    """
     if not (0 < q < 1):
         raise ConfigurationError("q must lie in (0, 1)")
-    m = min(max(int(math.ceil(q * x.size)), 1), x.size) - 1
-    x.partition(m)
-    return float(x[m])
+    keep = size + 1 - min(max(int(math.ceil(q * size)), 1), size)
+    top = np.empty(0)
+    for block in blocks:
+        if top.size == keep:
+            block = block[block > top[0]]
+        pool = np.concatenate((top, block))
+        if pool.size >= keep:
+            pool.partition(pool.size - keep)  # the least of the top `keep` to pool[-keep]
+            pool = pool[pool.size - keep:]
+        top = pool
+    return float(top[0])
 
 
 def empirical_quantile(series, q: float) -> float:
     """The ceil(q*n)-th smallest value (always an element of the series)."""
-    return _select_quantile(np.array(series, dtype=np.float64), q)
+    x = np.asarray(series, dtype=np.float64)
+    return _fold_quantile((x,), x.size, q)
 
 
-def _series_statistic(statistic, model: SeriesModel, n: int, rng: RngState, i: int):
-    return statistic(simulate_series(model, n, rng.substream(i)))
+def _series_statistic(statistic, blocks: bool, model: SeriesModel, n: int, rng: RngState,
+                      i: int):
+    draw = series_blocks if blocks else simulate_series
+    return statistic(draw(model, n, rng.substream(i)))
 
 
 def _map_series(statistic, model: SeriesModel, n: int, rng: RngState, count: int,
-                workers: int) -> list:
+                workers: int, blocks: bool = False) -> list:
     """``statistic`` of series i = 0..count-1, each ``n`` observations of
-    ``model`` drawn from substream i of ``rng``, in index order.
+    ``model`` drawn from substream i of ``rng``, in index order. The
+    statistic gets the series as one array (`simulate_series`) or, with
+    ``blocks``, as the iterator of its blocks (`series_blocks`).
 
     Every Monte Carlo stage runs its series through here, so a fixed-order
     reduction over the results gives the same bytes for any ``workers``. With
@@ -189,7 +211,7 @@ def _map_series(statistic, model: SeriesModel, n: int, rng: RngState, count: int
     starts all of its processes at once, and hands each one about four
     chunks of indices.
     """
-    one = partial(_series_statistic, statistic, model, n, rng)
+    one = partial(_series_statistic, statistic, blocks, model, n, rng)
     workers = min(workers, _usable_cpus())
     if workers <= 1:
         return [one(i) for i in range(count)]
@@ -202,18 +224,19 @@ def true_quantile(model: SeriesModel, t: float, n_reps: int, rep_length: int,
     """Ground-truth F^{-1}(1-t) as the mean of long-run empirical quantiles.
 
     Series i uses substream i of ``rng``; ``workers`` processes simulate the
-    series in parallel without changing the result. Returns
-    (value, half_width) where half_width = 2.58 * stderr of the mean (a 99%
-    normal margin).
+    series in parallel without changing the result. Each series is folded a
+    block at a time into its ``n*t`` or so largest values (`_fold_quantile`),
+    so a process holds one block of draws and those values, not the series.
+    Returns (value, half_width) where half_width = 2.58 * stderr of the mean
+    (a 99% normal margin).
     """
     if rep_length * t < 100:
         raise ConfigurationError(
             f"rep_length*t = {rep_length * t:g} < 100: too few exceedances per replicate")
     if n_reps < 2:
         raise ConfigurationError("need at least 2 replicates for an error estimate")
-    # each series is this stage's own, so its quantile is selected in place
-    quantiles = np.array(_map_series(partial(_select_quantile, q=1.0 - t), model, rep_length,
-                                     rng, n_reps, workers))
+    quantiles = np.array(_map_series(partial(_fold_quantile, size=rep_length, q=1.0 - t),
+                                     model, rep_length, rng, n_reps, workers, blocks=True))
     half_width = 2.58 * quantiles.std(ddof=1) / math.sqrt(n_reps)
     return float(quantiles.mean()), float(half_width)
 

@@ -11,11 +11,11 @@ plus the geometric random walk ``W_j = prod_{i<=j} A_i**kappa`` that drives
 all extremal-dependence quantities of the SRE, and the solver for the moment
 exponent ``kappa`` with ``E A**kappa = 1``.
 
-The two AR(1) recursions draw each block of innovations into the series
-itself and step it there in place, and two-point walks are drawn and
-multiplied a block of paths at a time and summarized per path, through the
-kernel of `_kernel.py`: the compiled ``_recursion.c``, or, without a
-compiler, its Python twins, with the same bytes, only slower.
+The two AR(1) recursions draw each block of innovations into one reused
+buffer and step it there in place (`series_blocks`), and two-point walks are
+drawn and multiplied a block of paths at a time and summarized per path,
+through the kernel of `_kernel.py`: the compiled ``_recursion.c``, or,
+without a compiler, its Python twins, with the same bytes, only slower.
 ``RECURSION_PATH`` (``"c"`` or ``"python"``) says which one this process
 runs. Lognormal walks map the kernel's uniforms to multipliers in numpy, and
 the SRE recursion runs in Python, on either path. Each pass over the walk
@@ -263,37 +263,58 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _check_finite(x: np.ndarray, what: str):
-    """Raise at the first non-finite value of ``x``."""
+def _check_finite(x: np.ndarray, what: str, first: int = 0):
+    """Raise at the first non-finite value of ``x``, whose values are steps
+    ``first, first + 1, ...``."""
     bad = ~np.isfinite(x)
     if bad.any():
-        raise SimulationError(f"non-finite value in {what}", step=int(np.argmax(bad)))
+        raise SimulationError(f"non-finite value in {what}", step=first + int(np.argmax(bad)))
 
 
-def simulate_series(model: SeriesModel, n: int, rng: RngState) -> np.ndarray:
-    """Simulate ``n`` observations after discarding the model's burn-in."""
+def series_blocks(model: SeriesModel, n: int, rng: RngState):
+    """The ``n`` observations of `simulate_series`, in order, as an iterator
+    of blocks.
+
+    The AR(1) models yield blocks of at most ``_DRAW_BLOCK`` values, each a
+    view of one buffer that the next block overwrites: a caller that reduces
+    each block before it asks for the next holds one block, not the series.
+    The SRE yields its whole series as one block. A non-finite value raises
+    `SimulationError` at its step, counted from the first burn-in step,
+    before its block is yielded.
+    """
     if n < 1:
         raise ConfigurationError("series length must be >= 1")
-    total = model.burnin + n
-    if model.variant in (LINEAR_AR1, NONLINEAR_AR1):
-        # Innovations are drawn a block at a time: the draws are counter-based
-        # and elementwise, so the values equal one draw of `total`, while the
-        # uniforms behind a block stay a block, not a whole long series. Each
-        # block is drawn straight into its slice of the series, and its states
-        # overwrite its innovations there.
-        linear = model.variant == LINEAR_AR1
-        x = np.empty(total)
-        state = 0.0
-        for start in range(0, total, _DRAW_BLOCK):
-            z = x[start:start + _DRAW_BLOCK]
-            dists.sample(model.innovations, rng, z.size, out=z)
-            if linear:
-                state = _kernel._KERNEL.linear_ar1(z, z.size, model.phi1, state)
-            else:
-                state = _kernel._KERNEL.nonlinear_ar1(z, z.size, model.phi1, model.delta, state)
-        _check_finite(x, "linear AR(1) recursion" if linear else "nonlinear AR(1) recursion")
-        return x[model.burnin:]
-    # SRE
+    if model.variant == SRE:
+        return iter((_sre_series(model, model.burnin + n, rng)[model.burnin:],))
+    return _ar1_blocks(model, model.burnin + n, rng)
+
+
+def _ar1_blocks(model: SeriesModel, total: int, rng: RngState):
+    """Yield the states after the burn-in of ``total`` AR(1) steps from 0.
+
+    Innovations are drawn a block at a time: the draws are counter-based and
+    elementwise, so the values equal one draw of ``total``. Each block is
+    drawn into the buffer, its states overwrite its innovations there, and
+    the last state carries into the next block.
+    """
+    linear = model.variant == LINEAR_AR1
+    what = "linear AR(1) recursion" if linear else "nonlinear AR(1) recursion"
+    buffer = np.empty(min(total, _DRAW_BLOCK))
+    state = 0.0
+    for start in range(0, total, _DRAW_BLOCK):
+        z = buffer[:min(_DRAW_BLOCK, total - start)]
+        dists.sample(model.innovations, rng, z.size, out=z)
+        if linear:
+            state = _kernel._KERNEL.linear_ar1(z, z.size, model.phi1, state)
+        else:
+            state = _kernel._KERNEL.nonlinear_ar1(z, z.size, model.phi1, model.delta, state)
+        _check_finite(z, what, start)
+        if start + z.size > model.burnin:
+            yield z[max(model.burnin - start, 0):]
+
+
+def _sre_series(model: SeriesModel, total: int, rng: RngState) -> np.ndarray:
+    """``total`` SRE steps, the first from the first additive draw."""
     a = model.driver.law.sample_from_uniforms(rng.uniforms(total)).tolist()
     b = model.driver.sample_b(rng, total + 1).tolist()
     x = np.empty(total)
@@ -302,7 +323,19 @@ def simulate_series(model: SeriesModel, n: int, rng: RngState) -> np.ndarray:
         state = a[t] * state + b[t + 1]
         x[t] = state
     _check_finite(x, "stochastic recurrence")
-    return x[model.burnin:]
+    return x
+
+
+def simulate_series(model: SeriesModel, n: int, rng: RngState) -> np.ndarray:
+    """Simulate ``n`` observations after discarding the model's burn-in: the
+    blocks of `series_blocks` in one array."""
+    blocks = series_blocks(model, n, rng)
+    x = np.empty(n)
+    filled = 0
+    for block in blocks:
+        x[filled:filled + block.size] = block
+        filled += block.size
+    return x
 
 
 @dataclass(eq=False)

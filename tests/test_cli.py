@@ -123,6 +123,14 @@ class TestEstimate:
         assert parse_and_dispatch(["estimate", "--input", series_file,
                                    "--method", "hill", "--k", "1500"]) == 3
 
+    @pytest.mark.parametrize("method", ["hill", "weissman-direct", "weissman-model"])
+    @pytest.mark.parametrize("k", ["0", "1500"])
+    def test_k_out_of_range_same_error_for_every_method(self, capsys, series_file, method, k):
+        assert parse_and_dispatch(["estimate", "--input", series_file,
+                                   "--method", method, "--k", k]) == 3
+        expected = f"error: k must satisfy 1 <= k <= n - 1 = 1499, got {k}\n"
+        assert capsys.readouterr().err == expected
+
     def test_config_merge_and_override(self, capsys, tmp_path, series_file):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"method": "hill", "k": 100, "abs": True}))

@@ -1,6 +1,8 @@
 """Monte Carlo harness: conventions, aggregation identities, determinism, KDE."""
 
 import dataclasses
+import math
+import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from multiprocessing import get_all_start_methods, get_context
@@ -14,6 +16,7 @@ from tailseries import (
     DegenerateInputError,
     ExperimentSpec,
     RngState,
+    SimulationError,
     empirical_quantile,
     fit_ar1,
     kde,
@@ -27,7 +30,7 @@ from tailseries import (
     true_quantile,
     two_sided_pareto,
 )
-from tailseries import experiments
+from tailseries import experiments, simulate
 from tailseries import test_power_experiment as power_experiment
 from tailseries.experiments import DIRECT, silverman_bandwidth
 from scipy.special import ndtri
@@ -64,12 +67,13 @@ class TestTrueQuantile:
         assert abs(value - exact) < max(half_width, 0.02 * exact)
 
     def test_truth_stage_selects_in_place(self):
-        # each truth series is partitioned in place, to the same order
-        # statistic `empirical_quantile` selects from a copy
+        # each truth series is folded block by block into its largest values,
+        # to the same order statistic `empirical_quantile` selects from a copy
         model = linear_ar1(0.8, MODEL_B, burnin=100)
         rng = RngState(12)
-        selected = experiments._map_series(partial(experiments._select_quantile, q=1.0 - 0.001),
-                                           model, 50_000, rng, 3, 1)
+        selected = experiments._map_series(
+            partial(experiments._fold_quantile, size=50_000, q=1.0 - 0.001),
+            model, 50_000, rng, 3, 1, blocks=True)
         for i in range(3):
             series = simulate_series(model, 50_000, rng.substream(i))
             assert selected[i] == empirical_quantile(series, 0.999)
@@ -78,6 +82,91 @@ class TestTrueQuantile:
         model = linear_ar1(0.0, MODEL_A, burnin=0)
         with pytest.raises(ConfigurationError):
             true_quantile(model, 0.001, 5, 50_000, RngState(1))
+
+
+BLOCK = simulate._DRAW_BLOCK
+STUDY_MODELS = {f"{variant}-{label}": (linear_ar1(0.8, law) if variant == "linear"
+                                       else nonlinear_ar1(0.8, 0.6, law))
+                for variant in ("linear", "nonlinear")
+                for label, law in experiments.INNOVATIONS.items()}
+
+
+def whole_series_truth(model, t, n_reps, n, rng):
+    """`true_quantile` from whole series: `empirical_quantile` of each
+    `simulate_series`, reduced as `true_quantile` reduces them."""
+    q = np.array([empirical_quantile(simulate_series(model, n, rng.substream(i)), 1.0 - t)
+                  for i in range(n_reps)])
+    return float(q.mean()), float(2.58 * q.std(ddof=1) / math.sqrt(n_reps))
+
+
+class TestFoldedTruth:
+    """The truth stage folds each block of a series into its largest values,
+    and gives the bytes of selecting the quantile from the whole series."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(values=st.lists(st.integers(-3, 3), min_size=1, max_size=60),
+           cuts=st.lists(st.integers(0, 60), max_size=6), q=st.floats(0.001, 0.999))
+    def test_fold_equals_partition_for_any_blocks(self, values, cuts, q):
+        # few distinct values, so most ranks fall on ties
+        x = np.array(values, dtype=np.float64)
+        blocks = np.split(x, sorted(c for c in cuts if c <= x.size))
+        m = min(max(math.ceil(q * x.size), 1), x.size) - 1
+        assert experiments._fold_quantile(iter(blocks), x.size, q) == np.partition(x, m)[m]
+
+    @pytest.mark.parametrize("model", STUDY_MODELS.values(), ids=STUDY_MODELS)
+    @pytest.mark.parametrize("burnin, n, t", [
+        (100, 5_000, 0.02),                 # the series is less than one block
+        (2 * BLOCK - 50, BLOCK, 0.002),     # the burn-in ends 50 steps before a block does
+        (1_000, 3 * BLOCK - 1_000, 0.001),  # burnin + n is a whole number of blocks
+        (100, BLOCK + 500, 1 - 1e-7),       # the whole series is kept: size - m = n
+    ], ids=["below-one-block", "burnin-inside-block", "whole-blocks", "keep-all"])
+    def test_truth_equals_whole_series_quantiles(self, model, burnin, n, t):
+        model = dataclasses.replace(model, burnin=burnin)
+        rng = RngState(17)
+        assert true_quantile(model, t, 2, n, rng) == whole_series_truth(model, t, 2, n, rng)
+
+    def test_tied_values(self, monkeypatch):
+        # phi = 0 passes the innovations through: a few values repeated, in
+        # every block
+        def tied_sample(spec, rng, n, out):
+            out[...] = np.resize([3.0, 1.0, 2.0, 3.0, 2.0, 1.0, 3.0, 2.5], n)
+            return out
+
+        monkeypatch.setattr(simulate.dists, "sample", tied_sample)
+        model = linear_ar1(0.0, MODEL_A, burnin=10)
+        for t in (0.001, 0.3, 0.5, 0.9):
+            truth = true_quantile(model, t, 2, 2 * BLOCK + 7, RngState(2))
+            assert truth == whole_series_truth(model, t, 2, 2 * BLOCK + 7, RngState(2))
+
+    def test_nonfinite_series_raises_at_its_step(self, monkeypatch):
+        at = BLOCK + 10  # a draw in the second block, past the burn-in
+        real_sample = simulate.dists.sample
+
+        def sample_with_nan(spec, rng, n, out):
+            start = rng.state[1]
+            real_sample(spec, rng, n, out=out)
+            if start <= at < start + n:
+                out[at - start] = np.nan
+            return out
+
+        monkeypatch.setattr(simulate.dists, "sample", sample_with_nan)
+        model = nonlinear_ar1(0.8, 0.6, MODEL_A, burnin=100)
+        with pytest.raises(SimulationError) as folded:
+            true_quantile(model, 0.001, 2, 3 * BLOCK, RngState(4))
+        with pytest.raises(SimulationError) as whole:
+            simulate_series(model, 3 * BLOCK, RngState(4).substream(0))
+        assert folded.value.step == whole.value.step == at
+
+    def test_holds_less_than_one_series(self):
+        n = 2_000_000
+        model = linear_ar1(0.8, MODEL_A)
+        tracemalloc.start()
+        try:
+            true_quantile(model, 0.001, 2, n, RngState(3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n
 
 
 class TestSummaries:
