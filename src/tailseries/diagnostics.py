@@ -25,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DegenerateInputError, DomainError
+from .errors import ConfigurationError, DomainError
+from .estimators import _lag_ratios
 
 ALPHA = 0.05
 
@@ -92,14 +93,7 @@ def sample_acf(series, hmax: int) -> np.ndarray:
     n = x.size
     if not (1 <= hmax < n):
         raise ConfigurationError("need 1 <= hmax < n")
-    # autocorrelations are scale-invariant; scaling by a power of two so that
-    # max|x| lies in [1/2, 1) is exact and keeps the lag products from overflowing
-    x = np.ldexp(x, -np.frexp(np.max(np.abs(x)))[1])
-    d = x - x.mean()
-    denom = float(np.dot(d, d))
-    if denom == 0.0:
-        raise DegenerateInputError("series is constant")
-    return np.array([np.dot(d[:-j], d[j:]) / denom for j in range(1, hmax + 1)])
+    return np.array(_lag_ratios(x, range(1, hmax + 1)))
 
 
 def ljung_box_curve(series, hmax: int) -> tuple[np.ndarray, np.ndarray]:

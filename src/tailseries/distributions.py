@@ -53,9 +53,6 @@ class InnovationSpec:
         if not (0 < self.p <= 1):
             raise ConfigurationError("p must lie in (0, 1]")
 
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "gamma": self.gamma, "p": self.p}
-
     @classmethod
     def from_json(cls, obj: dict) -> "InnovationSpec":
         json_fields(obj, "innovation", ("kind", "gamma", "p"))

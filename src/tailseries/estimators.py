@@ -43,13 +43,13 @@ class QuantileTarget:
 
 @dataclass(frozen=True)
 class ModelBasedFit:
-    """Everything the model-based quantile estimator computed on the way."""
+    """The model-based quantile estimate with the AR(1) coefficient and
+    residual tail index it rests on, and whether the tail-ratio factor was
+    clamped."""
 
     estimate: float
     phi_hat: float
     gamma_hat: float
-    anchor: float
-    u: float
     clamped: bool
 
 
@@ -102,14 +102,23 @@ def fit_ar1(series, center: bool = True) -> float:
         raise DomainError("need at least 3 observations")
     if not np.isfinite(x).all():
         raise DomainError("series contains a non-finite value")
-    # the ratio is scale-invariant; scaling by a power of two so that max|x|
-    # lies in [1/2, 1) is exact and keeps the sums of squares from overflowing
+    return float(_lag_ratios(x, (1,), center)[0])
+
+
+def _lag_ratios(x: np.ndarray, lags, center: bool = True) -> list:
+    """``sum_t d_t d_{t+j} / sum_t d_t**2`` at each lag ``j`` of ``lags``, with
+    ``d`` the series less its mean (the series itself without ``center``):
+    the sample autocorrelations, or the through-origin slope at lag 1.
+
+    The ratios are scale-invariant; scaling by a power of two so that max|x|
+    lies in [1/2, 1) is exact and keeps the lag products from overflowing.
+    """
     x = np.ldexp(x, -np.frexp(np.max(np.abs(x)))[1])
     d = x - x.mean() if center else x
     denom = float(np.dot(d, d))
     if denom == 0.0:
         raise DegenerateInputError("series is constant")
-    return float(np.dot(d[:-1], d[1:]) / denom)
+    return [np.dot(d[:-j], d[j:]) / denom for j in lags]
 
 
 def residuals_ar1(series, phi_hat: float) -> np.ndarray:
@@ -168,7 +177,7 @@ def _tail_ratio_factor(phi_hat: float, gamma_hat) -> tuple[np.ndarray, np.ndarra
 
 def _model_ar1(series, ks, t: float, use_abs: bool, center: bool):
     """The model-based estimator over a k grid, with its intermediate values:
-    (estimates, phi_hat, gamma_hats, anchors, u, clamped mask)."""
+    (estimates, phi_hat, gamma_hats, clamped mask)."""
     x = np.asarray(series, dtype=np.float64)
     ks = np.asarray(ks, dtype=np.int64)
     phi_hat = fit_ar1(x, center=center)
@@ -182,7 +191,7 @@ def _model_ar1(series, ks, t: float, use_abs: bool, center: bool):
         u = factor * t
         est = weissman_extrapolate(anchors, gammas, x.size, ks, u)
         est = np.where(anchors > 0, est, np.nan)
-    return est, phi_hat, gammas, anchors, u, clamped
+    return est, phi_hat, gammas, clamped
 
 
 def weissman_model_ar1_fit(series, target: QuantileTarget, use_abs: bool = False,
@@ -200,13 +209,11 @@ def weissman_model_ar1_fit(series, target: QuantileTarget, use_abs: bool = False
     x = np.asarray(series, dtype=np.float64)
     if x.size != target.n:
         raise ConfigurationError(f"series length {x.size} != target n {target.n}")
-    est, phi_hat, gammas, anchors, u, clamped = _model_ar1(
-        x, [target.k], target.t, use_abs, center)
+    est, phi_hat, gammas, clamped = _model_ar1(x, [target.k], target.t, use_abs, center)
     if np.isnan(est[0]):
         raise DomainError("residual Hill threshold or anchor order statistic is not > 0")
     return ModelBasedFit(estimate=float(est[0]), phi_hat=phi_hat,
-                         gamma_hat=float(gammas[0]), anchor=float(anchors[0]),
-                         u=float(u[0]), clamped=bool(clamped[0]))
+                         gamma_hat=float(gammas[0]), clamped=bool(clamped[0]))
 
 
 def weissman_model_ar1_curve(series, ks, t: float) -> tuple[np.ndarray, float, np.ndarray]:
@@ -216,5 +223,5 @@ def weissman_model_ar1_curve(series, ks, t: float) -> tuple[np.ndarray, float, n
     Returns (estimates, phi_hat, clamped mask); NaN where the residual Hill
     threshold or the anchor order statistic is not positive.
     """
-    est, phi_hat, _, _, _, clamped = _model_ar1(series, ks, t, False, True)
+    est, phi_hat, _, clamped = _model_ar1(series, ks, t, False, True)
     return est, phi_hat, clamped

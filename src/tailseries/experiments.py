@@ -28,7 +28,7 @@ import numpy as np
 from . import serialize
 from .diagnostics import difference_sign_test, ljung_box_curve, turning_point_test
 from .distributions import shifted_two_sided_pareto, two_sided_pareto
-from .errors import ConfigurationError, DegenerateInputError, TailSeriesError
+from .errors import ConfigurationError, DegenerateInputError, DomainError, TailSeriesError
 from .estimators import fit_ar1, residuals_ar1, weissman_direct_curve, weissman_model_ar1_curve
 from .rng import RngState
 from .simulate import (LINEAR_AR1, NONLINEAR_AR1, SeriesModel, _usable_cpus, linear_ar1,
@@ -55,7 +55,8 @@ INNOVATIONS = {
 @dataclass(frozen=True)
 class ExperimentSpec:
     """A replicated quantile-estimation experiment over a grid of k; every
-    replicate is estimated by the direct, then the model-based estimator."""
+    replicate is estimated by the direct, then the model-based estimator.
+    Its standard errors need at least 2 replicates."""
 
     model: SeriesModel
     n: int
@@ -65,8 +66,9 @@ class ExperimentSpec:
     master_seed: int = DEFAULT_SEED
 
     def __post_init__(self):
-        if self.replicates < 1:
-            raise ConfigurationError("replicates must be >= 1")
+        if self.replicates < 2:
+            raise ConfigurationError(
+                f"a standard error needs at least 2 replicates, got {self.replicates}")
         if not self.k_grid:
             raise ConfigurationError("k_grid must be nonempty")
         if any(not (1 <= k < self.n) for k in self.k_grid):
@@ -187,6 +189,8 @@ def _fold_quantile(blocks, size: int, q: float) -> float:
 def empirical_quantile(series, q: float) -> float:
     """The ceil(q*n)-th smallest value (always an element of the series)."""
     x = np.asarray(series, dtype=np.float64)
+    if x.size == 0:
+        raise DomainError("empirical quantile of an empty series")
     return _fold_quantile((x,), x.size, q)
 
 
@@ -378,6 +382,9 @@ def test_power_experiment(model: SeriesModel, n: int, replicates: int,
     if model.innovations.gamma >= 0.5:
         warnings.warn("portmanteau test is unreliable: innovation variance is "
                       "infinite for extreme value index >= 1/2", UserWarning)
+    # the p-values' scipy.special, imported once here rather than by each
+    # forked pool worker on its first p-value
+    import scipy.special  # noqa: F401
     rows = _map_series(_power_rejections, model, n, rng, replicates, workers)
     rates = np.sum(rows, axis=0) / replicates
     lb_rates = rates[2:]
@@ -414,11 +421,12 @@ def _study_summary(model: SeriesModel, replicates: int, seed: int, scale: str, w
     of ``replicates`` study replicates on component ``component`` against it."""
     truth_reps, truth_len = TRUTH_PROTOCOL[scale]
     root = RngState(seed)
+    # the spec first, so that a bad replicate count fails before the truth is drawn
+    spec = ExperimentSpec(model=model, n=STUDY_N, replicates=replicates, k_grid=DEFAULT_K_GRID,
+                          t=STUDY_T, master_seed=root.derive_seed(component))
     truth, half_width = true_quantile(model, STUDY_T, truth_reps, truth_len,
                                       root.substream(_TRUTH_STREAM + truth_stream),
                                       workers=workers)
-    spec = ExperimentSpec(model=model, n=STUDY_N, replicates=replicates, k_grid=DEFAULT_K_GRID,
-                          t=STUDY_T, master_seed=root.derive_seed(component))
     return run_quantile_experiment(spec, truth, half_width, workers=workers,
                                    keep_estimates=keep_estimates)
 

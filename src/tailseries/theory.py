@@ -57,8 +57,9 @@ class CoefficientSequence:
             raise ConfigurationError("duplicate coefficient indices")
 
     @classmethod
-    def from_values(cls, values, start: int = 0):
-        return cls(tuple((start + i, float(v)) for i, v in enumerate(values)))
+    def from_values(cls, values):
+        """``psi_j = values[j]`` for ``j = 0, 1, ...``."""
+        return cls(tuple((j, float(v)) for j, v in enumerate(values)))
 
     @classmethod
     def ar1(cls, phi: float, gamma: float):
@@ -85,9 +86,6 @@ class CoefficientSequence:
         horizon = min(horizon, _MAX_AR1_HORIZON)
         values = np.power(phi, np.arange(horizon + 1, dtype=np.float64))
         return cls.from_values(values)
-
-    def min_index(self) -> int:
-        return min(j for j, _ in self.pairs)
 
 
 def _split_weights(seq: CoefficientSequence, gamma: float):
@@ -129,7 +127,7 @@ def hill_avar_linear(seq: CoefficientSequence, gamma: float) -> float:
     ``D = sum_{i>=0} |psi_i|**(1/g)``, over the truncated one-sided sequence.
     """
     _check_gamma(gamma)
-    if seq.min_index() < 0:
+    if min(j for j, _ in seq.pairs) < 0:
         raise DomainError("one-sided sequence required (indices >= 0)")
     jmax = max(j for j, _ in seq.pairs)
     w = np.zeros(jmax + 1)

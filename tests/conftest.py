@@ -72,9 +72,13 @@ def same_on_every_kernel(run):
 
 def walk_matrix(ensemble, n=None):
     """The ``n_paths x n`` matrix of ``W_1..W_n`` (default: the whole horizon)
-    of ``ensemble``, assembled from its blocks: row p is path p."""
+    of ``ensemble``, assembled from the blocks of one `_map_blocks` pass: row
+    p is path p."""
     n = ensemble.horizon if n is None else n
     out = np.empty((ensemble.n_paths, n))
-    for start, rows in ensemble.blocks(n):
+
+    def copy(start, rows):
         out[start:start + rows.shape[0]] = rows
+
+    ensemble._map_blocks(n, copy)
     return out

@@ -343,6 +343,16 @@ class TestExperimentPreset:
     def test_unknown_preset(self, tmp_path):
         assert parse_and_dispatch(["experiment", "table9", "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("preset", ["table1", "figure4"])
+    def test_quantile_preset_needs_two_replicates(self, tmp_path, preset):
+        # a standard error needs two replicates; the error comes before any
+        # truth series is drawn
+        out = tmp_path / preset
+        proc = run_cli(["experiment", preset, "--out", str(out), "--replicates", "1"], text=True)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+        assert "Traceback" not in proc.stderr and not out.exists()
+
 
 def scipy_after(argv=None):
     """Exit code and the scipy modules loaded after a fresh process imports

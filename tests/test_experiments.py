@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from tailseries import (
     ConfigurationError,
     DegenerateInputError,
+    DomainError,
     ExperimentSpec,
     RngState,
     SimulationError,
@@ -24,6 +25,7 @@ from tailseries import (
     nonlinear_ar1,
     quantile_fn,
     run_quantile_experiment,
+    sample_acf,
     shifted_two_sided_pareto,
     simulate_series,
     summarize_estimates,
@@ -34,6 +36,7 @@ from tailseries import experiments, simulate
 from tailseries import test_power_experiment as power_experiment
 from tailseries.experiments import DIRECT, silverman_bandwidth
 from scipy.special import ndtri
+from conftest import run_python
 
 MODEL_A = two_sided_pareto(0.5, 0.5)
 MODEL_B = shifted_two_sided_pareto(0.3, 0.5)
@@ -55,6 +58,10 @@ class TestEmpiricalQuantile:
     def test_domain(self):
         with pytest.raises(ConfigurationError):
             empirical_quantile([1.0, 2.0], 0.0)
+
+    def test_empty_series(self):
+        with pytest.raises(DomainError, match="empty"):
+            empirical_quantile([], 0.5)
 
 
 class TestTrueQuantile:
@@ -224,7 +231,7 @@ def _truth_stage(replicates, workers):
 
 
 def _replicate_stage(replicates, workers):
-    spec = dataclasses.replace(SMALL_SPEC, replicates=replicates)
+    spec = dataclasses.replace(SMALL_SPEC, replicates=max(replicates, 2))
     summary = run_quantile_experiment(spec, 20.0, workers=workers, keep_estimates=True)
     return summary.estimates, summary.rmse, summary.clamp_count
 
@@ -247,6 +254,10 @@ START_METHODS = [method for method in ("fork", "spawn") if method in get_all_sta
 
 
 class TestRunExperiment:
+    def test_spec_needs_two_replicates(self):
+        with pytest.raises(ConfigurationError, match="2 replicates"):
+            dataclasses.replace(SMALL_SPEC, replicates=1)
+
     def test_deterministic_rerun(self):
         a = run_quantile_experiment(SMALL_SPEC, 20.0, keep_estimates=True)
         b = run_quantile_experiment(SMALL_SPEC, 20.0, keep_estimates=True)
@@ -356,8 +367,40 @@ class TestPowerExperiment:
         with pytest.raises(ConfigurationError):
             power_experiment(model, 100, 2, RngState(83))
 
+    def test_pool_starts_after_scipy_special_is_imported(self):
+        # in a fresh process, where nothing has imported scipy.special yet:
+        # the pool's forked workers inherit it instead of each importing it
+        proc = run_python(["-c", (
+            "import sys\n"
+            "from tailseries import RngState, _kernel, experiments, nonlinear_ar1\n"
+            "print(_kernel.RECURSION_PATH, 'scipy.special' in sys.modules)\n"
+            "class Pool:\n"
+            "    def __init__(self, max_workers):\n"
+            "        print('pool', 'scipy.special' in sys.modules)\n"
+            "    def __enter__(self):\n"
+            "        return self\n"
+            "    def __exit__(self, *exc):\n"
+            "        return False\n"
+            "    def map(self, fn, iterable, chunksize=1):\n"
+            "        return map(fn, iterable)\n"
+            "experiments.ProcessPoolExecutor = Pool\n"
+            "experiments._usable_cpus = lambda: 2\n"
+            "model = nonlinear_ar1(0.8, 0.6, experiments.INNOVATIONS['shifted'], burnin=100)\n"
+            "experiments.test_power_experiment(model, 400, 4, RngState(84), workers=2)\n")],
+            text=True)
+        assert proc.returncode == 0, proc.stderr
+        start, pool = proc.stdout.splitlines()
+        # the no-compiler kernel imports scipy.signal, and with it scipy.special
+        assert start in ("c False", "python True")
+        assert pool == "pool True"
+
 
 class TestFittedCoefficientOnNonlinearModel:
+    def test_fit_is_the_lag_one_autocorrelation(self):
+        # one arithmetic path: the same bits as the diagnostics' acf
+        series = simulate_series(nonlinear_ar1(0.8, 0.6, MODEL_B), 2000, RngState(778))
+        assert fit_ar1(series).hex() == float(sample_acf(series, 1)[0]).hex()
+
     def test_mean_fit_in_reported_band(self):
         model = nonlinear_ar1(0.8, 0.6, MODEL_B)
         root = RngState(777)

@@ -3,6 +3,7 @@
 import math
 import shutil
 import sys
+import threading
 import time
 import warnings
 from pathlib import Path
@@ -170,20 +171,29 @@ class TestSeriesModels:
             simulate_series(linear_ar1(0.5, MODEL_A), 0, RngState(1))
 
     def test_json_round_trip(self):
-        for model in (linear_ar1(0.8, MODEL_A, burnin=55),
-                      nonlinear_ar1(0.8, 0.6, MODEL_A),
-                      sre_model(TWO_POINT, burnin=7)):
-            assert SeriesModel.from_json(model.to_json()) == model
+        # model files in the README's schema
+        innovations = {"kind": "two-sided-pareto", "gamma": 0.5, "p": 0.5}
+        driver = {"law": {"kind": "two-point", "a_up": 2.0, "a_down": 0.5,
+                          "p_up": 1.0 / 3.0},
+                  "b": {"kind": "constant", "value": 1.0}}
+        for obj, model in (
+                ({"variant": "linear-ar1", "phi1": 0.8, "burnin": 55,
+                  "innovations": innovations}, linear_ar1(0.8, MODEL_A, burnin=55)),
+                ({"variant": "nonlinear-ar1", "phi1": 0.8, "delta": 0.6, "burnin": 10000,
+                  "innovations": innovations}, nonlinear_ar1(0.8, 0.6, MODEL_A)),
+                ({"variant": "sre", "driver": driver, "burnin": 7},
+                 sre_model(TWO_POINT, burnin=7))):
+            assert SeriesModel.from_json(obj) == model
 
     def test_json_integral_float_burnin_accepted(self):
-        obj = linear_ar1(0.8, MODEL_A, burnin=55).to_json()
-        obj["burnin"] = 55.0
+        obj = {"variant": "linear-ar1", "phi1": 0.8, "burnin": 55.0,
+               "innovations": {"kind": "two-sided-pareto", "gamma": 0.5, "p": 0.5}}
         model = SeriesModel.from_json(obj)
         assert model.burnin == 55 and isinstance(model.burnin, int)
 
     def test_json_unknown_key_rejected(self):
-        obj = linear_ar1(0.8, MODEL_A).to_json()
-        obj["phi2"] = 0.1
+        obj = {"variant": "linear-ar1", "phi1": 0.8, "phi2": 0.1, "burnin": 10000,
+               "innovations": {"kind": "two-sided-pareto", "gamma": 0.5, "p": 0.5}}
         with pytest.raises(ConfigurationError):
             SeriesModel.from_json(obj)
 
@@ -423,7 +433,7 @@ class TestWalks:
         ens = simulate_walks(TWO_POINT, 1.0, 30, 50, RngState(19))
         for n in (0, 31):
             with pytest.raises(ConfigurationError):
-                next(ens.blocks(n))
+                ens._map_blocks(n, lambda first, rows: None)
         for p in (50, -51):
             with pytest.raises(IndexError):
                 ens.paths[p]
@@ -504,10 +514,24 @@ class TestWalkThreads:
         monkeypatch.setattr(simulate.os, "cpu_count", lambda: None)
         assert simulate._usable_cpus() == 1
 
-    def test_blocks_hold_a_horizon_of_values(self):
+    def test_blocks_hold_a_horizon_of_values(self, monkeypatch):
         ens = simulate_walks(TWO_POINT, 1.0, 40, 2 * simulate._PATH_BLOCK + 5, RngState(21))
-        sizes = {n: [rows.shape[0] for _, rows in ens.blocks(n)] for n in (40, 20, 13, 1)}
+        monkeypatch.setattr(simulate, "_usable_cpus", lambda: 1)
+        sizes = {}
+        for n in (40, 20, 13, 1):
+            sizes[n] = []
+            ens._map_blocks(n, lambda first, rows: sizes[n].append(rows.shape[0]))
         assert sizes == {40: [1024, 1024, 5], 20: [2048, 5], 13: [2053], 1: [2053]}
+
+    def test_one_block_runs_on_the_calling_thread(self, monkeypatch):
+        # a pass with one range skips the pool, whose threads' malloc arenas
+        # would keep the freed block buffers resident
+        ens = simulate_walks(TWO_POINT, 1.0, 40, 2 * simulate._PATH_BLOCK + 5, RngState(23))
+        monkeypatch.setattr(simulate, "_usable_cpus", lambda: 2)
+        for n, on_caller in ((1, True), (40, False)):  # one block; three blocks
+            threads = set()
+            ens._map_blocks(n, lambda first, rows: threads.add(threading.get_ident()))
+            assert (threads == {threading.get_ident()}) is on_caller
 
     def test_more_threads_than_cores_with_a_short_switch_interval(self, monkeypatch):
         # eight ranges write their own rows of the shared per-path arrays while
