@@ -91,6 +91,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
+    if args.no_center and args.method != "weissman-model":
+        raise ConfigurationError("--no-center applies to --method weissman-model only")
     series = _read_series(args.input)
     n = series.size
     # one check for every method, with the exit code of hill's own
@@ -280,7 +282,7 @@ _COMMANDS = {
         ("k", int, REQUIRED, "number of upper order statistics"),
         ("t", float, 0.001, "exceedance probability"),
         ("abs", bool, False, "Hill step on absolute values"),
-        ("no-center", bool, False, "uncentered AR(1) fit"),
+        ("no-center", bool, False, "uncentered AR(1) fit (weissman-model only)"),
         _OUT]),
     "theory": (_cmd_theory, "closed-form tail quantities for AR(1)",
                ("quantity", ["tail-ratio", "hill-avar", "rmse-ratio", "second-order"]), [

@@ -40,7 +40,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import _kernel
-from ._kernel import _U, _WEYL, _mix64_array
+from ._kernel import _U, _mix64_array
 
 _MASK64 = (1 << 64) - 1
 _STREAM_SALT = 0xD2B74407B1CE6E93
@@ -87,13 +87,6 @@ class RngState:
         """
         idx = np.arange(start + 1, start + n + 1, dtype=np.uint64)
         states = _U(self._base) + idx * _U(_STREAM_SALT)
-        return _mix64_array(states)
-
-    def raw_u64(self, n: int) -> np.ndarray:
-        """Next ``n`` raw 64-bit outputs; advances the stream."""
-        counters = np.arange(self._count + 1, self._count + n + 1, dtype=np.uint64)
-        self._count += n
-        states = _U(self._base) + counters * _U(_WEYL)
         return _mix64_array(states)
 
     def uniforms(self, n: int) -> np.ndarray:

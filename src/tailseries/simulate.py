@@ -516,11 +516,12 @@ def solve_kappa(driver: SREDriver) -> float:
     The map ``kappa -> E A**kappa`` is strictly convex with value 1 and
     negative slope at 0, so under ``E log A < 0`` and ``P(A > 1) > 0`` there
     is exactly one positive root. Lognormal multipliers use the closed form
-    ``-2*mu/sigma**2``.
+    ``-2*mu/sigma**2``. A driver with ``E log A >= 0`` fails
+    `SREDriver.check_drift` (`ConfigurationError`); a moment function with no
+    root raises `NoRootError`.
     """
+    driver.check_drift()
     law = driver.law
-    if not (law.mean_log() < 0):
-        raise NoRootError(f"no positive root: E[log A] = {law.mean_log():.6g} is not < 0")
     if law.prob_above_one() == 0.0:
         raise NoRootError("P(A > 1) = 0: moment function never returns to 1")
     if isinstance(law, LognormalLaw):

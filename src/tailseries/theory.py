@@ -7,19 +7,20 @@ asymptotic RMSEs between the residual-based and the direct Hill estimator
 for an AR(1), and the second-order tail constants of a linear filter driven
 by shifted-Pareto-type innovations.
 
-Infinite coefficient sequences enter through finite truncations; for
-AR(1)-type geometric sequences the truncation horizon is chosen from the
-tolerance ``TRUNCATION_TOL``.
+A linear filter ``X_t = sum_j psi_j Z_{t-j}`` is one-sided: it is given by
+its coefficients ``psi_0, ..., psi_J``. Infinite sequences enter through
+finite truncations; for AR(1)-type geometric sequences the truncation horizon
+is chosen from the tolerance ``TRUNCATION_TOL``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError
+from .errors import DomainError
 
 _MAX_AR1_HORIZON = 200_000
 TRUNCATION_TOL = 1e-12
@@ -28,6 +29,11 @@ TRUNCATION_TOL = 1e-12
 def _check_gamma(gamma: float):
     if not (0 < gamma < math.inf and 1.0 / gamma < math.inf):
         raise DomainError("gamma must be finite and > 0, with 1/gamma finite")
+
+
+def _check_p(p: float):
+    if not (0 < p <= 1):
+        raise DomainError("p must lie in (0, 1]")
 
 
 def _ar1_ratio(phi: float, gamma: float) -> float:
@@ -43,23 +49,20 @@ def _ar1_ratio(phi: float, gamma: float) -> float:
 
 @dataclass(frozen=True)
 class CoefficientSequence:
-    """Finite list of moving-average coefficients ``(index j, psi_j)``."""
+    """Moving-average coefficients ``values[j] = psi_j`` for ``j = 0, ..., J``.
 
-    pairs: tuple[tuple[int, float], ...]
+    Any sequence of numbers is accepted, a numpy array included, and stored
+    as a tuple of floats; a sequence of ``(j, psi_j)`` pairs is rejected.
+    """
+
+    values: tuple[float, ...]
 
     def __post_init__(self):
-        if not self.pairs:
+        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        if not self.values:
             raise DomainError("coefficient sequence must be nonempty")
-        if all(v == 0.0 for _, v in self.pairs):
+        if all(v == 0.0 for v in self.values):
             raise DomainError("at least one coefficient must be nonzero")
-        idx = [j for j, _ in self.pairs]
-        if len(set(idx)) != len(idx):
-            raise ConfigurationError("duplicate coefficient indices")
-
-    @classmethod
-    def from_values(cls, values):
-        """``psi_j = values[j]`` for ``j = 0, 1, ...``."""
-        return cls(tuple((j, float(v)) for j, v in enumerate(values)))
 
     @classmethod
     def ar1(cls, phi: float, gamma: float):
@@ -75,7 +78,7 @@ class CoefficientSequence:
         """
         q = _ar1_ratio(phi, gamma)
         if q == 0.0:
-            return cls(((0, 1.0),))
+            return cls((1.0,))
         horizon = max(1, int(np.ceil(np.log(TRUNCATION_TOL) / np.log(q))))
         # extend until sum_{m>J} (m+2)*q**m  <=  (J+3)*q**(J+1)/(1-q)**2 < tol/8
         while horizon < _MAX_AR1_HORIZON:
@@ -84,15 +87,14 @@ class CoefficientSequence:
                 break
             horizon = int(horizon * 1.3) + 1
         horizon = min(horizon, _MAX_AR1_HORIZON)
-        values = np.power(phi, np.arange(horizon + 1, dtype=np.float64))
-        return cls.from_values(values)
+        return cls(np.power(phi, np.arange(horizon + 1, dtype=np.float64)))
 
 
 def _split_weights(seq: CoefficientSequence, gamma: float):
-    """``(psi_j, |psi_j|**(1/gamma))`` as arrays aligned with ``seq.pairs``."""
-    vals = np.array([v for _, v in seq.pairs])
-    w = np.abs(vals) ** (1.0 / gamma)
-    return vals, w
+    """``(psi_j, |psi_j|**(1/gamma))`` as arrays indexed by j, after checking gamma."""
+    _check_gamma(gamma)
+    vals = np.array(seq.values)
+    return vals, np.abs(vals) ** (1.0 / gamma)
 
 
 def tail_ratio_linear(seq: CoefficientSequence, gamma: float, p: float) -> float:
@@ -101,10 +103,8 @@ def tail_ratio_linear(seq: CoefficientSequence, gamma: float, p: float) -> float
     Equals ``(1/p) * sum_j [ p*psi_j**(1/gamma)*1{psi_j>0}
     + (1-p)*|psi_j|**(1/gamma)*1{psi_j<0} ]`` over the truncated sequence.
     """
-    _check_gamma(gamma)
-    if not (0 < p <= 1):
-        raise DomainError("p must lie in (0, 1]")
     vals, w = _split_weights(seq, gamma)
+    _check_p(p)
     total = p * w[vals > 0].sum() + (1.0 - p) * w[vals < 0].sum()
     return float(total / p)
 
@@ -112,8 +112,7 @@ def tail_ratio_linear(seq: CoefficientSequence, gamma: float, p: float) -> float
 def tail_ratio_ar1(phi: float, gamma: float, p: float = 0.5) -> float:
     """Closed form of `tail_ratio_linear` for ``psi_j = phi**j``."""
     q = _ar1_ratio(phi, gamma)
-    if not (0 < p <= 1):
-        raise DomainError("p must lie in (0, 1]")
+    _check_p(p)
     if phi >= 0:
         return float(1.0 / (1.0 - q))
     return float((1.0 + q * (1.0 - p) / p) / (1.0 - q * q))
@@ -124,20 +123,14 @@ def hill_avar_linear(seq: CoefficientSequence, gamma: float) -> float:
 
     ``gamma**2 * (1 + 2 * S / D)`` with
     ``S = sum_{j>=1} sum_{i>=0} min(|psi_j|**(1/g), |psi_{i+j}|**(1/g))`` and
-    ``D = sum_{i>=0} |psi_i|**(1/g)``, over the truncated one-sided sequence.
+    ``D = sum_{i>=0} |psi_i|**(1/g)``, over the truncated sequence.
     """
-    _check_gamma(gamma)
-    if min(j for j, _ in seq.pairs) < 0:
-        raise DomainError("one-sided sequence required (indices >= 0)")
-    jmax = max(j for j, _ in seq.pairs)
-    w = np.zeros(jmax + 1)
-    for j, v in seq.pairs:
-        w[j] = abs(v) ** (1.0 / gamma)
+    _, w = _split_weights(seq, gamma)
     denom = w.sum()
     if not np.isfinite(denom) or denom <= 0:
         raise DomainError("normalizing coefficient sum is degenerate")
     num = 0.0
-    for j in range(1, jmax + 1):
+    for j in range(1, w.size):
         num += np.minimum(w[j], w[j:]).sum()
     value = gamma * gamma * (1.0 + 2.0 * num / denom)
     if not math.isfinite(value):
@@ -203,6 +196,7 @@ def shifted_pareto_tail(gamma: float, p: float = 0.5) -> SecondOrderTail:
     """Second-order constants of the shifted two-sided Pareto law:
     ``p*(x+1)**(-1/g) = x**(-1/g) * (p - (p/g)/x + o(1/x))``."""
     _check_gamma(gamma)
+    _check_p(p)
     return SecondOrderTail(c=p, d=-p / gamma, c_tilde=1.0 - p, d_tilde=-(1.0 - p) / gamma)
 
 
@@ -214,7 +208,6 @@ def second_order_constants(seq: CoefficientSequence, gamma: float,
     (negative ones); D_psi weights ``|psi_j|**(1/g+1)`` by c*d or
     c_tilde*d_tilde.
     """
-    _check_gamma(gamma)
     vals, w1 = _split_weights(seq, gamma)
     w2 = np.abs(vals) ** (1.0 / gamma + 1.0)
     pos, neg = vals > 0, vals < 0

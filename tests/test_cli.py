@@ -152,6 +152,21 @@ class TestEstimate:
             cfg.write_text(json.dumps({key: True}))
             assert run_json(capsys, argv + ["--config", str(cfg)]) == via_flag
 
+    @pytest.mark.parametrize("method", ["hill", "weissman-direct"])
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_no_center_only_with_model_method(self, capsys, tmp_path, series_file, method, via):
+        argv = ["estimate", "--input", series_file, "--method", method, "--k", "100"]
+        if via == "flag":
+            argv.append("--no-center")
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"no_center": True}))
+            argv += ["--config", str(cfg)]
+        assert parse_and_dispatch(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: --no-center applies to --method weissman-model only\n"
+
     def test_unknown_config_key_rejected(self, tmp_path, series_file):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"method": "hill", "k": 10, "bandwidth": 3}))
@@ -188,6 +203,14 @@ class TestTheory:
     def test_missing_flags_usage_error(self):
         assert parse_and_dispatch(["theory", "hill-avar", "--phi", "0.5"]) == 2
 
+    @pytest.mark.parametrize("quantity", ["tail-ratio", "second-order"])
+    @pytest.mark.parametrize("p", ["0", "1.5"])
+    def test_p_out_of_range_same_error(self, capsys, quantity, p):
+        assert parse_and_dispatch(["theory", quantity, "--phi", "0.5", "--gamma", "0.5",
+                                   "--p", p]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: p must lie in (0, 1]\n"
+
     @pytest.mark.parametrize("argv", [
         *([quantity, "--gamma", gamma]
           for quantity in ("tail-ratio", "hill-avar", "rmse-ratio", "second-order")
@@ -222,6 +245,20 @@ class TestExtremal:
                                        "--out", str(out)]) == 0
             blobs.append(out.read_bytes())
         assert blobs[0] == blobs[1]
+
+    def test_zero_drift_same_error_for_solved_and_given_kappa(self, capsys, tmp_path):
+        # E log A = 0: no stationary solution, whether kappa is solved for or given
+        driver = tmp_path / "driver.json"
+        driver.write_text(json.dumps({"law": {"kind": "two-point", "a_up": 2.0,
+                                              "a_down": 0.5, "p_up": 0.5}}))
+        errors = []
+        for kappa in ("auto", "0.5"):
+            assert parse_and_dispatch(["extremal", "theta", "--driver", str(driver),
+                                       "--kappa", kappa]) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            errors.append(err)
+        assert errors == ["error: multiplier law must have E[log A] < 0, got 0\n"] * 2
 
     def test_joint_requires_thresholds(self, driver_file):
         assert parse_and_dispatch(["extremal", "joint", "--driver", driver_file]) == 2

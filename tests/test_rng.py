@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from tailseries._kernel import _mix64_array
 from tailseries.rng import RngState, mix64, uniforms_for_bases
 from tailseries.simulate import _DRAW_BLOCK
 from conftest import assert_same_bits, same_on_every_kernel
@@ -21,22 +22,28 @@ STREAM_SEQ_1234567 = [10085929780576961382, 5713238502719547730, 161484396558191
 STREAM_SEQ_0 = [16294208416658607535, 7960286522194355700, 487617019471545679]
 
 
+def stream_outputs(seed, n):
+    """Outputs 1..n of the stream of ``seed``: mix64 of its counter states."""
+    base = RngState(seed).state[0]
+    return [mix64((base + c * _GOLD) & _MASK) for c in range(1, n + 1)]
+
+
 def test_mix64_kernel_published_vector():
     got = [mix64((1234567 + n * _GOLD) & _MASK) for n in (1, 2, 3)]
     assert got == KERNEL_SEQ_1234567
 
 
 def test_stream_output_vectors():
-    assert list(RngState(1234567).raw_u64(3)) == STREAM_SEQ_1234567
-    assert list(RngState(0).raw_u64(3)) == STREAM_SEQ_0
+    assert RngState(1234567).state[0] == mix64(1234567)
+    assert stream_outputs(1234567, 3) == STREAM_SEQ_1234567
+    assert stream_outputs(0, 3) == STREAM_SEQ_0
 
 
 def test_vectorized_path_matches_scalar_mixing():
     # the numpy kernel and the pure-int helper implement the same function
     base = RngState(99).state[0]
-    got = RngState(99).raw_u64(4)
-    expected = [mix64((base + n * _GOLD) & _MASK) for n in range(1, 5)]
-    assert list(got) == expected
+    states = np.uint64(base) + np.arange(1, 5, dtype=np.uint64) * np.uint64(_GOLD)
+    assert list(_mix64_array(states)) == stream_outputs(99, 4)
 
 
 def test_same_seed_same_stream():
@@ -57,8 +64,7 @@ def test_uniforms_open_interval_53bit():
     assert u.min() > 0.0 and u.max() < 1.0
     # centred 53-bit grid: draw k of the top 53 bits is (2k + 1) / 2**54,
     # rounded to the nearest double, exactly as the float64 arithmetic rounds
-    top = RngState(5).raw_u64(u.size) >> np.uint64(11)
-    grid = [float(Fraction(2 * k + 1, 2**54)) for k in top.tolist()]
+    grid = [float(Fraction(2 * (z >> 11) + 1, 2**54)) for z in stream_outputs(5, u.size)]
     assert_same_bits(u, np.array(grid))
 
 

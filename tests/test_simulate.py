@@ -656,7 +656,8 @@ class TestSolveKappa:
         assert drv2.law.moment(kappa) == pytest.approx(1.0, abs=1e-12)
 
     def test_no_root_on_zero_drift(self):
-        with pytest.raises(NoRootError):
+        # the drift check of `SREDriver.check_drift`, as `simulate_walks` makes it
+        with pytest.raises(ConfigurationError, match=r"E\[log A\] < 0"):
             solve_kappa(SREDriver(TwoPointLaw(2.0, 0.5, 0.5)))
 
     def test_no_root_when_a_below_one(self):

@@ -23,7 +23,7 @@ GAMMA_GRID = [0.3, 0.5, 1.0]
 
 class TestTailRatio:
     def test_identity_sequence(self):
-        seq = CoefficientSequence(((0, 1.0),))
+        seq = CoefficientSequence((1.0,))
         assert tail_ratio_linear(seq, 0.5, 0.5) == 1.0
 
     def test_geometric_hand_value(self):
@@ -31,7 +31,7 @@ class TestTailRatio:
         assert tail_ratio_linear(seq, 0.5, 0.5) == pytest.approx(1 / 0.36, rel=1e-10)
 
     def test_mixed_signs_hand_value(self):
-        seq = CoefficientSequence(((0, 1.0), (1, -1.0)))
+        seq = CoefficientSequence((1.0, -1.0))
         assert tail_ratio_linear(seq, 1.0, 0.5) == pytest.approx(2.0, abs=1e-14)
 
     def test_ar1_closed_form_values(self):
@@ -57,11 +57,23 @@ class TestTailRatio:
     def test_empty_sequence_rejected(self):
         with pytest.raises(DomainError):
             CoefficientSequence(())
+        with pytest.raises(DomainError):
+            CoefficientSequence((0.0, -0.0))
+
+    def test_array_values_stored_as_floats(self):
+        seq = CoefficientSequence(np.array([1.0, -0.5]))
+        assert seq.values == (1.0, -0.5)
+        assert all(type(v) is float for v in seq.values)
+
+    def test_index_value_pairs_rejected(self):
+        # the values are psi_0, psi_1, ...; a (j, psi_j) pair is no number
+        with pytest.raises(TypeError):
+            CoefficientSequence(((0, 1.0),))
 
 
 class TestHillAvar:
     def test_iid_value(self):
-        seq = CoefficientSequence(((0, 1.0),))
+        seq = CoefficientSequence((1.0,))
         for g in GAMMA_GRID:
             assert hill_avar_linear(seq, g) == pytest.approx(g * g, abs=1e-15)
 
@@ -90,7 +102,7 @@ class TestHillAvar:
             values = rng.uniform(-1, 1, size=rng.integers(1, 12))
             if not np.any(values):
                 continue
-            seq = CoefficientSequence.from_values(values)
+            seq = CoefficientSequence(values)
             assert hill_avar_linear(seq, gamma) >= gamma * gamma - 1e-12
 
     def test_overflow_raises(self):
@@ -98,17 +110,12 @@ class TestHillAvar:
         with pytest.raises(DomainError):
             hill_avar_linear(CoefficientSequence.ar1(0.0, 1e200), 1e200)
 
-    def test_two_sided_sequence_rejected(self):
-        seq = CoefficientSequence(((-1, 0.5), (0, 1.0)))
-        with pytest.raises(DomainError):
-            hill_avar_linear(seq, 0.5)
-
     def test_truncation_converged(self):
         # doubling the horizon moves the result by less than the tolerance
         tol = 1e-12
         base = CoefficientSequence.ar1(0.8, 1.0)
-        jmax = max(j for j, _ in base.pairs)
-        doubled = CoefficientSequence.from_values(np.power(0.8, np.arange(2 * jmax + 1)))
+        jmax = len(base.values) - 1
+        doubled = CoefficientSequence(np.power(0.8, np.arange(2 * jmax + 1)))
         assert abs(hill_avar_linear(base, 1.0)
                    - hill_avar_linear(doubled, 1.0)) < tol
 
@@ -138,7 +145,7 @@ class TestRmseRatio:
 
 class TestSecondOrder:
     def test_identity_coefficients(self):
-        seq = CoefficientSequence(((0, 1.0),))
+        seq = CoefficientSequence((1.0,))
         tail = SecondOrderTail(c=0.7, d=-2.0, c_tilde=0.3, d_tilde=-1.0)
         assert second_order_constants(seq, 0.5, tail) == (0.7, 0.7 * -2.0)
 
@@ -148,6 +155,11 @@ class TestSecondOrder:
         assert tail.d == pytest.approx(-5.0 / 3.0, rel=1e-15)
         assert tail.d_tilde == pytest.approx(-5.0 / 3.0, rel=1e-15)
 
+    @pytest.mark.parametrize("p", [0.0, -0.1, 1.5, float("nan")])
+    def test_shifted_pareto_p_checked(self, p):
+        with pytest.raises(DomainError, match=r"p must lie in \(0, 1\]"):
+            shifted_pareto_tail(0.3, p)
+
     def test_geometric_hand_values(self):
         seq = CoefficientSequence.ar1(0.8, 0.3)
         d_psi, big_d = second_order_constants(seq, 0.3, shifted_pareto_tail(0.3, 0.5))
@@ -155,7 +167,7 @@ class TestSecondOrder:
         assert big_d == pytest.approx(-1.3446042520437852, rel=1e-9)
 
     def test_negative_coefficients_use_left_tail(self):
-        seq = CoefficientSequence(((0, 1.0), (1, -0.5)))
+        seq = CoefficientSequence((1.0, -0.5))
         tail = SecondOrderTail(c=1.0, d=-1.0, c_tilde=2.0, d_tilde=-3.0)
         g = 1.0
         d_psi, big_d = second_order_constants(seq, g, tail)
