@@ -18,9 +18,12 @@ which `_load_kernel` compiles on first import, or, without a compiler,
   the first non-finite value of ``rows`` (``count * n`` when there is none)
   and, when every value is finite, each row's maximum and sum of
   ``min(W_j, 1)``, the per-path summaries of `simulate.simulate_walks`;
-* ``linear_ar1(z, n, phi, state)`` and
-  ``nonlinear_ar1(z, n, phi, delta, state)``: the AR(1) recursions of
-  `simulate.py`, overwriting ``z`` with the states and returning the last;
+* ``linear_ar1(z, count, n, phi, states)`` and
+  ``nonlinear_ar1(z, count, n, phi, delta, states)``: the AR(1) recursions
+  of `simulate.py` on each of the ``count`` rows of ``n`` innovations in
+  ``z``, row p from ``states[p]``, overwriting each row with its states and
+  ``states[p]`` with its last. The compiled kernel steps four rows together
+  in lockstep, and each row takes the operations of a row stepped alone;
 * ``capped_top(rows, count, n, k, capped)``: row p of ``capped`` gets 1.0
   and then the ``k`` largest of ``min(rows[p], 1)``, in descending order, the
   per-path order statistics of `extremal.cluster_size_probs`;
@@ -71,13 +74,15 @@ _KERNEL_SIGNATURES = {
     "pareto_finish": (None, (_READ_DOUBLES, _DOUBLES, _SIZE, _DOUBLE, _DOUBLE)),
     "two_point_walk": (None, (_BASES, _SIZE, _SIZE, _DOUBLE, _DOUBLE, _DOUBLE, _DOUBLES)),
     "walk_summary": (_SIZE, (_READ_DOUBLES, _SIZE, _SIZE, _DOUBLES, _DOUBLES)),
-    "linear_ar1": (_DOUBLE, (_DOUBLES, _SIZE, _DOUBLE, _DOUBLE)),
-    "nonlinear_ar1": (_DOUBLE, (_DOUBLES, _SIZE, _DOUBLE, _DOUBLE, _DOUBLE)),
+    "linear_ar1": (None, (_DOUBLES, _SIZE, _SIZE, _DOUBLE, _DOUBLES)),
+    "nonlinear_ar1": (None, (_DOUBLES, _SIZE, _SIZE, _DOUBLE, _DOUBLE, _DOUBLES)),
     "capped_top": (None, (_READ_DOUBLES, _SIZE, _SIZE, _SIZE, _DOUBLES)),
     "cluster_moments": (None, (_READ_DOUBLES, _SIZE, _SIZE, *(_DOUBLES,) * 4)),
 }
 # walk values the numpy twin draws at once, in whole rows: each temporary is about 512 KB
 _TWIN_CHUNK = 65_536
+# rows that the compiled `linear_ar1` and `nonlinear_ar1` step together in lockstep
+LOCKSTEP_ROWS = 4
 
 
 def _kernel_dirs():
@@ -223,21 +228,24 @@ def _pareto_finish(u: np.ndarray, z: np.ndarray, n: int, p: float, shift: float)
         z[:n] = np.where(left, -power, power)
 
 
-def _linear_ar1(z: np.ndarray, n: int, phi: float, state: float) -> float:
-    """``linear_ar1`` of `_recursion.c`, in Python."""
+def _linear_ar1(z: np.ndarray, count: int, n: int, phi: float, states: np.ndarray) -> None:
+    """``linear_ar1`` of `_recursion.c`, in Python: one row at a time."""
     # The same bits as the C kernel: lfilter([1], [1, -phi], z) steps
     # y = 1.0*z + (0.0*z_prev + phi*y_prev), and the carried state enters as
     # the initial condition phi*state. The products by 1.0 and 0.0 are exact,
     # a signed zero added to a nonzero sum leaves it as it is, and when every
     # term is zero both give +0.0, because no innovation is -0.0. A non-finite
-    # draw makes both paths non-finite from its step on.
+    # draw makes both paths non-finite from its step on. Each row is its own
+    # recursion, in C as here, so stepping rows together changes no bits.
     from scipy.signal import lfilter
-    z[:n] = lfilter([1.0], [1.0, -phi], z[:n], zi=[phi * state])[0]
-    return float(z[n - 1])
+    for p, row in enumerate(z.reshape(count, n)):
+        row[:] = lfilter([1.0], [1.0, -phi], row, zi=[phi * states[p]])[0]
+        states[p] = row[-1]
 
 
-def _nonlinear_ar1(z: np.ndarray, n: int, phi: float, delta: float, state: float) -> float:
-    """``nonlinear_ar1`` of `_recursion.c`, in Python."""
+def _nonlinear_ar1(z: np.ndarray, count: int, n: int, phi: float, delta: float,
+                   states: np.ndarray) -> None:
+    """``nonlinear_ar1`` of `_recursion.c`, in Python: one row at a time."""
     # The three branches equal the documented formula bit for bit:
     # (delta * +-1.0) * L is exactly +-(delta * L), and a + (-b) is exactly
     # a - b. For |state| <= 1 the formula adds delta * sgn * log(1.0) =
@@ -249,17 +257,19 @@ def _nonlinear_ar1(z: np.ndarray, n: int, phi: float, delta: float, state: float
     # checks), so the skipped term is never nan. The C kernel runs the
     # same branches with the same roundings (see `_recursion.c`).
     log = math.log
-    states = z[:n].tolist()
-    for i, zt in enumerate(states):
-        if state > 1.0:
-            state = phi * state + delta * log(state) + zt
-        elif state < -1.0:
-            state = phi * state - delta * log(-state) + zt
-        else:
-            state = phi * state + zt
-        states[i] = state
-    z[:n] = states
-    return state
+    for p, row in enumerate(z.reshape(count, n)):
+        state = float(states[p])
+        values = row.tolist()
+        for i, zt in enumerate(values):
+            if state > 1.0:
+                state = phi * state + delta * log(state) + zt
+            elif state < -1.0:
+                state = phi * state - delta * log(-state) + zt
+            else:
+                state = phi * state + zt
+            values[i] = state
+        row[:] = values
+        states[p] = state
 
 
 def _capped_top(rows: np.ndarray, count: int, n: int, k: int, capped: np.ndarray) -> None:

@@ -110,33 +110,65 @@ void pareto_finish(const double *u, double *z, size_t n, double p, double shift)
     }
 }
 
-/* Linear AR(1): state = phi * state + z[i]. Overwrites z with the states, in
-   place, and returns the last state, so a caller can carry it into the next
-   block. */
-double linear_ar1(double *z, size_t n, double phi, double state)
+/* One AR(1) step from `state` with innovation zi: phi * state + zi for the
+   linear model, and for the nonlinear one the three-branch form of
+   _kernel.py. A nan state fails both comparisons and takes the last branch,
+   as it does in Python. */
+static inline double ar1_step(int nonlinear, double state, double zi, double phi, double delta)
 {
-    for (size_t i = 0; i < n; i++) {
-        state = phi * state + z[i];
-        z[i] = state;
+    if (nonlinear) {
+        if (state > 1.0)
+            return phi * state + delta * log(state) + zi;
+        if (state < -1.0)
+            return phi * state - delta * log(-state) + zi;
     }
-    return state;
+    return phi * state + zi;
 }
 
-/* Nonlinear AR(1) in the three-branch form of _kernel.py, in place like
-   linear_ar1. A nan state fails both comparisons and takes the last branch,
-   as it does in Python. */
-double nonlinear_ar1(double *z, size_t n, double phi, double delta, double state)
+/* The AR(1) recursion on each of the `count` rows of n innovations in z,
+   row p from states[p]: overwrites the row with its states, in place, and
+   states[p] with its last state, so a caller can carry it into the next
+   block. Four rows step together: their four chains of steps are
+   independent, so the processor overlaps the latency of one row's step
+   (and its `log`) with the others'. Each row still takes exactly its own
+   operations in its own order, so its bits do not depend on the rows that
+   step beside it. The remaining rows step one at a time. */
+static inline void ar1_rows(int nonlinear, double *z, size_t count, size_t n, double phi,
+                            double delta, double *states)
 {
-    for (size_t i = 0; i < n; i++) {
-        if (state > 1.0)
-            state = phi * state + delta * log(state) + z[i];
-        else if (state < -1.0)
-            state = phi * state - delta * log(-state) + z[i];
-        else
-            state = phi * state + z[i];
-        z[i] = state;
+    size_t p = 0;
+    for (; p + 4 <= count; p += 4) {
+        double *z0 = z + p * n, *z1 = z0 + n, *z2 = z1 + n, *z3 = z2 + n;
+        double s0 = states[p], s1 = states[p + 1], s2 = states[p + 2], s3 = states[p + 3];
+        for (size_t i = 0; i < n; i++) {
+            z0[i] = s0 = ar1_step(nonlinear, s0, z0[i], phi, delta);
+            z1[i] = s1 = ar1_step(nonlinear, s1, z1[i], phi, delta);
+            z2[i] = s2 = ar1_step(nonlinear, s2, z2[i], phi, delta);
+            z3[i] = s3 = ar1_step(nonlinear, s3, z3[i], phi, delta);
+        }
+        states[p] = s0;
+        states[p + 1] = s1;
+        states[p + 2] = s2;
+        states[p + 3] = s3;
     }
-    return state;
+    for (; p < count; p++) {
+        double *zp = z + p * n, s = states[p];
+        for (size_t i = 0; i < n; i++)
+            zp[i] = s = ar1_step(nonlinear, s, zp[i], phi, delta);
+        states[p] = s;
+    }
+}
+
+/* Linear AR(1), state = phi * state + z[i], on `count` rows (ar1_rows). */
+void linear_ar1(double *z, size_t count, size_t n, double phi, double *states)
+{
+    ar1_rows(0, z, count, n, phi, 0.0, states);
+}
+
+/* Nonlinear AR(1) on `count` rows (ar1_rows). */
+void nonlinear_ar1(double *z, size_t count, size_t n, double phi, double delta, double *states)
+{
+    ar1_rows(1, z, count, n, phi, delta, states);
 }
 
 /* min(x, 1) as numpy's minimum takes it; a nan x stays nan. */

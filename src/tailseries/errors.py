@@ -33,4 +33,9 @@ class SimulationError(TailSeriesError, RuntimeError):
 
     def __init__(self, message: str, step: int):
         super().__init__(f"{message} (step {step})")
+        self.message = message
         self.step = step
+
+    def __reduce__(self):
+        # rebuilt from both arguments, so that a process pool re-raises it
+        return type(self), (self.message, self.step)

@@ -7,8 +7,13 @@ standard error against a ground-truth quantile obtained from long
 simulations. The ground truth, the replicates and the power study each
 reduce their series to one statistic through one series map (`_map_series`):
 series i always consumes substream i of its stream, so results are
-bit-identical for any worker count. The ground truth never holds a whole
-series: it folds each block of draws into the series' largest values.
+bit-identical for any worker count. The map runs the series in consecutive
+groups of at most four, ``min(4, ceil(count / workers))`` each, whose series
+step together in lockstep in the kernel; a pool task is one group, and the
+statistic is applied per series in index order. The ground truth never
+holds a whole series: it folds each block of a group's draws, one buffer of
+``simulate._DRAW_BLOCK`` values for the whole group, into each series' own
+largest values.
 
 Presets mirror the simulation study's tables and figures at desk scale and
 write plot-ready CSV plus JSON summaries; see `run_preset`.
@@ -26,13 +31,14 @@ from pathlib import Path
 import numpy as np
 
 from . import serialize
+from ._kernel import LOCKSTEP_ROWS
 from .diagnostics import difference_sign_test, ljung_box_curve, turning_point_test
 from .distributions import shifted_two_sided_pareto, two_sided_pareto
 from .errors import ConfigurationError, DegenerateInputError, DomainError, TailSeriesError
 from .estimators import fit_ar1, residuals_ar1, weissman_direct_curve, weissman_model_ar1_curve
 from .rng import RngState
 from .simulate import (LINEAR_AR1, NONLINEAR_AR1, SeriesModel, _usable_cpus, linear_ar1,
-                       nonlinear_ar1, series_blocks, simulate_series)
+                       nonlinear_ar1, series_blocks, series_rows, simulate_series)
 
 DIRECT = "direct"
 MODEL_BASED = "model-based"
@@ -161,29 +167,34 @@ class PowerReport:
         }
 
 
-def _fold_quantile(blocks, size: int, q: float) -> float:
-    """The ceil(q*size)-th smallest of the ``size`` values that ``blocks``
-    yields in turn, holding one block and the largest values seen so far.
+def _fold_quantiles(blocks, size: int, q: float) -> list:
+    """Per row of the 2-d ``blocks``: the ceil(q*size)-th smallest of the
+    ``size`` values that row yields across the blocks in turn, holding one
+    block and the largest values of each row seen so far.
 
     With ``m`` the 0-based index of that rank, the minimum of the largest
     ``size - m`` values is the element ``x.partition(m)`` places at ``m``, so
     the result does not depend on how the values are cut into blocks. Once
-    ``size - m`` values are held, only a value above the least of them can
-    enter.
+    ``size - m`` values of a row are held, only a value above the least of
+    them can enter.
     """
     if not (0 < q < 1):
         raise ConfigurationError("q must lie in (0, 1)")
     keep = size + 1 - min(max(int(math.ceil(q * size)), 1), size)
-    top = np.empty(0)
+    tops = None
     for block in blocks:
-        if top.size == keep:
-            block = block[block > top[0]]
-        pool = np.concatenate((top, block))
-        if pool.size >= keep:
-            pool.partition(pool.size - keep)  # the least of the top `keep` to pool[-keep]
-            pool = pool[pool.size - keep:]
-        top = pool
-    return float(top[0])
+        if tops is None:
+            tops = [np.empty(0)] * block.shape[0]
+        for i, values in enumerate(block):
+            top = tops[i]
+            if top.size == keep:
+                values = values[values > top[0]]
+            pool = np.concatenate((top, values))
+            if pool.size >= keep:
+                pool.partition(pool.size - keep)  # the least of the top `keep` to pool[-keep]
+                pool = pool[pool.size - keep:]
+            tops[i] = pool
+    return [float(top[0]) for top in tops]
 
 
 def empirical_quantile(series, q: float) -> float:
@@ -191,36 +202,55 @@ def empirical_quantile(series, q: float) -> float:
     x = np.asarray(series, dtype=np.float64)
     if x.size == 0:
         raise DomainError("empirical quantile of an empty series")
-    return _fold_quantile((x,), x.size, q)
+    return _fold_quantiles((x[None],), x.size, q)[0]
 
 
-def _series_statistic(statistic, blocks: bool, model: SeriesModel, n: int, rng: RngState,
-                      i: int):
-    draw = series_blocks if blocks else simulate_series
-    return statistic(draw(model, n, rng.substream(i)))
+def _group_statistics(statistic, blocks: bool, model: SeriesModel, n: int, rng: RngState,
+                      count: int, size: int, first: int) -> list:
+    """`_map_series` on the group of series ``first .. first+size-1`` (those
+    below ``count``), stepped together."""
+    streams = [rng.substream(i) for i in range(first, min(first + size, count))]
+    if blocks:
+        return statistic(series_blocks(model, n, streams))
+    return [statistic(series) for series in series_rows(model, n, streams)]
 
 
 def _map_series(statistic, model: SeriesModel, n: int, rng: RngState, count: int,
                 workers: int, blocks: bool = False) -> list:
     """``statistic`` of series i = 0..count-1, each ``n`` observations of
-    ``model`` drawn from substream i of ``rng``, in index order. The
-    statistic gets the series as one array (`simulate_series`) or, with
-    ``blocks``, as the iterator of its blocks (`series_blocks`).
+    ``model`` drawn from substream i of ``rng``, in index order.
+
+    The series run in consecutive groups of
+    ``min(LOCKSTEP_ROWS, ceil(count / workers))`` (four, or fewer so that
+    every process gets work), whose series step together in lockstep
+    (`simulate.series_blocks`). The statistic gets each series as one array,
+    one call per series in index order, or, with ``blocks``, one call per
+    group with the iterator of the group's 2-d blocks (row i continuing the
+    group's series i), and returns a sequence of one result per row. A
+    series' bits do not depend on its group, and a group raises the
+    `SimulationError` of its lowest-index series that has a non-finite
+    value, at that series' step, so any grouping gives the results and the
+    error of a serial run.
 
     Every Monte Carlo stage runs its series through here, so a fixed-order
     reduction over the results gives the same bytes for any ``workers``. With
-    ``workers > 1`` the series are spread over a process pool; ``statistic``
+    ``workers > 1`` the groups are spread over a process pool; ``statistic``
     must then pickle (a module-level function or a `partial` of one). The
     pool is capped at the usable CPUs (`simulate._usable_cpus`), since it
     starts all of its processes at once, and hands each one about four
-    chunks of indices.
+    chunks of groups; the first group in index order that raises raises.
     """
-    one = partial(_series_statistic, statistic, blocks, model, n, rng)
-    workers = min(workers, _usable_cpus())
-    if workers <= 1:
-        return [one(i) for i in range(count)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(one, range(count), chunksize=math.ceil(count / (4 * workers))))
+    workers = max(1, min(workers, _usable_cpus()))
+    size = min(LOCKSTEP_ROWS, math.ceil(count / workers))
+    group = partial(_group_statistics, statistic, blocks, model, n, rng, count, size)
+    firsts = range(0, count, size)
+    if workers == 1:
+        results = [group(first) for first in firsts]
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(group, firsts,
+                                    chunksize=math.ceil(len(firsts) / (4 * workers))))
+    return [value for values in results for value in values]
 
 
 def true_quantile(model: SeriesModel, t: float, n_reps: int, rep_length: int,
@@ -228,9 +258,10 @@ def true_quantile(model: SeriesModel, t: float, n_reps: int, rep_length: int,
     """Ground-truth F^{-1}(1-t) as the mean of long-run empirical quantiles.
 
     Series i uses substream i of ``rng``; ``workers`` processes simulate the
-    series in parallel without changing the result. Each series is folded a
-    block at a time into its ``n*t`` or so largest values (`_fold_quantile`),
-    so a process holds one block of draws and those values, not the series.
+    series in parallel without changing the result. The series of a group
+    step together, and each is folded a block at a time into its own ``n*t``
+    or so largest values (`_fold_quantiles`), so a process holds one block of
+    draws for the whole group and those values, not the series.
     Returns (value, half_width) where half_width = 2.58 * stderr of the mean
     (a 99% normal margin).
     """
@@ -239,7 +270,7 @@ def true_quantile(model: SeriesModel, t: float, n_reps: int, rep_length: int,
             f"rep_length*t = {rep_length * t:g} < 100: too few exceedances per replicate")
     if n_reps < 2:
         raise ConfigurationError("need at least 2 replicates for an error estimate")
-    quantiles = np.array(_map_series(partial(_fold_quantile, size=rep_length, q=1.0 - t),
+    quantiles = np.array(_map_series(partial(_fold_quantiles, size=rep_length, q=1.0 - t),
                                      model, rep_length, rng, n_reps, workers, blocks=True))
     half_width = 2.58 * quantiles.std(ddof=1) / math.sqrt(n_reps)
     return float(quantiles.mean()), float(half_width)

@@ -11,8 +11,11 @@ plus the geometric random walk ``W_j = prod_{i<=j} A_i**kappa`` that drives
 all extremal-dependence quantities of the SRE, and the solver for the moment
 exponent ``kappa`` with ``E A**kappa = 1``.
 
-The two AR(1) recursions draw each block of innovations into one reused
-buffer and step it there in place (`series_blocks`), and two-point walks are
+The two AR(1) recursions step a group of series together (`series_blocks`):
+each block of innovations of every series in the group is drawn into one
+reused buffer of ``_DRAW_BLOCK`` values in total, one row per series, and
+one kernel call steps the rows there in place, in lockstep, each row with
+the bits it has when stepped alone. Two-point walks are
 drawn and multiplied a block of paths at a time and summarized per path,
 through the kernel of `_kernel.py`: the compiled ``_recursion.c``, or,
 without a compiler, its Python twins, with the same bytes, only slower.
@@ -242,54 +245,77 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _check_finite(x: np.ndarray, what: str, first: int = 0):
+def _check_finite(x: np.ndarray, what: str):
     """Raise at the first non-finite value of ``x``, whose values are steps
-    ``first, first + 1, ...``."""
+    ``0, 1, ...``."""
     bad = ~np.isfinite(x)
     if bad.any():
-        raise SimulationError(f"non-finite value in {what}", step=first + int(np.argmax(bad)))
+        raise SimulationError(f"non-finite value in {what}", step=int(np.argmax(bad)))
 
 
-def series_blocks(model: SeriesModel, n: int, rng: RngState):
-    """The ``n`` observations of `simulate_series`, in order, as an iterator
-    of blocks.
+def series_blocks(model: SeriesModel, n: int, rngs: list):
+    """The ``n`` observations of `simulate_series` from each stream of
+    ``rngs``, in order, as an iterator of blocks: row i of each block
+    continues the series of ``rngs[i]``.
 
-    The AR(1) models yield blocks of at most ``_DRAW_BLOCK`` values, each a
-    view of one buffer that the next block overwrites: a caller that reduces
-    each block before it asks for the next holds one block, not the series.
-    The SRE yields its whole series as one block. A non-finite value raises
-    `SimulationError` at its step, counted from the first burn-in step,
-    before its block is yielded.
+    The AR(1) models step all the series together in one buffer of
+    ``_DRAW_BLOCK`` values in total and yield blocks of at most
+    ``_DRAW_BLOCK // len(rngs)`` columns, each a view of that buffer that
+    the next block overwrites: a caller that reduces each block before it
+    asks for the next holds one block, not the series. The SRE yields its
+    whole series as one block. A non-finite value raises `SimulationError`
+    at its step, counted from the first burn-in step of its series, and only
+    from the series of the lowest index that has one: the error a run of the
+    series one at a time, in index order, raises first.
     """
     if n < 1:
         raise ConfigurationError("series length must be >= 1")
     if model.variant == SRE:
-        return iter((_sre_series(model, model.burnin + n, rng)[model.burnin:],))
-    return _ar1_blocks(model, model.burnin + n, rng)
+        return iter((np.stack([_sre_series(model, model.burnin + n, rng)[model.burnin:]
+                               for rng in rngs]),))
+    return _ar1_blocks(model, model.burnin + n, rngs)
 
 
-def _ar1_blocks(model: SeriesModel, total: int, rng: RngState):
-    """Yield the states after the burn-in of ``total`` AR(1) steps from 0.
+def _ar1_blocks(model: SeriesModel, total: int, rngs: list):
+    """Yield the states after the burn-in of ``total`` AR(1) steps from 0 of
+    the series of each stream of ``rngs``, one row per series.
 
-    Innovations are drawn a block at a time: the draws are counter-based and
-    elementwise, so the values equal one draw of ``total``. Each block is
-    drawn into the buffer, its states overwrite its innovations there, and
-    the last state carries into the next block.
+    Each block of innovations is drawn row by row into the buffer, one
+    `distributions.sample` call per stream: the draws are counter-based and
+    elementwise, so a row's values equal one draw of ``total``. One kernel
+    call steps the block's rows together, in place, from the states the
+    previous block left. A row's non-finite value is an error only if no
+    row of lower index has one by the end of the series, so the rows below
+    the first such row keep stepping; the error raises at once when it is
+    row 0's, and otherwise after the last block.
     """
     linear = model.variant == LINEAR_AR1
     what = "linear AR(1) recursion" if linear else "nonlinear AR(1) recursion"
-    buffer = np.empty(min(total, _DRAW_BLOCK))
-    state = 0.0
-    for start in range(0, total, _DRAW_BLOCK):
-        z = buffer[:min(_DRAW_BLOCK, total - start)]
-        dists.sample(model.innovations, rng, z.size, out=z)
+    rows = len(rngs)
+    width = min(total, _DRAW_BLOCK // rows)
+    buffer = np.empty(rows * width)
+    states = np.zeros(rows)
+    clean = rows  # rows below the first one with a non-finite value
+    error = None
+    for start in range(0, total, width):
+        cols = min(width, total - start)
+        z = buffer[:rows * cols].reshape(rows, cols)
+        for row, rng in zip(z, rngs):
+            dists.sample(model.innovations, rng, cols, out=row)
         if linear:
-            state = _kernel._KERNEL.linear_ar1(z, z.size, model.phi1, state)
+            _kernel._KERNEL.linear_ar1(z, rows, cols, model.phi1, states)
         else:
-            state = _kernel._KERNEL.nonlinear_ar1(z, z.size, model.phi1, model.delta, state)
-        _check_finite(z, what, start)
-        if start + z.size > model.burnin:
-            yield z[max(model.burnin - start, 0):]
+            _kernel._KERNEL.nonlinear_ar1(z, rows, cols, model.phi1, model.delta, states)
+        finite = np.isfinite(z[:clean])
+        if not finite.all():
+            clean, step = divmod(int(np.argmin(finite)), cols)
+            error = SimulationError(f"non-finite value in {what}", step=start + step)
+            if clean == 0:
+                raise error
+        if start + cols > model.burnin:
+            yield z[:, max(model.burnin - start, 0):]
+    if error is not None:
+        raise error
 
 
 def _sre_series(model: SeriesModel, total: int, rng: RngState) -> np.ndarray:
@@ -305,16 +331,21 @@ def _sre_series(model: SeriesModel, total: int, rng: RngState) -> np.ndarray:
     return x
 
 
+def series_rows(model: SeriesModel, n: int, rngs: list) -> np.ndarray:
+    """The blocks of `series_blocks` in one ``(len(rngs), n)`` array: row i
+    holds the series of ``rngs[i]``."""
+    x = np.empty((len(rngs), n))
+    filled = 0
+    for block in series_blocks(model, n, rngs):
+        x[:, filled:filled + block.shape[1]] = block
+        filled += block.shape[1]
+    return x
+
+
 def simulate_series(model: SeriesModel, n: int, rng: RngState) -> np.ndarray:
     """Simulate ``n`` observations after discarding the model's burn-in: the
-    blocks of `series_blocks` in one array."""
-    blocks = series_blocks(model, n, rng)
-    x = np.empty(n)
-    filled = 0
-    for block in blocks:
-        x[filled:filled + block.size] = block
-        filled += block.size
-    return x
+    one row of `series_rows` for the one stream ``rng``."""
+    return series_rows(model, n, [rng])[0]
 
 
 @dataclass(eq=False)

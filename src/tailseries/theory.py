@@ -74,19 +74,23 @@ class CoefficientSequence:
         those evaluators by less than ``tol``. Where ``|phi|**(1/gamma)``
         is 0.0 (``phi = 0``, or an underflow), every weight
         ``|psi_j|**(1/gamma)`` with ``j >= 1`` is exactly 0.0, so the
-        sequence is ``psi_0 = 1`` alone.
+        sequence is ``psi_0 = 1`` alone. Raises `DomainError` where even
+        ``J = _MAX_AR1_HORIZON`` leaves those sums above the tolerance.
         """
         q = _ar1_ratio(phi, gamma)
         if q == 0.0:
             return cls((1.0,))
+
+        def tail_bound(j):  # sum_{m>J} (m+2)*q**m  <=  (J+3)*q**(J+1)/(1-q)**2
+            return (j + 3) * q ** (j + 1) / (1.0 - q) ** 2
+
         horizon = max(1, int(np.ceil(np.log(TRUNCATION_TOL) / np.log(q))))
-        # extend until sum_{m>J} (m+2)*q**m  <=  (J+3)*q**(J+1)/(1-q)**2 < tol/8
-        while horizon < _MAX_AR1_HORIZON:
-            bound = (horizon + 3) * q ** (horizon + 1) / (1.0 - q) ** 2
-            if bound <= TRUNCATION_TOL / 8.0:
-                break
+        while horizon < _MAX_AR1_HORIZON and tail_bound(horizon) > TRUNCATION_TOL / 8.0:
             horizon = int(horizon * 1.3) + 1
         horizon = min(horizon, _MAX_AR1_HORIZON)
+        if tail_bound(horizon) > TRUNCATION_TOL / 8.0:
+            raise DomainError(f"the AR(1) sequence at phi={phi!r}, gamma={gamma!r} needs more "
+                              f"than {_MAX_AR1_HORIZON + 1} terms to meet TRUNCATION_TOL")
         return cls(np.power(phi, np.arange(horizon + 1, dtype=np.float64)))
 
 

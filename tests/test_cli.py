@@ -218,6 +218,7 @@ class TestTheory:
         ["rmse-ratio", "--gamma", "600"],  # (1+q)**(2*gamma) overflows
         ["tail-ratio", "--gamma", "1", "--p", "0"],
         ["hill-avar", "--gamma", "1e200", "--phi", "0"],  # gamma*gamma overflows
+        ["second-order", "--gamma", "1", "--phi", "0.9999"],  # beyond the horizon cap
     ], ids=" ".join)
     def test_out_of_domain_exits_3(self, capsys, argv):
         # phi is -0.8 unless the case sets it: the last --phi wins

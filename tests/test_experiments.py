@@ -79,7 +79,7 @@ class TestTrueQuantile:
         model = linear_ar1(0.8, MODEL_B, burnin=100)
         rng = RngState(12)
         selected = experiments._map_series(
-            partial(experiments._fold_quantile, size=50_000, q=1.0 - 0.001),
+            partial(experiments._fold_quantiles, size=50_000, q=1.0 - 0.001),
             model, 50_000, rng, 3, 1, blocks=True)
         for i in range(3):
             series = simulate_series(model, 50_000, rng.substream(i))
@@ -114,11 +114,13 @@ class TestFoldedTruth:
     @given(values=st.lists(st.integers(-3, 3), min_size=1, max_size=60),
            cuts=st.lists(st.integers(0, 60), max_size=6), q=st.floats(0.001, 0.999))
     def test_fold_equals_partition_for_any_blocks(self, values, cuts, q):
-        # few distinct values, so most ranks fall on ties
-        x = np.array(values, dtype=np.float64)
-        blocks = np.split(x, sorted(c for c in cuts if c <= x.size))
-        m = min(max(math.ceil(q * x.size), 1), x.size) - 1
-        assert experiments._fold_quantile(iter(blocks), x.size, q) == np.partition(x, m)[m]
+        # few distinct values, so most ranks fall on ties; each row of the
+        # blocks is folded on its own
+        rows = np.array([values, values[::-1], np.negative(values)], dtype=np.float64)
+        blocks = np.split(rows, sorted(c for c in cuts if c <= len(values)), axis=1)
+        m = min(max(math.ceil(q * len(values)), 1), len(values)) - 1
+        assert (experiments._fold_quantiles(iter(blocks), len(values), q)
+                == [np.partition(x, m)[m] for x in rows])
 
     @pytest.mark.parametrize("model", STUDY_MODELS.values(), ids=STUDY_MODELS)
     @pytest.mark.parametrize("burnin, n, t", [
@@ -164,16 +166,59 @@ class TestFoldedTruth:
             simulate_series(model, 3 * BLOCK, RngState(4).substream(0))
         assert folded.value.step == whole.value.step == at
 
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_group_raises_lowest_series_error(self, workers, monkeypatch):
+        # in a group of 4, series 2 meets a nan in the first block and series
+        # 0 one in the third: a serial run raises series 0's error first
+        if workers > 1:
+            # the patched `sample` reaches pool workers only by fork
+            if "fork" not in get_all_start_methods():
+                pytest.skip("no fork start method")
+            monkeypatch.setattr(experiments, "ProcessPoolExecutor",
+                                partial(ProcessPoolExecutor, mp_context=get_context("fork")))
+        root = RngState(4)
+        width = BLOCK // 4
+        faults = {root.substream(2).state[0]: 100, root.substream(0).state[0]: 2 * width + 10}
+        real_sample = simulate.dists.sample
+
+        def sample_with_nan(spec, rng, n, out):
+            start, at = rng.state[1], faults.get(rng.state[0])
+            real_sample(spec, rng, n, out=out)
+            if at is not None and start <= at < start + n:
+                out[at - start] = np.nan
+            return out
+
+        monkeypatch.setattr(simulate.dists, "sample", sample_with_nan)
+        model = nonlinear_ar1(0.8, 0.6, MODEL_A, burnin=100)
+        n = 3 * width
+        alone = {}
+        for i in (2, 0):
+            with pytest.raises(SimulationError) as err:
+                simulate_series(model, n, root.substream(i))
+            alone[i] = err.value
+        assert (alone[2].step, alone[0].step) == (100, 2 * width + 10)
+        with pytest.raises(SimulationError) as truth:
+            true_quantile(model, 0.01, 4, n, root, workers=workers)
+        spec = ExperimentSpec(model=model, n=n, replicates=4, k_grid=(10, 25), t=0.005,
+                              master_seed=4)
+        with pytest.raises(SimulationError) as replicates:
+            run_quantile_experiment(spec, 20.0, workers=workers)
+        for err in (truth.value, replicates.value):
+            assert (err.step, str(err)) == (alone[0].step, str(alone[0]))
+
     def test_holds_less_than_one_series(self):
+        # 8 series run in two groups of 4, each holding one block of draws in
+        # total (BLOCK * 8 bytes), not one block per series
         n = 2_000_000
         model = linear_ar1(0.8, MODEL_A)
         tracemalloc.start()
         try:
-            true_quantile(model, 0.001, 2, n, RngState(3))
+            true_quantile(model, 0.001, 8, n, RngState(3))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 8 * n
+        assert peak < 3 * BLOCK * 8
 
 
 class TestSummaries:
@@ -245,6 +290,31 @@ def _power_stage(replicates, workers):
 STAGES = {"truth": _truth_stage, "replicates": _replicate_stage, "power": _power_stage}
 
 
+def recording_pool(monkeypatch, cpus):
+    """Make `_map_series` see ``cpus`` usable CPUs and run its pool in this
+    process; returns the list to which each pool appends its processes, its
+    chunk size and the first series of each group it was handed."""
+    pools = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            self.max_workers = max_workers
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            pools.append((self.max_workers, chunksize, list(iterable)))
+            return map(fn, iterable)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: cpus)
+    return pools
+
+
 def _identical(a, b):
     return all(np.array_equal(x, y, equal_nan=True) for x, y in zip(a, b, strict=True))
 
@@ -280,29 +350,22 @@ class TestRunExperiment:
 
     @each_stage
     def test_pool_capped_at_cpu_count(self, stage, monkeypatch):
-        pools = []
-
-        class RecordingPool:
-            """Runs the substreams in this process and records the pool it was asked for."""
-
-            def __init__(self, max_workers):
-                self.max_workers = max_workers
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, iterable, chunksize=1):
-                pools.append((self.max_workers, chunksize))
-                return map(fn, iterable)
-
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(experiments, "_usable_cpus", lambda: 4)
+        pools = recording_pool(monkeypatch, cpus=4)
         capped = stage(24, 10**6)
-        assert pools == [(4, 2)]  # 4 processes, 24 substreams in chunks of ceil(24 / 16)
+        # 4 processes; 24 substreams in 6 groups of 4, in chunks of ceil(6 / 16)
+        assert pools == [(4, 1, [0, 4, 8, 12, 16, 20])]
         assert _identical(capped, stage(24, 1))
+
+    @pytest.mark.parametrize("count, workers, firsts", [
+        (4, 2, [0, 2]),          # every process gets a group of 2
+        (9, 2, [0, 4, 8]),       # at most 4 series step together
+        (5, 3, [0, 2, 4]),       # ceil(5 / 3) = 2, the last group holds one
+    ])
+    def test_group_rule(self, count, workers, firsts, monkeypatch):
+        pools = recording_pool(monkeypatch, cpus=workers)
+        grouped = _truth_stage(count, workers)
+        assert pools == [(workers, 1, firsts)]
+        assert _identical(grouped, _truth_stage(count, 1))
 
     def test_csv_rows_schema(self):
         summary = run_quantile_experiment(SMALL_SPEC, 20.0)

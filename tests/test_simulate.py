@@ -285,6 +285,56 @@ class TestLinearRecursion:
         assert err.value.step == int(np.argmax(~np.isfinite(expected)))
 
 
+def step_rows(kernel, nonlinear, z, states):
+    """One call of the kernel's AR(1) entry on the C-contiguous rows of ``z``."""
+    count, n = z.shape
+    if nonlinear:
+        kernel.nonlinear_ar1(z, count, n, 0.8, 0.6, states)
+    else:
+        kernel.linear_ar1(z, count, n, 0.8, states)
+
+
+class TestRowGroups:
+    """The AR(1) entries step ``count`` rows in one call, the compiled kernel
+    four at a time in lockstep and then the rest; each row must get the
+    bits of that row stepped alone, on every kernel path."""
+
+    # start states on both sides of |x| = 1 and at its edges; the last row
+    # starts from nan, and row 2 meets a nan innovation
+    STATES = [0.0, 1.5, -1.5, 1.0, -1.0, UP, DOWN, 0.25, float("nan")]
+
+    @staticmethod
+    def innovations(count, n=300):
+        # scaled so that the states cross |x| = 1 again and again
+        z = np.random.default_rng(count).standard_normal((count, n)) * 1.5
+        z[0, :11] = EDGE_INNOVATIONS[:11]
+        if count > 2:
+            z[2, 40] = np.nan
+        return z
+
+    @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: "python" if k is
+                             _kernel._PYTHON_KERNEL else "c")
+    @pytest.mark.parametrize("nonlinear", [False, True], ids=["linear", "nonlinear"])
+    @pytest.mark.parametrize("count", range(1, 10))
+    def test_each_row_steps_as_alone(self, kernel, nonlinear, count):
+        z = self.innovations(count)
+        states = np.array(self.STATES[:count])
+        # the group in two calls, carrying its states from the first
+        first, second = z[:, :120].copy(), z[:, 120:].copy()
+        step_rows(kernel, nonlinear, first, states)
+        step_rows(kernel, nonlinear, second, states)
+        grouped = np.hstack((first, second))
+        for p in range(count):
+            row, state = z[p:p + 1].copy(), np.array(self.STATES[p:p + 1])
+            step_rows(_kernel._PYTHON_KERNEL, nonlinear, row, state)
+            assert grouped[p].tobytes() == row[0].tobytes()
+            assert states[p:p + 1].tobytes() == state.tobytes()
+        crossed = np.abs(grouped[0]) > 1.0
+        assert crossed.any() and not crossed.all()
+        if count > 2:
+            assert np.isnan(grouped[2, 40:]).all() and np.isfinite(grouped[2, :40]).all()
+
+
 class TestKernelLoader:
     """The kernel compiles into the first writable cache directory, and
     loading falls back to None (the Python path) without a compiler."""

@@ -15,6 +15,7 @@ from tailseries import (
     tail_ratio_ar1,
     tail_ratio_linear,
 )
+from tailseries import theory
 from tailseries.theory import RMSE_RATIO_REPORTED
 
 PHI_GRID = [-0.8, -0.5, -0.2, 0.2, 0.5, 0.8]
@@ -109,6 +110,12 @@ class TestHillAvar:
         # gamma**2 overflows at phi = 0, where the sequence is psi_0 = 1 alone
         with pytest.raises(DomainError):
             hill_avar_linear(CoefficientSequence.ar1(0.0, 1e200), 1e200)
+
+    def test_sequence_beyond_horizon_cap_raises(self):
+        # at phi = 0.9999, gamma = 1 the capped sequence would be off by 2.1e-5
+        with pytest.raises(DomainError, match="TRUNCATION_TOL"):
+            CoefficientSequence.ar1(0.9999, 1.0)
+        assert len(CoefficientSequence.ar1(0.999, 1.0).values) < theory._MAX_AR1_HORIZON
 
     def test_truncation_converged(self):
         # doubling the horizon moves the result by less than the tolerance
