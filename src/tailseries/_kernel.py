@@ -18,12 +18,15 @@ which `_load_kernel` compiles on first import, or, without a compiler,
   the first non-finite value of ``rows`` (``count * n`` when there is none)
   and, when every value is finite, each row's maximum and sum of
   ``min(W_j, 1)``, the per-path summaries of `simulate.simulate_walks`;
-* ``linear_ar1(z, count, n, phi, states)`` and
-  ``nonlinear_ar1(z, count, n, phi, delta, states)``: the AR(1) recursions
-  of `simulate.py` on each of the ``count`` rows of ``n`` innovations in
-  ``z``, row p from ``states[p]``, overwriting each row with its states and
-  ``states[p]`` with its last. The compiled kernel steps four rows together
-  in lockstep, and each row takes the operations of a row stepped alone;
+* ``linear_ar1(z, count, n, phi, states)``,
+  ``nonlinear_ar1(z, count, n, phi, delta, states)`` and
+  ``sre(a, z, count, n, states)``: the three series recursions of
+  `simulate.py` on each of the ``count`` rows of ``n`` innovations (for the
+  SRE, additive parts ``B_t``, with the multipliers ``A_t`` in the rows of
+  ``a``) in ``z``, row p from ``states[p]``, overwriting each row with its
+  states and ``states[p]`` with its last. The compiled kernel steps four rows
+  together in lockstep, and each row takes the operations of a row stepped
+  alone;
 * ``capped_top(rows, count, n, k, capped)``: row p of ``capped`` gets 1.0
   and then the ``k`` largest of ``min(rows[p], 1)``, in descending order, the
   per-path order statistics of `extremal.cluster_size_probs`;
@@ -76,12 +79,13 @@ _KERNEL_SIGNATURES = {
     "walk_summary": (_SIZE, (_READ_DOUBLES, _SIZE, _SIZE, _DOUBLES, _DOUBLES)),
     "linear_ar1": (None, (_DOUBLES, _SIZE, _SIZE, _DOUBLE, _DOUBLES)),
     "nonlinear_ar1": (None, (_DOUBLES, _SIZE, _SIZE, _DOUBLE, _DOUBLE, _DOUBLES)),
+    "sre": (None, (_READ_DOUBLES, _DOUBLES, _SIZE, _SIZE, _DOUBLES)),
     "capped_top": (None, (_READ_DOUBLES, _SIZE, _SIZE, _SIZE, _DOUBLES)),
     "cluster_moments": (None, (_READ_DOUBLES, _SIZE, _SIZE, *(_DOUBLES,) * 4)),
 }
 # walk values the numpy twin draws at once, in whole rows: each temporary is about 512 KB
 _TWIN_CHUNK = 65_536
-# rows that the compiled `linear_ar1` and `nonlinear_ar1` step together in lockstep
+# rows that the compiled `linear_ar1`, `nonlinear_ar1` and `sre` step together in lockstep
 LOCKSTEP_ROWS = 4
 
 
@@ -268,6 +272,18 @@ def _nonlinear_ar1(z: np.ndarray, count: int, n: int, phi: float, delta: float,
             else:
                 state = phi * state + zt
             values[i] = state
+        row[:] = values
+        states[p] = state
+
+
+def _sre(a: np.ndarray, z: np.ndarray, count: int, n: int, states: np.ndarray) -> None:
+    """``sre`` of `_recursion.c`, in Python: one row at a time."""
+    # a * state + z on Python floats is one rounding of `*` and one of `+`,
+    # as in the C kernel built with -ffp-contract=off
+    for p, (multipliers, row) in enumerate(zip(a.reshape(count, n), z.reshape(count, n))):
+        state, values = float(states[p]), row.tolist()
+        for i, at in enumerate(multipliers.tolist()):
+            values[i] = state = at * state + values[i]
         row[:] = values
         states[p] = state
 

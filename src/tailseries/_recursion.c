@@ -1,8 +1,9 @@
 /* The compiled kernel of tailseries: the SplitMix64 uniforms of rng.py, the
 arithmetic around the power in the Pareto inverse CDF of distributions.py,
-the two-point geometric walk, its per-path summaries and the two AR(1)
-recursions of simulate.py, and the per-path top values and column moments of
-the cluster sizes in extremal.py.
+the two-point geometric walk, its per-path summaries and the three series
+recursions of simulate.py (the linear and nonlinear AR(1) and the stochastic
+recurrence equation), and the per-path top values and column moments of the
+cluster sizes in extremal.py.
 
 Plain C with no Python C-API: _kernel.py compiles this file with
 
@@ -110,13 +111,18 @@ void pareto_finish(const double *u, double *z, size_t n, double p, double shift)
     }
 }
 
-/* One AR(1) step from `state` with innovation zi: phi * state + zi for the
-   linear model, and for the nonlinear one the three-branch form of
-   _kernel.py. A nan state fails both comparisons and takes the last branch,
-   as it does in Python. */
-static inline double ar1_step(int nonlinear, double state, double zi, double phi, double delta)
+enum step_kind { LINEAR, NONLINEAR, SRE };
+
+/* One step from `state` with innovation zi: phi * state + zi for the linear
+   AR(1), the three-branch form of _kernel.py for the nonlinear one, and
+   ai * state + zi for the SRE, with the step's own multiplier ai. A nan state
+   fails both comparisons and takes the last branch, as it does in Python. */
+static inline double ar1_step(enum step_kind kind, double state, double ai, double zi,
+                              double phi, double delta)
 {
-    if (nonlinear) {
+    if (kind == SRE)
+        return ai * state + zi;
+    if (kind == NONLINEAR) {
         if (state > 1.0)
             return phi * state + delta * log(state) + zi;
         if (state < -1.0)
@@ -125,26 +131,29 @@ static inline double ar1_step(int nonlinear, double state, double zi, double phi
     return phi * state + zi;
 }
 
-/* The AR(1) recursion on each of the `count` rows of n innovations in z,
-   row p from states[p]: overwrites the row with its states, in place, and
-   states[p] with its last state, so a caller can carry it into the next
-   block. Four rows step together: their four chains of steps are
-   independent, so the processor overlaps the latency of one row's step
-   (and its `log`) with the others'. Each row still takes exactly its own
-   operations in its own order, so its bits do not depend on the rows that
-   step beside it. The remaining rows step one at a time. */
-static inline void ar1_rows(int nonlinear, double *z, size_t count, size_t n, double phi,
-                            double delta, double *states)
+/* The recursion on each of the `count` rows of n innovations in z, row p
+   from states[p], with the multipliers of row p of `a` for the SRE (the
+   AR(1) entries pass z, whose rows they never read as multipliers):
+   overwrites the row with its states, in place, and states[p] with its last
+   state, so a caller can carry it into the next block. Four rows step
+   together: their four chains of steps are independent, so the processor
+   overlaps the latency of one row's step (and its `log`) with the others'.
+   Each row still takes exactly its own operations in its own order, so its
+   bits do not depend on the rows that step beside it. The remaining rows
+   step one at a time. */
+static inline void ar1_rows(enum step_kind kind, const double *a, double *z, size_t count,
+                            size_t n, double phi, double delta, double *states)
 {
     size_t p = 0;
     for (; p + 4 <= count; p += 4) {
         double *z0 = z + p * n, *z1 = z0 + n, *z2 = z1 + n, *z3 = z2 + n;
+        const double *a0 = a + p * n, *a1 = a0 + n, *a2 = a1 + n, *a3 = a2 + n;
         double s0 = states[p], s1 = states[p + 1], s2 = states[p + 2], s3 = states[p + 3];
         for (size_t i = 0; i < n; i++) {
-            z0[i] = s0 = ar1_step(nonlinear, s0, z0[i], phi, delta);
-            z1[i] = s1 = ar1_step(nonlinear, s1, z1[i], phi, delta);
-            z2[i] = s2 = ar1_step(nonlinear, s2, z2[i], phi, delta);
-            z3[i] = s3 = ar1_step(nonlinear, s3, z3[i], phi, delta);
+            z0[i] = s0 = ar1_step(kind, s0, a0[i], z0[i], phi, delta);
+            z1[i] = s1 = ar1_step(kind, s1, a1[i], z1[i], phi, delta);
+            z2[i] = s2 = ar1_step(kind, s2, a2[i], z2[i], phi, delta);
+            z3[i] = s3 = ar1_step(kind, s3, a3[i], z3[i], phi, delta);
         }
         states[p] = s0;
         states[p + 1] = s1;
@@ -153,8 +162,9 @@ static inline void ar1_rows(int nonlinear, double *z, size_t count, size_t n, do
     }
     for (; p < count; p++) {
         double *zp = z + p * n, s = states[p];
+        const double *ap = a + p * n;
         for (size_t i = 0; i < n; i++)
-            zp[i] = s = ar1_step(nonlinear, s, zp[i], phi, delta);
+            zp[i] = s = ar1_step(kind, s, ap[i], zp[i], phi, delta);
         states[p] = s;
     }
 }
@@ -162,13 +172,20 @@ static inline void ar1_rows(int nonlinear, double *z, size_t count, size_t n, do
 /* Linear AR(1), state = phi * state + z[i], on `count` rows (ar1_rows). */
 void linear_ar1(double *z, size_t count, size_t n, double phi, double *states)
 {
-    ar1_rows(0, z, count, n, phi, 0.0, states);
+    ar1_rows(LINEAR, z, z, count, n, phi, 0.0, states);
 }
 
 /* Nonlinear AR(1) on `count` rows (ar1_rows). */
 void nonlinear_ar1(double *z, size_t count, size_t n, double phi, double delta, double *states)
 {
-    ar1_rows(1, z, count, n, phi, delta, states);
+    ar1_rows(NONLINEAR, z, z, count, n, phi, delta, states);
+}
+
+/* The SRE, state = a[i] * state + z[i], on `count` rows of multipliers `a`
+   and additive parts z (ar1_rows). */
+void sre(const double *a, double *z, size_t count, size_t n, double *states)
+{
+    ar1_rows(SRE, a, z, count, n, 0.0, 0.0, states);
 }
 
 /* min(x, 1) as numpy's minimum takes it; a nan x stays nan. */

@@ -97,6 +97,13 @@ class RngState:
         self._count += n
         return out
 
+    def take(self, n: int) -> "RngState":
+        """The next ``n`` draws as a stream of their own: a copy of this
+        stream at its counter, while this stream skips past them."""
+        window = RngState(0, _base=self._base)
+        window._count, self._count = self._count, self._count + n
+        return window
+
     def derive_seed(self, i: int) -> int:
         """A 64-bit master seed for an independent component, mixed from child ``i``."""
         return self.substream(i).state[0]

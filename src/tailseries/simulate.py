@@ -11,25 +11,31 @@ plus the geometric random walk ``W_j = prod_{i<=j} A_i**kappa`` that drives
 all extremal-dependence quantities of the SRE, and the solver for the moment
 exponent ``kappa`` with ``E A**kappa = 1``.
 
-The two AR(1) recursions step a group of series together (`series_blocks`):
-each block of innovations of every series in the group is drawn into one
-reused buffer of ``_DRAW_BLOCK`` values in total, one row per series, and
-one kernel call steps the rows there in place, in lockstep, each row with
-the bits it has when stepped alone. Two-point walks are
+All three recursions step a group of series together (`series_blocks`):
+each block of draws of every series in the group is drawn into one reused
+buffer of ``_DRAW_BLOCK`` values in total, one row per series (and, for the
+SRE, its multipliers into a second such buffer), and one kernel call steps
+the rows there in place, in lockstep, each row with the bits it has when
+stepped alone. Two-point walks are
 drawn and multiplied a block of paths at a time and summarized per path,
 through the kernel of `_kernel.py`: the compiled ``_recursion.c``, or,
 without a compiler, its Python twins, with the same bytes, only slower.
 ``RECURSION_PATH`` (``"c"`` or ``"python"``) says which one this process
-runs. Lognormal walks map the kernel's uniforms to multipliers in numpy, and
-the SRE recursion runs in Python, on either path. Each pass over the walk
+runs. Lognormal multipliers, of walks and of SRE series, are mapped from the
+kernel's uniforms in numpy, on either path. Each pass over the walk
 runs its blocks on every CPU the process may use, one thread per contiguous
 range of paths; no value depends on the number of threads.
 
-Draw protocol (frozen): AR variants start at 0 and consume one innovation per
-step, ``burnin + n`` steps in total. The SRE consumes one block of uniforms
-for the multiplier sequence and, if the additive part is random, one block
-for it; the start value is the first additive draw. Walk path ``p`` consumes
-draws 1..J of substream ``p`` of the supplied stream.
+Draw protocol (frozen), for a series of ``total = burnin + n`` steps from a
+stream whose counter is ``c0`` on entry (its next draw is ``c0 + 1``): AR
+variants start at 0 and draw the innovation of step ``t`` (from 0) at
+counter ``c0 + t + 1``, leaving the stream at ``c0 + total``. The SRE draws
+the multiplier ``A_t`` at counter ``c0 + t + 1``. A constant additive part
+draws nothing: it is the start value and every ``B_t``, and the stream ends
+at ``c0 + total``. A random one draws the start value at ``c0 + total + 1``
+and ``B_t`` at ``c0 + total + t + 2``, and the stream ends at
+``c0 + 2*total + 1``. Walk path ``p`` consumes draws 1..J of substream ``p``
+of the supplied stream.
 """
 
 from __future__ import annotations
@@ -58,7 +64,7 @@ _KAPPA_BRACKET = (1e-6, 64.0)
 # 2 MiB L2 cache. A block of fewer steps holds as many values in more paths,
 # and the threads of one pass share those values.
 _PATH_BLOCK = 1024
-_DRAW_BLOCK = 65_536  # innovations per draw in the AR(1) recursions
+_DRAW_BLOCK = 65_536  # draws per block of each kind in the series recursions
 
 
 @dataclass(frozen=True)
@@ -99,8 +105,8 @@ class LognormalLaw:
     sigma: float
 
     def __post_init__(self):
-        if not (self.sigma > 0):
-            raise ConfigurationError("sigma must be > 0")
+        if not (math.isfinite(self.mu) and math.isfinite(self.sigma) and self.sigma > 0):
+            raise ConfigurationError("lognormal law requires a finite mu and a finite sigma > 0")
 
     def mean_log(self) -> float:
         return self.mu
@@ -157,11 +163,6 @@ class SREDriver:
         if not (self.law.mean_log() < 0):
             raise ConfigurationError(
                 f"multiplier law must have E[log A] < 0, got {self.law.mean_log():.6g}")
-
-    def sample_b(self, rng: RngState, n: int) -> np.ndarray:
-        if isinstance(self.b, InnovationSpec):
-            return dists.sample(self.b, rng, n)
-        return np.full(n, self.b)
 
     @classmethod
     def from_json(cls, obj: dict) -> "SREDriver":
@@ -245,90 +246,93 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _check_finite(x: np.ndarray, what: str):
-    """Raise at the first non-finite value of ``x``, whose values are steps
-    ``0, 1, ...``."""
-    bad = ~np.isfinite(x)
-    if bad.any():
-        raise SimulationError(f"non-finite value in {what}", step=int(np.argmax(bad)))
-
-
 def series_blocks(model: SeriesModel, n: int, rngs: list):
     """The ``n`` observations of `simulate_series` from each stream of
     ``rngs``, in order, as an iterator of blocks: row i of each block
     continues the series of ``rngs[i]``.
 
-    The AR(1) models step all the series together in one buffer of
-    ``_DRAW_BLOCK`` values in total and yield blocks of at most
+    Every variant steps all the series together in one buffer of
+    ``_DRAW_BLOCK`` values in total and yields blocks of at most
     ``_DRAW_BLOCK // len(rngs)`` columns, each a view of that buffer that
     the next block overwrites: a caller that reduces each block before it
-    asks for the next holds one block, not the series. The SRE yields its
-    whole series as one block. A non-finite value raises `SimulationError`
-    at its step, counted from the first burn-in step of its series, and only
-    from the series of the lowest index that has one: the error a run of the
-    series one at a time, in index order, raises first.
+    asks for the next holds one block, not the series. A non-finite value
+    raises `SimulationError` at its step, counted from the first burn-in
+    step of its series, and only from the series of the lowest index that
+    has one: the error a run of the series one at a time, in index order,
+    raises first.
     """
     if n < 1:
         raise ConfigurationError("series length must be >= 1")
-    if model.variant == SRE:
-        return iter((np.stack([_sre_series(model, model.burnin + n, rng)[model.burnin:]
-                               for rng in rngs]),))
-    return _ar1_blocks(model, model.burnin + n, rngs)
+    return _blocks(model, model.burnin + n, rngs)
 
 
-def _ar1_blocks(model: SeriesModel, total: int, rngs: list):
-    """Yield the states after the burn-in of ``total`` AR(1) steps from 0 of
-    the series of each stream of ``rngs``, one row per series.
+_RECURSIONS = {LINEAR_AR1: "linear AR(1) recursion", NONLINEAR_AR1: "nonlinear AR(1) recursion",
+               SRE: "stochastic recurrence"}
 
-    Each block of innovations is drawn row by row into the buffer, one
-    `distributions.sample` call per stream: the draws are counter-based and
-    elementwise, so a row's values equal one draw of ``total``. One kernel
-    call steps the block's rows together, in place, from the states the
-    previous block left. A row's non-finite value is an error only if no
-    row of lower index has one by the end of the series, so the rows below
-    the first such row keep stepping; the error raises at once when it is
-    row 0's, and otherwise after the last block.
+
+def _blocks(model: SeriesModel, total: int, rngs: list):
+    """Yield the states after the burn-in of ``total`` steps of the series
+    of each stream of ``rngs``, one row per series.
+
+    Each stream hands the draws of its series to cursors of its own
+    (`RngState.take`) and skips past them at once: the innovations, or the
+    SRE's multipliers, of the ``total`` steps, and then, for an SRE with a
+    random additive part, its start and its ``total`` additive parts. Each
+    block's draws are drawn row by row into the buffer, one call per cursor:
+    the draws are counter-based and elementwise, so a row's values equal one
+    draw of ``total``. One kernel call steps the block's rows together, in
+    place, from the states the previous block left. A row's non-finite value
+    is an error only if no row of lower index has one by the end of the
+    series, so the rows below the first such row keep stepping; the error
+    raises at once when it is row 0's, and otherwise after the last block.
     """
-    linear = model.variant == LINEAR_AR1
-    what = "linear AR(1) recursion" if linear else "nonlinear AR(1) recursion"
     rows = len(rngs)
     width = min(total, _DRAW_BLOCK // rows)
     buffer = np.empty(rows * width)
     states = np.zeros(rows)
+    # the law and the cursors of the rows of the buffer: the innovations, or
+    # the SRE's additive parts (none when its additive part is constant)
+    spec, streams = model.innovations, [rng.take(total) for rng in rngs]
+    if model.variant == SRE:
+        driver, multiplier_streams = model.driver, streams
+        multipliers = np.empty(rows * width)
+        spec = driver.b if isinstance(driver.b, InnovationSpec) else None
+        if spec is None:
+            states[:] = driver.b
+        else:
+            streams = [rng.take(total + 1) for rng in rngs]
+            for p, stream in enumerate(streams):
+                dists.sample(spec, stream, 1, out=states[p:p + 1])
     clean = rows  # rows below the first one with a non-finite value
     error = None
     for start in range(0, total, width):
         cols = min(width, total - start)
         z = buffer[:rows * cols].reshape(rows, cols)
-        for row, rng in zip(z, rngs):
-            dists.sample(model.innovations, rng, cols, out=row)
-        if linear:
+        if spec is None:
+            z[...] = driver.b
+        else:
+            for row, stream in zip(z, streams):
+                dists.sample(spec, stream, cols, out=row)
+        if model.variant == SRE:
+            a = multipliers[:rows * cols].reshape(rows, cols)
+            for row, stream in zip(a, multiplier_streams):
+                row[:] = driver.law.sample_from_uniforms(stream.uniforms(cols))
+            _kernel._KERNEL.sre(a, z, rows, cols, states)
+        elif model.variant == LINEAR_AR1:
             _kernel._KERNEL.linear_ar1(z, rows, cols, model.phi1, states)
         else:
             _kernel._KERNEL.nonlinear_ar1(z, rows, cols, model.phi1, model.delta, states)
         finite = np.isfinite(z[:clean])
         if not finite.all():
             clean, step = divmod(int(np.argmin(finite)), cols)
-            error = SimulationError(f"non-finite value in {what}", step=start + step)
+            error = SimulationError(f"non-finite value in {_RECURSIONS[model.variant]}",
+                                    step=start + step)
             if clean == 0:
                 raise error
         if start + cols > model.burnin:
             yield z[:, max(model.burnin - start, 0):]
     if error is not None:
         raise error
-
-
-def _sre_series(model: SeriesModel, total: int, rng: RngState) -> np.ndarray:
-    """``total`` SRE steps, the first from the first additive draw."""
-    a = model.driver.law.sample_from_uniforms(rng.uniforms(total)).tolist()
-    b = model.driver.sample_b(rng, total + 1).tolist()
-    x = np.empty(total)
-    state = b[0]
-    for t in range(total):
-        state = a[t] * state + b[t + 1]
-        x[t] = state
-    _check_finite(x, "stochastic recurrence")
-    return x
 
 
 def series_rows(model: SeriesModel, n: int, rngs: list) -> np.ndarray:
@@ -549,14 +553,21 @@ def solve_kappa(driver: SREDriver) -> float:
     is exactly one positive root. Lognormal multipliers use the closed form
     ``-2*mu/sigma**2``. A driver with ``E log A >= 0`` fails
     `SREDriver.check_drift` (`ConfigurationError`); a moment function with no
-    root raises `NoRootError`.
+    root, or a closed form that is not a finite positive double, raises
+    `NoRootError`.
     """
     driver.check_drift()
     law = driver.law
     if law.prob_above_one() == 0.0:
         raise NoRootError("P(A > 1) = 0: moment function never returns to 1")
     if isinstance(law, LognormalLaw):
-        return -2.0 * law.mu / law.sigma**2
+        try:
+            kappa = -2.0 * law.mu / law.sigma**2
+        except (OverflowError, ZeroDivisionError):  # sigma**2 beyond the doubles
+            kappa = -2.0 * (law.mu / law.sigma) / law.sigma
+        if not (0 < kappa < math.inf):
+            raise NoRootError(f"-2*mu/sigma**2 = {kappa!r} is not a finite positive number")
+        return kappa
 
     def g(s: float) -> float:
         return law.moment(s) - 1.0  # inf where a power overflows: taken as above 1

@@ -128,14 +128,19 @@ def hill_avar_linear(seq: CoefficientSequence, gamma: float) -> float:
     ``gamma**2 * (1 + 2 * S / D)`` with
     ``S = sum_{j>=1} sum_{i>=0} min(|psi_j|**(1/g), |psi_{i+j}|**(1/g))`` and
     ``D = sum_{i>=0} |psi_i|**(1/g)``, over the truncated sequence.
+
+    ``S`` sums the minimum of every pair ``1 <= j <= k`` of the weights
+    ``w_j = |psi_j|**(1/g)``, so with ``v_1 >= v_2 >= ...`` the weights
+    ``w_1, w_2, ...`` in descending order it is ``sum_b b * v_b``: ``v_b`` is
+    the minimum of the ``b`` pairs it forms with ``v_1..v_b``. numpy's
+    pairwise sum adds those terms in the same order on every platform.
     """
     _, w = _split_weights(seq, gamma)
     denom = w.sum()
     if not np.isfinite(denom) or denom <= 0:
         raise DomainError("normalizing coefficient sum is degenerate")
-    num = 0.0
-    for j in range(1, w.size):
-        num += np.minimum(w[j], w[j:]).sum()
+    descending = np.sort(w[1:])[::-1]
+    num = (np.arange(1.0, descending.size + 1.0) * descending).sum()
     value = gamma * gamma * (1.0 + 2.0 * num / denom)
     if not math.isfinite(value):
         raise DomainError(f"the Hill asymptotic variance overflows at gamma={gamma!r}")

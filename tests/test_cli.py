@@ -1,6 +1,7 @@
 """CLI surface: flows, exit codes, config merging, byte determinism."""
 
 import json
+import math
 import warnings
 
 import numpy as np
@@ -301,6 +302,17 @@ class TestExtremal:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
 
+    @pytest.mark.parametrize("quantity", ["theta", "hill-avar"])
+    def test_lognormal_kappa_beyond_the_doubles_exits_3(self, capsys, tmp_path, quantity):
+        # sigma**2 underflows to 0, and -2*mu/sigma**2 is far beyond the doubles
+        driver = tmp_path / "driver.json"
+        driver.write_text(json.dumps({"law": {"kind": "lognormal", "mu": -1e308,
+                                              "sigma": 1e-300}}))
+        assert parse_and_dispatch(["extremal", quantity, "--driver", str(driver),
+                                   "--paths", "1000", "--horizon", "50"]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: -2*mu/sigma**2 = inf is not a finite positive number\n"
+
     def test_overflowing_power_of_a_given_kappa(self, tmp_path):
         # at kappa 3000, 2.0**3000 overflows: these two paths never step up,
         # so theta runs on finite walks, but E A**1500 is inf and bounds no
@@ -450,6 +462,7 @@ BAD_FILES = {
     "fractional-burnin": {**MODEL_JSON, "burnin": 1.5},
     "phi1-as-string": {**MODEL_JSON, "phi1": "0.8"},
     "p-as-bool": {**MODEL_JSON, "innovations": {**MODEL_JSON["innovations"], "p": True}},
+    "lognormal-mu-minus-inf": {"law": {"kind": "lognormal", "mu": -math.inf, "sigma": 1.0}},
 }
 
 # Each entry: argv ({series}, {nan_series}, {driver}, {tmp} are filled in) and
@@ -482,6 +495,12 @@ BAD_INPUTS = {
     "model-fractional-burnin": (["simulate", "--model", "{tmp}/fractional-burnin.json"], None),
     "model-phi1-as-string": (["simulate", "--model", "{tmp}/phi1-as-string.json"], None),
     "model-p-as-bool": (["simulate", "--model", "{tmp}/p-as-bool.json"], None),
+    "lognormal-mu-minus-inf-theta": (["extremal", "theta", "--driver",
+                                      "{tmp}/lognormal-mu-minus-inf.json", "--paths", "1000",
+                                      "--horizon", "50"], None),
+    "lognormal-mu-minus-inf-hill-avar": (["extremal", "hill-avar", "--driver",
+                                          "{tmp}/lognormal-mu-minus-inf.json", "--paths", "1000",
+                                          "--horizon", "50"], None),
     "theta-one-path": (["extremal", "theta", "--driver", "{driver}", "--paths", "1"], None),
     "cluster-one-path": (["extremal", "cluster", "--driver", "{driver}", "--kmax", "2",
                           "--paths", "1"], None),

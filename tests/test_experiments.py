@@ -18,6 +18,8 @@ from tailseries import (
     ExperimentSpec,
     RngState,
     SimulationError,
+    SREDriver,
+    TwoPointLaw,
     empirical_quantile,
     fit_ar1,
     kde,
@@ -28,12 +30,14 @@ from tailseries import (
     sample_acf,
     shifted_two_sided_pareto,
     simulate_series,
+    sre_model,
     summarize_estimates,
     true_quantile,
     two_sided_pareto,
 )
 from tailseries import experiments, simulate
 from tailseries import test_power_experiment as power_experiment
+from tailseries.distributions import InnovationSpec
 from tailseries.experiments import DIRECT, silverman_bandwidth
 from scipy.special import ndtri
 from conftest import run_python
@@ -106,6 +110,12 @@ def whole_series_truth(model, t, n_reps, n, rng):
     return float(q.mean()), float(2.58 * q.std(ddof=1) / math.sqrt(n_reps))
 
 
+# the models of `test_group_raises_lowest_series_error`
+FAULT_NONLINEAR = nonlinear_ar1(0.8, 0.6, MODEL_A, burnin=100)
+FAULT_SRE = sre_model(SREDriver(TwoPointLaw(2.0, 0.5, 1.0 / 3.0),
+                                InnovationSpec("two-sided-pareto", gamma=0.25, p=1.0)), burnin=100)
+
+
 class TestFoldedTruth:
     """The truth stage folds each block of a series into its largest values,
     and gives the bytes of selecting the quantile from the whole series."""
@@ -166,8 +176,10 @@ class TestFoldedTruth:
             simulate_series(model, 3 * BLOCK, RngState(4).substream(0))
         assert folded.value.step == whole.value.step == at
 
-    @pytest.mark.parametrize("workers", [1, 3])
-    def test_group_raises_lowest_series_error(self, workers, monkeypatch):
+    @pytest.mark.parametrize("workers, model", [
+        pytest.param(1, FAULT_NONLINEAR, id="1"), pytest.param(3, FAULT_NONLINEAR, id="3"),
+        pytest.param(1, FAULT_SRE, id="sre-1"), pytest.param(3, FAULT_SRE, id="sre-3")])
+    def test_group_raises_lowest_series_error(self, workers, model, monkeypatch):
         # in a group of 4, series 2 meets a nan in the first block and series
         # 0 one in the third: a serial run raises series 0's error first
         if workers > 1:
@@ -178,7 +190,12 @@ class TestFoldedTruth:
                                 partial(ProcessPoolExecutor, mp_context=get_context("fork")))
         root = RngState(4)
         width = BLOCK // 4
-        faults = {root.substream(2).state[0]: 100, root.substream(0).state[0]: 2 * width + 10}
+        n = 3 * width
+        # a step's innovation, or the SRE's B_t, which follows the burn-in + n
+        # multipliers and the start value
+        first = model.burnin + n + 1 if model.variant == simulate.SRE else 0
+        faults = {root.substream(2).state[0]: first + 100,
+                  root.substream(0).state[0]: first + 2 * width + 10}
         real_sample = simulate.dists.sample
 
         def sample_with_nan(spec, rng, n, out):
@@ -189,8 +206,6 @@ class TestFoldedTruth:
             return out
 
         monkeypatch.setattr(simulate.dists, "sample", sample_with_nan)
-        model = nonlinear_ar1(0.8, 0.6, MODEL_A, burnin=100)
-        n = 3 * width
         alone = {}
         for i in (2, 0):
             with pytest.raises(SimulationError) as err:
@@ -205,6 +220,8 @@ class TestFoldedTruth:
             run_quantile_experiment(spec, 20.0, workers=workers)
         for err in (truth.value, replicates.value):
             assert (err.step, str(err)) == (alone[0].step, str(alone[0]))
+        if model.variant == simulate.SRE:
+            assert str(alone[0]) == f"non-finite value in stochastic recurrence (step {alone[0].step})"
 
     def test_holds_less_than_one_series(self):
         # 8 series run in two groups of 4, each holding one block of draws in

@@ -40,6 +40,7 @@ from conftest import KERNELS, assert_same_bits, same_on_every_kernel, walk_matri
 
 MODEL_A = two_sided_pareto(0.5, 0.5)
 TWO_POINT = SREDriver(TwoPointLaw(2.0, 0.5, 1.0 / 3.0))
+POSITIVE_B = InnovationSpec("two-sided-pareto", gamma=0.25, p=1.0)
 
 
 @pytest.fixture
@@ -138,26 +139,33 @@ class TestSeriesModels:
             assert err.value.step == int(np.argmax(~np.isfinite(expected))) > 0
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
-    @pytest.mark.parametrize("model", [linear_ar1(0.8, MODEL_A, burnin=0),
-                                       nonlinear_ar1(0.8, 0.6, MODEL_A, burnin=0)],
-                             ids=["linear", "nonlinear"])
-    def test_nonfinite_in_second_draw_block(self, monkeypatch, bad, model):
+    @pytest.mark.parametrize("model, what", [
+        (linear_ar1(0.8, MODEL_A, burnin=0), "linear AR(1) recursion"),
+        (nonlinear_ar1(0.8, 0.6, MODEL_A, burnin=0), "nonlinear AR(1) recursion"),
+        (sre_model(SREDriver(TWO_POINT.law, POSITIVE_B), burnin=0),
+         "stochastic recurrence"),
+    ], ids=["linear", "nonlinear", "sre"])
+    def test_nonfinite_in_second_draw_block(self, monkeypatch, bad, model, what):
         # the state carried into the second block is finite; the bad draw
         # makes its own step the first non-finite one on every kernel
-        at = simulate._DRAW_BLOCK + 10
+        at, n = simulate._DRAW_BLOCK + 10, 2 * simulate._DRAW_BLOCK
+        # the draw of step `at`: its innovation, or the SRE's B_at, which
+        # follows the n multipliers and the start value
+        draw = at + (n + 1 if model.variant == simulate.SRE else 0)
         real_sample = simulate.dists.sample
 
-        def sample_with_bad_draw(spec, rng, n, out=None):  # draw `at` of the stream is `bad`
+        def sample_with_bad_draw(spec, rng, n, out=None):  # draw `draw` of the stream is `bad`
             start = rng.state[1]
             z = real_sample(spec, rng, n, out=out)
-            if start <= at < start + n:
-                z[at - start] = bad
+            if start <= draw < start + n:
+                z[draw - start] = bad
             return z
 
         monkeypatch.setattr(simulate.dists, "sample", sample_with_bad_draw)
         with pytest.raises(SimulationError) as err:
-            simulate_both_paths(model, 2 * simulate._DRAW_BLOCK, 1)
+            simulate_both_paths(model, n, 1)
         assert err.value.step == at
+        assert str(err.value) == f"non-finite value in {what} (step {at})"
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
@@ -285,19 +293,22 @@ class TestLinearRecursion:
         assert err.value.step == int(np.argmax(~np.isfinite(expected)))
 
 
-def step_rows(kernel, nonlinear, z, states):
-    """One call of the kernel's AR(1) entry on the C-contiguous rows of ``z``."""
+def step_rows(kernel, kind, a, z, states):
+    """One call of the kernel's entry for ``kind`` on the C-contiguous rows of
+    ``z``; the SRE takes the multipliers of the same rows of ``a``."""
     count, n = z.shape
-    if nonlinear:
+    if kind == "sre":
+        kernel.sre(a, z, count, n, states)
+    elif kind == "nonlinear":
         kernel.nonlinear_ar1(z, count, n, 0.8, 0.6, states)
     else:
         kernel.linear_ar1(z, count, n, 0.8, states)
 
 
 class TestRowGroups:
-    """The AR(1) entries step ``count`` rows in one call, the compiled kernel
-    four at a time in lockstep and then the rest; each row must get the
-    bits of that row stepped alone, on every kernel path."""
+    """The series entries step ``count`` rows in one call, the compiled
+    kernel four at a time in lockstep and then the rest; each row must get
+    the bits of that row stepped alone, on every kernel path."""
 
     # start states on both sides of |x| = 1 and at its edges; the last row
     # starts from nan, and row 2 meets a nan innovation
@@ -314,19 +325,21 @@ class TestRowGroups:
 
     @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: "python" if k is
                              _kernel._PYTHON_KERNEL else "c")
-    @pytest.mark.parametrize("nonlinear", [False, True], ids=["linear", "nonlinear"])
+    @pytest.mark.parametrize("kind", ["linear", "nonlinear", "sre"])
     @pytest.mark.parametrize("count", range(1, 10))
-    def test_each_row_steps_as_alone(self, kernel, nonlinear, count):
+    def test_each_row_steps_as_alone(self, kernel, kind, count):
         z = self.innovations(count)
+        # SRE multipliers on both sides of 1, of mean 0.75
+        a = np.random.default_rng(count + 100).uniform(0.0, 1.5, z.shape)
         states = np.array(self.STATES[:count])
         # the group in two calls, carrying its states from the first
         first, second = z[:, :120].copy(), z[:, 120:].copy()
-        step_rows(kernel, nonlinear, first, states)
-        step_rows(kernel, nonlinear, second, states)
+        step_rows(kernel, kind, a[:, :120].copy(), first, states)
+        step_rows(kernel, kind, a[:, 120:].copy(), second, states)
         grouped = np.hstack((first, second))
         for p in range(count):
             row, state = z[p:p + 1].copy(), np.array(self.STATES[p:p + 1])
-            step_rows(_kernel._PYTHON_KERNEL, nonlinear, row, state)
+            step_rows(_kernel._PYTHON_KERNEL, kind, a[p:p + 1].copy(), row, state)
             assert grouped[p].tobytes() == row[0].tobytes()
             assert states[p:p + 1].tobytes() == state.tobytes()
         crossed = np.abs(grouped[0]) > 1.0
@@ -396,7 +409,59 @@ class TestKernelLoader:
         assert (kernel is None) == (_kernel._KERNEL is _kernel._PYTHON_KERNEL)
 
 
+def reference_sre(driver, total, rng):
+    """The documented SRE draw protocol in plain Python: ``total`` steps of
+    ``X_t = A_t X_{t-1} + B_t`` from ``rng``, which draws the ``total``
+    multipliers and then, for a random additive part, its start value and
+    the ``total`` additive parts, each in one call."""
+    a = driver.law.sample_from_uniforms(rng.uniforms(total)).tolist()
+    if isinstance(driver.b, InnovationSpec):
+        b = sample(driver.b, rng, total + 1).tolist()
+    else:
+        b = [driver.b] * (total + 1)
+    x, state = [], b[0]
+    for t in range(total):
+        state = a[t] * state + b[t + 1]
+        x.append(state)
+    return np.array(x)
+
+
+SRE_DRIVERS = {"two-point": TWO_POINT,
+               "lognormal": SREDriver(LognormalLaw(-0.5, 1.0)),
+               "two-point-random-b": SREDriver(TWO_POINT.law, POSITIVE_B),
+               "lognormal-random-b": SREDriver(LognormalLaw(-0.5, 1.0), POSITIVE_B)}
+
+
 class TestSRE:
+    @pytest.mark.parametrize("driver", SRE_DRIVERS.values(), ids=list(SRE_DRIVERS))
+    def test_matches_protocol_across_draw_blocks(self, driver):
+        # two calls on one stream: the second starts where the documented
+        # protocol leaves the stream, c0 + total or c0 + 2*total + 1
+        burnin, n = 77, 2 * simulate._DRAW_BLOCK + 123
+        total = burnin + n
+        model = sre_model(driver, burnin=burnin)
+        random_b = isinstance(driver.b, InnovationSpec)
+
+        def two_calls():
+            rng = RngState(23)
+            first = simulate_series(model, n, rng)
+            assert rng.state[1] == (2 * total + 1 if random_b else total)
+            return np.concatenate((first, simulate_series(model, n, rng)))
+
+        series = same_on_every_kernel(two_calls)
+        reference = RngState(23)
+        expected = [reference_sre(driver, total, reference)[burnin:] for _ in range(2)]
+        assert_same_bits(series, np.concatenate(expected))
+
+    @pytest.mark.parametrize("driver", SRE_DRIVERS.values(), ids=list(SRE_DRIVERS))
+    def test_each_row_of_a_group_as_alone(self, driver):
+        model, n = sre_model(driver, burnin=100), 40_000  # crosses blocks from 2 rows
+        for count in range(1, 6):
+            rows = same_on_every_kernel(lambda: simulate.series_rows(
+                model, n, [RngState(count).substream(i) for i in range(count)]))
+            for i, row in enumerate(rows):
+                assert_same_bits(row, simulate_series(model, n, RngState(count).substream(i)))
+
     def test_tail_plateau(self):
         # Kesten tail: x * P(X > x) flattens to a positive constant over a
         # decade once kappa = 1
@@ -704,6 +769,15 @@ class TestSolveKappa:
         drv2 = SREDriver(LognormalLaw(mu=-0.3, sigma=0.7))
         kappa = solve_kappa(drv2)
         assert drv2.law.moment(kappa) == pytest.approx(1.0, abs=1e-12)
+        # sigma**2 overflows or underflows, while -2*mu/sigma**2 is a double
+        assert solve_kappa(SREDriver(LognormalLaw(-1e308, 1e155))) == pytest.approx(0.02)
+        assert solve_kappa(SREDriver(LognormalLaw(-1e-300, 1e-200))) == pytest.approx(2e100)
+        for mu, sigma in ((-1e308, 1e-300), (-1e-300, 1e160)):  # beyond the doubles
+            with pytest.raises(NoRootError):
+                solve_kappa(SREDriver(LognormalLaw(mu, sigma)))
+        for mu, sigma in ((-math.inf, 1.0), (math.nan, 1.0), (-0.5, math.inf), (-0.5, 0.0)):
+            with pytest.raises(ConfigurationError):
+                LognormalLaw(mu, sigma)
 
     def test_no_root_on_zero_drift(self):
         # the drift check of `SREDriver.check_drift`, as `simulate_walks` makes it

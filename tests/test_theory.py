@@ -89,9 +89,10 @@ class TestHillAvar:
         assert hill_avar_ar1(0.8, 0.5) == pytest.approx(1.1388888888888889, rel=1e-12)
         assert hill_avar_ar1(0.8, 0.3) == pytest.approx(0.25305232104545667, rel=1e-12)
 
-    @pytest.mark.parametrize("phi", PHI_GRID)
-    @pytest.mark.parametrize("gamma", GAMMA_GRID)
-    def test_closed_form_equals_series(self, phi, gamma):
+    # the grid, and 60,680 terms at (phi, gamma) = (0.999, 1)
+    @pytest.mark.parametrize("gamma, phi", [(gamma, phi) for gamma in GAMMA_GRID
+                                            for phi in PHI_GRID] + [(1.0, 0.999)])
+    def test_closed_form_equals_series(self, gamma, phi):
         seq = CoefficientSequence.ar1(phi, gamma)
         assert hill_avar_ar1(phi, gamma) == pytest.approx(
             hill_avar_linear(seq, gamma), abs=1e-8, rel=1e-8)
