@@ -18,15 +18,14 @@ which `_load_kernel` compiles on first import, or, without a compiler,
   the first non-finite value of ``rows`` (``count * n`` when there is none)
   and, when every value is finite, each row's maximum and sum of
   ``min(W_j, 1)``, the per-path summaries of `simulate.simulate_walks`;
-* ``linear_ar1(z, count, n, phi, states)``,
-  ``nonlinear_ar1(z, count, n, phi, delta, states)`` and
-  ``sre(a, z, count, n, states)``: the three series recursions of
-  `simulate.py` on each of the ``count`` rows of ``n`` innovations (for the
-  SRE, additive parts ``B_t``, with the multipliers ``A_t`` in the rows of
-  ``a``) in ``z``, row p from ``states[p]``, overwriting each row with its
-  states and ``states[p]`` with its last. The compiled kernel steps four rows
-  together in lockstep, and each row takes the operations of a row stepped
-  alone;
+* ``series(kind, a, z, count, n, phi, delta, states)``: the series
+  recursion of `simulate.py` of ``kind`` (``LINEAR``, ``NONLINEAR`` or
+  ``SRE``) on each of the ``count`` rows of ``n`` innovations (for the SRE,
+  additive parts ``B_t``, with the multipliers ``A_t`` in the rows of ``a``;
+  the AR(1) kinds never read ``a``) in ``z``, row p from ``states[p]``,
+  overwriting each row with its states and ``states[p]`` with its last. The
+  compiled kernel steps up to four rows together in lockstep, and each row
+  takes the operations of a row stepped alone;
 * ``capped_top(rows, count, n, k, capped)``: row p of ``capped`` gets 1.0
   and then the ``k`` largest of ``min(rows[p], 1)``, in descending order, the
   per-path order statistics of `extremal.cluster_size_probs`;
@@ -77,16 +76,17 @@ _KERNEL_SIGNATURES = {
     "pareto_finish": (None, (_READ_DOUBLES, _DOUBLES, _SIZE, _DOUBLE, _DOUBLE)),
     "two_point_walk": (None, (_BASES, _SIZE, _SIZE, _DOUBLE, _DOUBLE, _DOUBLE, _DOUBLES)),
     "walk_summary": (_SIZE, (_READ_DOUBLES, _SIZE, _SIZE, _DOUBLES, _DOUBLES)),
-    "linear_ar1": (None, (_DOUBLES, _SIZE, _SIZE, _DOUBLE, _DOUBLES)),
-    "nonlinear_ar1": (None, (_DOUBLES, _SIZE, _SIZE, _DOUBLE, _DOUBLE, _DOUBLES)),
-    "sre": (None, (_READ_DOUBLES, _DOUBLES, _SIZE, _SIZE, _DOUBLES)),
+    "series": (None, (ctypes.c_int, _READ_DOUBLES, _DOUBLES, _SIZE, _SIZE, _DOUBLE, _DOUBLE,
+                      _DOUBLES)),
     "capped_top": (None, (_READ_DOUBLES, _SIZE, _SIZE, _SIZE, _DOUBLES)),
     "cluster_moments": (None, (_READ_DOUBLES, _SIZE, _SIZE, *(_DOUBLES,) * 4)),
 }
 # walk values the numpy twin draws at once, in whole rows: each temporary is about 512 KB
 _TWIN_CHUNK = 65_536
-# rows that the compiled `linear_ar1`, `nonlinear_ar1` and `sre` step together in lockstep
+# rows that the compiled `series` steps together in lockstep
 LOCKSTEP_ROWS = 4
+# the `kind` codes of `series`, as `enum step_kind` in _recursion.c numbers them
+LINEAR, NONLINEAR, SRE = 0, 1, 2
 
 
 def _kernel_dirs():
@@ -232,58 +232,41 @@ def _pareto_finish(u: np.ndarray, z: np.ndarray, n: int, p: float, shift: float)
         z[:n] = np.where(left, -power, power)
 
 
-def _linear_ar1(z: np.ndarray, count: int, n: int, phi: float, states: np.ndarray) -> None:
-    """``linear_ar1`` of `_recursion.c`, in Python: one row at a time."""
-    # The same bits as the C kernel: lfilter([1], [1, -phi], z) steps
-    # y = 1.0*z + (0.0*z_prev + phi*y_prev), and the carried state enters as
-    # the initial condition phi*state. The products by 1.0 and 0.0 are exact,
-    # a signed zero added to a nonzero sum leaves it as it is, and when every
-    # term is zero both give +0.0, because no innovation is -0.0. A non-finite
-    # draw makes both paths non-finite from its step on. Each row is its own
-    # recursion, in C as here, so stepping rows together changes no bits.
-    from scipy.signal import lfilter
+def _series(kind: int, a: np.ndarray, z: np.ndarray, count: int, n: int, phi: float,
+            delta: float, states: np.ndarray) -> None:
+    """``series`` of `_recursion.c`, in Python: one row at a time."""
+    # Each step takes the C kernel's operations on Python floats: with
+    # -ffp-contract=off every `*` and `+` in C is one rounding, as here, and
+    # `log` is the same C library function. Each row is its own recursion,
+    # in C as here, so stepping rows together changes no bits.
+    log, multipliers = math.log, a.reshape(count, n)
     for p, row in enumerate(z.reshape(count, n)):
-        row[:] = lfilter([1.0], [1.0, -phi], row, zi=[phi * states[p]])[0]
-        states[p] = row[-1]
-
-
-def _nonlinear_ar1(z: np.ndarray, count: int, n: int, phi: float, delta: float,
-                   states: np.ndarray) -> None:
-    """``nonlinear_ar1`` of `_recursion.c`, in Python: one row at a time."""
-    # The three branches equal the documented formula bit for bit:
-    # (delta * +-1.0) * L is exactly +-(delta * L), and a + (-b) is exactly
-    # a - b. For |state| <= 1 the formula adds delta * sgn * log(1.0) =
-    # +-0.0, which can change only the sign of a zero sum; adding zt then
-    # removes that sign, because no innovation is -0.0: a nonzero zt
-    # gives zt, and any zero plus +0.0 is +0.0 (the shifted law draws
-    # +0.0 at uniforms next to 1 - p). A nan takes the last branch and
-    # stays nan, as in the formula; delta is finite (`SeriesModel`
-    # checks), so the skipped term is never nan. The C kernel runs the
-    # same branches with the same roundings (see `_recursion.c`).
-    log = math.log
-    for p, row in enumerate(z.reshape(count, n)):
-        state = float(states[p])
-        values = row.tolist()
-        for i, zt in enumerate(values):
-            if state > 1.0:
-                state = phi * state + delta * log(state) + zt
-            elif state < -1.0:
-                state = phi * state - delta * log(-state) + zt
-            else:
-                state = phi * state + zt
-            values[i] = state
-        row[:] = values
-        states[p] = state
-
-
-def _sre(a: np.ndarray, z: np.ndarray, count: int, n: int, states: np.ndarray) -> None:
-    """``sre`` of `_recursion.c`, in Python: one row at a time."""
-    # a * state + z on Python floats is one rounding of `*` and one of `+`,
-    # as in the C kernel built with -ffp-contract=off
-    for p, (multipliers, row) in enumerate(zip(a.reshape(count, n), z.reshape(count, n))):
         state, values = float(states[p]), row.tolist()
-        for i, at in enumerate(multipliers.tolist()):
-            values[i] = state = at * state + values[i]
+        if kind == SRE:
+            for i, at in enumerate(multipliers[p].tolist()):
+                values[i] = state = at * state + values[i]
+        elif kind == NONLINEAR:
+            # The three branches equal the documented formula bit for bit:
+            # (delta * +-1.0) * L is exactly +-(delta * L), and a + (-b) is
+            # exactly a - b. For |state| <= 1 the formula adds
+            # delta * sgn * log(1.0) = +-0.0, which can change only the sign
+            # of a zero sum; adding zt then removes that sign, because no
+            # innovation is -0.0: a nonzero zt gives zt, and any zero plus
+            # +0.0 is +0.0 (the shifted law draws +0.0 at uniforms next to
+            # 1 - p). A nan takes the last branch and stays nan, as in the
+            # formula; delta is finite (`SeriesModel` checks), so the skipped
+            # term is never nan.
+            for i, zt in enumerate(values):
+                if state > 1.0:
+                    state = phi * state + delta * log(state) + zt
+                elif state < -1.0:
+                    state = phi * state - delta * log(-state) + zt
+                else:
+                    state = phi * state + zt
+                values[i] = state
+        else:
+            for i, zt in enumerate(values):
+                values[i] = state = phi * state + zt
         row[:] = values
         states[p] = state
 
@@ -312,5 +295,3 @@ def _cluster_moments(capped: np.ndarray, count: int, width: int, theta_mean: np.
 _PYTHON_KERNEL = SimpleNamespace(**{name: globals()["_" + name] for name in _KERNEL_SIGNATURES})
 _KERNEL = _load_kernel(_kernel_dirs()) or _PYTHON_KERNEL
 RECURSION_PATH = "python" if _KERNEL is _PYTHON_KERNEL else "c"
-if _KERNEL is _PYTHON_KERNEL:
-    import scipy.signal  # noqa: F401  the fallback's lfilter, inherited by forked pool workers

@@ -1,9 +1,9 @@
 /* The compiled kernel of tailseries: the SplitMix64 uniforms of rng.py, the
 arithmetic around the power in the Pareto inverse CDF of distributions.py,
-the two-point geometric walk, its per-path summaries and the three series
-recursions of simulate.py (the linear and nonlinear AR(1) and the stochastic
-recurrence equation), and the per-path top values and column moments of the
-cluster sizes in extremal.py.
+the two-point geometric walk, its per-path summaries, the one `series` entry
+for the three series recursions of simulate.py (the linear and nonlinear
+AR(1) and the stochastic recurrence equation), and the per-path top values
+and column moments of the cluster sizes in extremal.py.
 
 Plain C with no Python C-API: _kernel.py compiles this file with
 
@@ -111,14 +111,16 @@ void pareto_finish(const double *u, double *z, size_t n, double p, double shift)
     }
 }
 
+/* The `kind` codes of `series`, as _kernel.py numbers them. */
 enum step_kind { LINEAR, NONLINEAR, SRE };
 
 /* One step from `state` with innovation zi: phi * state + zi for the linear
    AR(1), the three-branch form of _kernel.py for the nonlinear one, and
    ai * state + zi for the SRE, with the step's own multiplier ai. A nan state
-   fails both comparisons and takes the last branch, as it does in Python. */
-static inline double ar1_step(enum step_kind kind, double state, double ai, double zi,
-                              double phi, double delta)
+   fails both comparisons and takes the last branch, as it does in Python.
+   Always inlined, so that each caller's constant `kind` selects one branch. */
+static inline __attribute__((always_inline)) double
+ar1_step(enum step_kind kind, double state, double ai, double zi, double phi, double delta)
 {
     if (kind == SRE)
         return ai * state + zi;
@@ -131,61 +133,67 @@ static inline double ar1_step(enum step_kind kind, double state, double ai, doub
     return phi * state + zi;
 }
 
-/* The recursion on each of the `count` rows of n innovations in z, row p
-   from states[p], with the multipliers of row p of `a` for the SRE (the
-   AR(1) entries pass z, whose rows they never read as multipliers):
-   overwrites the row with its states, in place, and states[p] with its last
-   state, so a caller can carry it into the next block. Four rows step
-   together: their four chains of steps are independent, so the processor
-   overlaps the latency of one row's step (and its `log`) with the others'.
-   Each row still takes exactly its own operations in its own order, so its
-   bits do not depend on the rows that step beside it. The remaining rows
-   step one at a time. */
-static inline void ar1_rows(enum step_kind kind, const double *a, double *z, size_t count,
-                            size_t n, double phi, double delta, double *states)
+/* The recursion on the `width` (1 to 4) rows of n innovations in z, row r
+   from states[r], with the multipliers of row r of `a` for the SRE (the
+   AR(1) kinds pass z, whose rows they never read as multipliers):
+   overwrites each row with its states, in place, and states[r] with its last
+   state. The rows step together, one step of each per pass, with their
+   states in registers: their chains of steps are independent, so the
+   processor overlaps the latency of one row's step (and its `log`) with the
+   others'. Each row still takes exactly its own operations in its own
+   order, so its bits do not depend on the rows that step beside it. Every
+   caller passes a constant `kind` and `width`, so the row loop unrolls into
+   straight code (which GCC at -O2 does only when asked). */
+static inline __attribute__((always_inline)) void
+lockstep(enum step_kind kind, size_t width, const double *a, double *z, size_t n,
+         double phi, double delta, double *states)
+{
+    double s[4];
+#pragma GCC unroll 4
+    for (size_t r = 0; r < width; r++)
+        s[r] = states[r];
+    for (size_t i = 0; i < n; i++) {
+#pragma GCC unroll 4
+        for (size_t r = 0; r < width; r++)
+            z[r * n + i] = s[r] = ar1_step(kind, s[r], a[r * n + i], z[r * n + i], phi, delta);
+    }
+#pragma GCC unroll 4
+    for (size_t r = 0; r < width; r++)
+        states[r] = s[r];
+}
+
+/* `lockstep` on each of the `count` rows of n values of z (and of a), four
+   rows at a time and then the last one to three together. */
+static inline __attribute__((always_inline)) void
+ar1_rows(enum step_kind kind, const double *a, double *z, size_t count, size_t n,
+         double phi, double delta, double *states)
 {
     size_t p = 0;
-    for (; p + 4 <= count; p += 4) {
-        double *z0 = z + p * n, *z1 = z0 + n, *z2 = z1 + n, *z3 = z2 + n;
-        const double *a0 = a + p * n, *a1 = a0 + n, *a2 = a1 + n, *a3 = a2 + n;
-        double s0 = states[p], s1 = states[p + 1], s2 = states[p + 2], s3 = states[p + 3];
-        for (size_t i = 0; i < n; i++) {
-            z0[i] = s0 = ar1_step(kind, s0, a0[i], z0[i], phi, delta);
-            z1[i] = s1 = ar1_step(kind, s1, a1[i], z1[i], phi, delta);
-            z2[i] = s2 = ar1_step(kind, s2, a2[i], z2[i], phi, delta);
-            z3[i] = s3 = ar1_step(kind, s3, a3[i], z3[i], phi, delta);
-        }
-        states[p] = s0;
-        states[p + 1] = s1;
-        states[p + 2] = s2;
-        states[p + 3] = s3;
-    }
-    for (; p < count; p++) {
-        double *zp = z + p * n, s = states[p];
-        const double *ap = a + p * n;
-        for (size_t i = 0; i < n; i++)
-            zp[i] = s = ar1_step(kind, s, ap[i], zp[i], phi, delta);
-        states[p] = s;
-    }
+    for (; p + 4 <= count; p += 4)
+        lockstep(kind, 4, a + p * n, z + p * n, n, phi, delta, states + p);
+    if (count - p == 3)
+        lockstep(kind, 3, a + p * n, z + p * n, n, phi, delta, states + p);
+    else if (count - p == 2)
+        lockstep(kind, 2, a + p * n, z + p * n, n, phi, delta, states + p);
+    else if (count - p == 1)
+        lockstep(kind, 1, a + p * n, z + p * n, n, phi, delta, states + p);
 }
 
-/* Linear AR(1), state = phi * state + z[i], on `count` rows (ar1_rows). */
-void linear_ar1(double *z, size_t count, size_t n, double phi, double *states)
+/* The series recursion of `kind` on `count` rows (ar1_rows), row p from
+   states[p], and states[p] set to its last state, so a caller can carry it
+   into the next block: the linear AR(1), state = phi * state + z[i]; the
+   nonlinear one, with `delta`; or the SRE, state = a[i] * state + z[i], on
+   rows of multipliers `a` and additive parts z. Each kind runs its own copy
+   of the loop. */
+void series(int kind, const double *a, double *z, size_t count, size_t n, double phi,
+            double delta, double *states)
 {
-    ar1_rows(LINEAR, z, z, count, n, phi, 0.0, states);
-}
-
-/* Nonlinear AR(1) on `count` rows (ar1_rows). */
-void nonlinear_ar1(double *z, size_t count, size_t n, double phi, double delta, double *states)
-{
-    ar1_rows(NONLINEAR, z, z, count, n, phi, delta, states);
-}
-
-/* The SRE, state = a[i] * state + z[i], on `count` rows of multipliers `a`
-   and additive parts z (ar1_rows). */
-void sre(const double *a, double *z, size_t count, size_t n, double *states)
-{
-    ar1_rows(SRE, a, z, count, n, 0.0, 0.0, states);
+    if (kind == LINEAR)
+        ar1_rows(LINEAR, a, z, count, n, phi, delta, states);
+    else if (kind == NONLINEAR)
+        ar1_rows(NONLINEAR, a, z, count, n, phi, delta, states);
+    else if (kind == SRE)
+        ar1_rows(SRE, a, z, count, n, phi, delta, states);
 }
 
 /* min(x, 1) as numpy's minimum takes it; a nan x stays nan. */

@@ -47,9 +47,8 @@ def normal_cdf(x) -> float | np.ndarray:
 
 
 def normal_sf(x) -> float | np.ndarray:
-    from scipy.special import erfc
-
-    return 0.5 * erfc(np.asarray(x, dtype=np.float64) / np.sqrt(2.0))
+    """Standard normal survival function, ``normal_cdf(-x)``."""
+    return normal_cdf(-np.asarray(x, dtype=np.float64))
 
 
 def chisq_sf(x, df: float) -> float | np.ndarray:

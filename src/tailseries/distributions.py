@@ -131,33 +131,32 @@ def _inverse_cdf(spec: InnovationSpec, u: np.ndarray, out: np.ndarray) -> np.nda
     return out
 
 
+def _tails(spec: InnovationSpec, x: np.ndarray):
+    """``(upper, lower, edge)`` at the float64 array ``x``: the survival
+    ``P(Z > x)`` where ``x >= edge``, the CDF ``P(Z <= x)`` where
+    ``x <= -edge``, and the support edge, 1 for the unshifted law (which puts
+    no mass on (-1, 1)) and 0 for the shifted one."""
+    if spec.kind == TWO_SIDED_PARETO:
+        edge, up, down = 1.0, np.maximum(x, 1.0), np.maximum(-x, 1.0)
+    else:
+        edge, up, down = 0.0, np.maximum(x, 0.0) + 1.0, np.maximum(-x, 0.0) + 1.0
+    power = -1.0 / spec.gamma
+    return spec.p * up ** power, (1.0 - spec.p) * down ** power, edge
+
+
 def survival_fn(spec: InnovationSpec, x):
     """Exact survival function ``P(Z > x)``, elementwise."""
     x_arr = np.asarray(x, dtype=np.float64)
-    g, p = spec.gamma, spec.p
-    if spec.kind == TWO_SIDED_PARETO:
-        right = np.where(x_arr >= 1.0, p * np.maximum(x_arr, 1.0) ** (-1.0 / g), p)
-        left = 1.0 - (1.0 - p) * np.maximum(-x_arr, 1.0) ** (-1.0 / g)
-        out = np.where(x_arr >= 1.0, right, np.where(x_arr >= -1.0, p, left))
-    else:
-        right = p * (np.maximum(x_arr, 0.0) + 1.0) ** (-1.0 / g)
-        left = 1.0 - (1.0 - p) * (np.maximum(-x_arr, 0.0) + 1.0) ** (-1.0 / g)
-        out = np.where(x_arr >= 0.0, right, left)
+    upper, lower, edge = _tails(spec, x_arr)
+    out = np.where(x_arr >= edge, upper, np.where(x_arr >= -edge, spec.p, 1.0 - lower))
     return float(out) if np.isscalar(x) else out
 
 
 def cdf_fn(spec: InnovationSpec, x):
     """Exact CDF ``P(Z <= x)``, evaluated branchwise (no cancellation in the tails)."""
     x_arr = np.asarray(x, dtype=np.float64)
-    g, p = spec.gamma, spec.p
-    if spec.kind == TWO_SIDED_PARETO:
-        left = (1.0 - p) * np.maximum(-x_arr, 1.0) ** (-1.0 / g)
-        right = 1.0 - p * np.maximum(x_arr, 1.0) ** (-1.0 / g)
-        out = np.where(x_arr >= 1.0, right, np.where(x_arr >= -1.0, 1.0 - p, left))
-    else:
-        left = (1.0 - p) * (np.maximum(-x_arr, 0.0) + 1.0) ** (-1.0 / g)
-        right = 1.0 - p * (np.maximum(x_arr, 0.0) + 1.0) ** (-1.0 / g)
-        out = np.where(x_arr >= 0.0, right, left)
+    upper, lower, edge = _tails(spec, x_arr)
+    out = np.where(x_arr >= edge, 1.0 - upper, np.where(x_arr >= -edge, 1.0 - spec.p, lower))
     return float(out) if np.isscalar(x) else out
 
 

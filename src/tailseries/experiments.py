@@ -9,11 +9,11 @@ reduce their series to one statistic through one series map (`_map_series`):
 series i always consumes substream i of its stream, so results are
 bit-identical for any worker count. The map runs the series in consecutive
 groups of at most four, ``min(4, ceil(count / workers))`` each, whose series
-step together in lockstep in the kernel; a pool task is one group, and the
-statistic is applied per series in index order. The ground truth never
-holds a whole series: it folds each block of a group's draws, one buffer of
-``simulate._DRAW_BLOCK`` values for the whole group, into each series' own
-largest values.
+step together in lockstep in the kernel at any group width; a pool task is
+one group, and the statistic is applied per series in index order. The
+ground truth never holds a whole series: it folds each block of a group's
+draws, one buffer of ``simulate._DRAW_BLOCK`` values for the whole group,
+into each series' own largest values.
 
 Presets mirror the simulation study's tables and figures at desk scale and
 write plot-ready CSV plus JSON summaries; see `run_preset`.

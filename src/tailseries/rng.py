@@ -18,7 +18,7 @@ Uniform doubles use the top 53 bits, centered so that 0 and 1 are never hit:
 
 Substream derivation is a pure mixing function of the parent stream:
 
-    root base            = mix64(master_seed)
+    root base            = mix64(master_seed)       (0 <= master_seed < 2**64)
     child i of base b    = mix64((b + (i + 1) * 0xD2B74407B1CE6E93) mod 2**64)
 
 Because ``mix64`` is a bijection on 64-bit words, distinct child indices give
@@ -41,6 +41,7 @@ import numpy as np
 
 from . import _kernel
 from ._kernel import _U, _mix64_array
+from .errors import ConfigurationError
 
 _MASK64 = (1 << 64) - 1
 _STREAM_SALT = 0xD2B74407B1CE6E93
@@ -59,14 +60,20 @@ def mix64(z: int) -> int:
 class RngState:
     """One logical random stream plus its substream derivation.
 
-    A stream is identified by its 64-bit ``base``; draws only advance the
-    draw counter. ``substream(i)`` derives an independent child stream
-    without touching this stream's counter, so replicate/path substreams can
-    be handed out deterministically and used concurrently.
+    A stream is identified by its 64-bit ``base``, mixed from a master seed
+    in [0, 2**64) (any other seed raises `ConfigurationError`, since it
+    would alias one in range); draws only advance the draw counter.
+    ``substream(i)`` derives an independent child stream without touching
+    this stream's counter, so replicate/path substreams can be handed out
+    deterministically and used concurrently.
     """
 
     def __init__(self, master_seed: int, _base: int | None = None):
-        self._base = mix64(int(master_seed)) if _base is None else (_base & _MASK64)
+        if _base is None:
+            if not 0 <= master_seed <= _MASK64:  # no two seeds may name one stream
+                raise ConfigurationError(f"seed must lie in [0, 2**64), got {master_seed}")
+            _base = mix64(int(master_seed))
+        self._base = _base & _MASK64
         self._count = 0
 
     @property

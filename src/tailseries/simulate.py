@@ -14,10 +14,10 @@ exponent ``kappa`` with ``E A**kappa = 1``.
 All three recursions step a group of series together (`series_blocks`):
 each block of draws of every series in the group is drawn into one reused
 buffer of ``_DRAW_BLOCK`` values in total, one row per series (and, for the
-SRE, its multipliers into a second such buffer), and one kernel call steps
-the rows there in place, in lockstep, each row with the bits it has when
-stepped alone. Two-point walks are
-drawn and multiplied a block of paths at a time and summarized per path,
+SRE, its multipliers into a second such buffer), and one call of the
+kernel's ``series`` entry steps the rows there in place, up to four in
+lockstep, each row with the bits it has when stepped alone. Two-point walks
+are drawn and multiplied a block of paths at a time and summarized per path,
 through the kernel of `_kernel.py`: the compiled ``_recursion.c``, or,
 without a compiler, its Python twins, with the same bytes, only slower.
 ``RECURSION_PATH`` (``"c"`` or ``"python"``) says which one this process
@@ -266,8 +266,10 @@ def series_blocks(model: SeriesModel, n: int, rngs: list):
     return _blocks(model, model.burnin + n, rngs)
 
 
-_RECURSIONS = {LINEAR_AR1: "linear AR(1) recursion", NONLINEAR_AR1: "nonlinear AR(1) recursion",
-               SRE: "stochastic recurrence"}
+# variant: (the kernel's `kind` code, the recursion's name in errors)
+_RECURSIONS = {LINEAR_AR1: (_kernel.LINEAR, "linear AR(1) recursion"),
+               NONLINEAR_AR1: (_kernel.NONLINEAR, "nonlinear AR(1) recursion"),
+               SRE: (_kernel.SRE, "stochastic recurrence")}
 
 
 def _blocks(model: SeriesModel, total: int, rngs: list):
@@ -286,6 +288,7 @@ def _blocks(model: SeriesModel, total: int, rngs: list):
     series, so the rows below the first such row keep stepping; the error
     raises at once when it is row 0's, and otherwise after the last block.
     """
+    kind, recursion = _RECURSIONS[model.variant]
     rows = len(rngs)
     width = min(total, _DRAW_BLOCK // rows)
     buffer = np.empty(rows * width)
@@ -313,20 +316,16 @@ def _blocks(model: SeriesModel, total: int, rngs: list):
         else:
             for row, stream in zip(z, streams):
                 dists.sample(spec, stream, cols, out=row)
+        a = z  # the AR(1) kinds read no multipliers
         if model.variant == SRE:
             a = multipliers[:rows * cols].reshape(rows, cols)
             for row, stream in zip(a, multiplier_streams):
                 row[:] = driver.law.sample_from_uniforms(stream.uniforms(cols))
-            _kernel._KERNEL.sre(a, z, rows, cols, states)
-        elif model.variant == LINEAR_AR1:
-            _kernel._KERNEL.linear_ar1(z, rows, cols, model.phi1, states)
-        else:
-            _kernel._KERNEL.nonlinear_ar1(z, rows, cols, model.phi1, model.delta, states)
+        _kernel._KERNEL.series(kind, a, z, rows, cols, model.phi1, model.delta, states)
         finite = np.isfinite(z[:clean])
         if not finite.all():
             clean, step = divmod(int(np.argmin(finite)), cols)
-            error = SimulationError(f"non-finite value in {_RECURSIONS[model.variant]}",
-                                    step=start + step)
+            error = SimulationError(f"non-finite value in {recursion}", step=start + step)
             if clean == 0:
                 raise error
         if start + cols > model.burnin:

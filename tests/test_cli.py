@@ -7,7 +7,6 @@ import warnings
 import numpy as np
 import pytest
 
-from tailseries import _kernel
 from tailseries.cli import parse_and_dispatch
 from tailseries.simulate import TwoPointLaw
 
@@ -416,8 +415,6 @@ def scipy_after(argv=None):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-@pytest.mark.skipif(_kernel.RECURSION_PATH != "c",
-                    reason="the no-compiler kernel imports scipy.signal for lfilter")
 @pytest.mark.parametrize("quantity", [None, "theta", "cluster", "hill-avar", "joint"])
 def test_no_scipy_on_import_or_two_point_extremal(tmp_path, driver_file, quantity):
     argv = quantity and ["extremal", quantity, "--driver", driver_file, "--paths", "2000",
@@ -486,6 +483,13 @@ BAD_INPUTS = {
     "zero-replicates": (["experiment", "power", "--out", "{tmp}/power", "--replicates", "0"],
                         None),
     "zero-workers": (["experiment", "power", "--out", "{tmp}/power", "--workers", "0"], None),
+    "simulate-seed-negative": (["simulate", "--model", "{tmp}/model.json", "--seed", "-1"], None),
+    "simulate-seed-2**64": (["simulate", "--model", "{tmp}/model.json",
+                             "--seed", "18446744073709551616"], None),
+    "experiment-seed-negative": (["experiment", "figure2-scatter", "--out", "{tmp}/power",
+                                  "--seed", "-7"], None),
+    "experiment-seed-2**64": (["experiment", "power", "--out", "{tmp}/power",
+                               "--seed", "18446744073709551616"], None),
     "model-no-gamma": (["simulate", "--model", "{tmp}/no-gamma.json"], None),
     "model-innovations-not-object": (["simulate", "--model", "{tmp}/innovations-not-object.json"],
                                      None),

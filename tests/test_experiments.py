@@ -470,8 +470,7 @@ class TestPowerExperiment:
             text=True)
         assert proc.returncode == 0, proc.stderr
         start, pool = proc.stdout.splitlines()
-        # the no-compiler kernel imports scipy.signal, and with it scipy.special
-        assert start in ("c False", "python True")
+        assert start in ("c False", "python False")
         assert pool == "pool True"
 
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from tailseries import ConfigurationError
 from tailseries._kernel import _mix64_array
 from tailseries.rng import RngState, mix64, uniforms_for_bases
 from tailseries.simulate import _DRAW_BLOCK
@@ -111,6 +112,14 @@ def test_uniformity_ks():
 def test_substream_index_validation():
     with pytest.raises(ValueError):
         RngState(1).substream(-1)
+
+
+def test_master_seed_range():
+    # a seed outside [0, 2**64) would alias the seed it equals modulo 2**64
+    assert RngState(2**64 - 1).state == (mix64(2**64 - 1), 0)
+    for seed in (-1, 2**64, -(2**64)):
+        with pytest.raises(ConfigurationError, match="seed"):
+            RngState(seed)
 
 
 def scalar_uniforms(base, first, n):

@@ -36,7 +36,7 @@ from tailseries import (
 from tailseries import _kernel, simulate
 from tailseries.distributions import InnovationSpec
 from tailseries.rng import uniforms_for_bases
-from conftest import KERNELS, assert_same_bits, same_on_every_kernel, walk_matrix
+from conftest import KERNELS, assert_same_bits, run_python, same_on_every_kernel, walk_matrix
 
 MODEL_A = two_sided_pareto(0.5, 0.5)
 TWO_POINT = SREDriver(TwoPointLaw(2.0, 0.5, 1.0 / 3.0))
@@ -257,7 +257,11 @@ LINEAR_LAWS = {"pareto-0.5": two_sided_pareto(0.5, 0.5),
 
 
 class TestLinearRecursion:
-    """The linear AR(1) in C and through the fallback's `lfilter` agree bit for bit."""
+    """The linear AR(1) in C and in the Python twin agree bit for bit with
+    scipy's `lfilter`, the reference: ``lfilter([1], [1, -phi], z)`` steps
+    ``1.0*z + (0.0*z_prev + phi*y_prev)``, whose products by 1.0 and 0.0 are
+    exact and whose zero terms leave a sum as it is, since no innovation is
+    -0.0."""
 
     @pytest.mark.parametrize("phi", [0.8, -0.95, 0.3, 0.0])
     @pytest.mark.parametrize("law", LINEAR_LAWS)
@@ -293,22 +297,21 @@ class TestLinearRecursion:
         assert err.value.step == int(np.argmax(~np.isfinite(expected)))
 
 
+KINDS = {"linear": _kernel.LINEAR, "nonlinear": _kernel.NONLINEAR, "sre": _kernel.SRE}
+
+
 def step_rows(kernel, kind, a, z, states):
-    """One call of the kernel's entry for ``kind`` on the C-contiguous rows of
-    ``z``; the SRE takes the multipliers of the same rows of ``a``."""
+    """One call of the kernel's ``series`` for ``kind`` on the C-contiguous
+    rows of ``z``; the SRE takes the multipliers of the same rows of ``a``."""
     count, n = z.shape
-    if kind == "sre":
-        kernel.sre(a, z, count, n, states)
-    elif kind == "nonlinear":
-        kernel.nonlinear_ar1(z, count, n, 0.8, 0.6, states)
-    else:
-        kernel.linear_ar1(z, count, n, 0.8, states)
+    kernel.series(KINDS[kind], a, z, count, n, 0.8, 0.6, states)
 
 
 class TestRowGroups:
-    """The series entries step ``count`` rows in one call, the compiled
-    kernel four at a time in lockstep and then the rest; each row must get
-    the bits of that row stepped alone, on every kernel path."""
+    """The kernel's ``series`` steps ``count`` rows in one call, the compiled
+    kernel four at a time in lockstep and then the last one to three
+    together; each row must get the bits of that row stepped alone, on every
+    kernel path."""
 
     # start states on both sides of |x| = 1 and at its edges; the last row
     # starts from nan, and row 2 meets a nan innovation
@@ -384,6 +387,26 @@ class TestKernelLoader:
             fresh = simulate_series(nonlinear_ar1(0.8, 0.6, MODEL_A, burnin=10), 5000, RngState(3))
         assert_same_bits(fresh, simulate_both_paths(nonlinear_ar1(0.8, 0.6, MODEL_A, burnin=10),
                                                      5000, 3))
+
+    def test_python_path_imports_no_scipy(self):
+        # a fresh process where no library loads: the Python twins run, and
+        # neither they nor the package import scipy for a two-sided Pareto law
+        proc = run_python(["-c", (
+            "import ctypes, sys\n"
+            "import numpy as np\n"
+            "def no_library(*args, **kwargs):\n"
+            "    raise OSError('no library')\n"
+            "ctypes.CDLL = no_library\n"
+            "from tailseries import RngState, linear_ar1, simulate_series, two_sided_pareto\n"
+            "from tailseries import _kernel\n"
+            "assert _kernel.RECURSION_PATH == 'python', _kernel.RECURSION_PATH\n"
+            "x = simulate_series(linear_ar1(0.8, two_sided_pareto(0.5, 0.5), burnin=50), 100,\n"
+            "                    RngState(1))\n"
+            "assert x.shape == (100,) and np.isfinite(x).all()\n"
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n")],
+            text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
 
     def test_no_compiler_gives_python_path(self, tmp_path, monkeypatch):
         monkeypatch.setenv("PATH", "")
