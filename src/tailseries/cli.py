@@ -312,7 +312,7 @@ _COMMANDS = {
         _SEED,
         ("out", str, REQUIRED, "output directory"),
         ("scale", ["desk", "paper"], "desk", "ground-truth protocol"),
-        ("workers", int, 1, "parallel worker processes, >= 1 (capped at the CPU count)")]),
+        ("workers", int, 1, "parallel worker processes, >= 1 (capped at the usable CPUs)")]),
 }
 
 

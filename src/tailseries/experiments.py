@@ -9,11 +9,14 @@ reduce their series to one statistic through one series map (`_map_series`):
 series i always consumes substream i of its stream, so results are
 bit-identical for any worker count. The map runs the series in consecutive
 groups of at most four, ``min(4, ceil(count / workers))`` each, whose series
-step together in lockstep in the kernel at any group width; a pool task is
-one group, and the statistic is applied per series in index order. The
-ground truth never holds a whole series: it folds each block of a group's
-draws, one buffer of ``simulate._DRAW_BLOCK`` values for the whole group,
-into each series' own largest values.
+step together in lockstep in the kernel at any group width, and the
+statistic is applied per series in index order. With ``workers`` above one,
+a pool of ``workers - 1`` processes steps the leading groups while the
+calling process steps the trailing ones; a preset run (`run_preset`) starts
+that pool once, at its first parallel stage, and every later stage reuses
+it (`_pool_scope`). The ground truth never holds a whole series: it folds
+each block of a group's draws, one buffer of ``simulate._DRAW_BLOCK`` values
+for the whole group, into each series' own largest values.
 
 Presets mirror the simulation study's tables and figures at desk scale and
 write plot-ready CSV plus JSON summaries; see `run_preset`.
@@ -24,6 +27,8 @@ from __future__ import annotations
 import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -215,6 +220,50 @@ def _group_statistics(statistic, blocks: bool, model: SeriesModel, n: int, rng: 
     return [statistic(series) for series in series_rows(model, n, streams)]
 
 
+class _Pool:
+    """The process pool of one `_pool_scope`, started at its first use."""
+
+    def __init__(self):
+        self._executor = None
+
+    def executor(self, processes: int) -> ProcessPoolExecutor:
+        if self._executor is None:
+            self._executor = ProcessPoolExecutor(max_workers=processes)
+        return self._executor
+
+    def close(self):
+        if self._executor is not None:
+            self._executor.shutdown(wait=True, cancel_futures=True)
+
+
+_OPEN_POOL: ContextVar = ContextVar("tailseries_open_pool", default=None)
+
+
+@contextmanager
+def _pool_scope():
+    """One process pool for every `_map_series` call in the block.
+
+    The pool starts at the first call that needs one, with that call's
+    ``workers - 1`` processes, so a block whose stages all run serially starts
+    none, and forked processes inherit what the process imported before that
+    call (`test_power_experiment` imports ``scipy.special`` first). Inside an
+    open scope this opens no other: the block shares the outer pool. When the outermost block ends, by a return or by an error, the
+    pool is shut down with its pending groups cancelled and its processes
+    joined.
+    """
+    pool = _OPEN_POOL.get()
+    if pool is not None:
+        yield pool
+        return
+    pool = _Pool()
+    token = _OPEN_POOL.set(pool)
+    try:
+        yield pool
+    finally:
+        _OPEN_POOL.reset(token)
+        pool.close()
+
+
 def _map_series(statistic, model: SeriesModel, n: int, rng: RngState, count: int,
                 workers: int, blocks: bool = False) -> list:
     """``statistic`` of series i = 0..count-1, each ``n`` observations of
@@ -233,12 +282,16 @@ def _map_series(statistic, model: SeriesModel, n: int, rng: RngState, count: int
     error of a serial run.
 
     Every Monte Carlo stage runs its series through here, so a fixed-order
-    reduction over the results gives the same bytes for any ``workers``. With
-    ``workers > 1`` the groups are spread over a process pool; ``statistic``
-    must then pickle (a module-level function or a `partial` of one). The
-    pool is capped at the usable CPUs (`simulate._usable_cpus`), since it
-    starts all of its processes at once, and hands each one about four
-    chunks of groups; the first group in index order that raises raises.
+    reduction over the results gives the same bytes for any ``workers``.
+    ``workers`` processes compute, the calling process included, capped at
+    the usable CPUs (`simulate._usable_cpus`). With ``workers > 1`` the
+    pool of the open `_pool_scope` (or of one opened for this call) holds
+    ``workers - 1`` processes and steps the leading groups, about four chunks
+    of them per process, while the calling process steps the trailing
+    ``len(groups) // workers`` groups itself; ``statistic`` must then pickle
+    (a module-level function or a `partial` of one). The first group in
+    index order that raises raises: an error of the caller's own groups
+    waits until the pool's groups are collected.
     """
     workers = max(1, min(workers, _usable_cpus()))
     size = min(LOCKSTEP_ROWS, math.ceil(count / workers))
@@ -247,9 +300,16 @@ def _map_series(statistic, model: SeriesModel, n: int, rng: RngState, count: int
     if workers == 1:
         results = [group(first) for first in firsts]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(group, firsts,
-                                    chunksize=math.ceil(len(firsts) / (4 * workers))))
+        split = len(firsts) - len(firsts) // workers
+        with _pool_scope() as pool:
+            leading = pool.executor(workers - 1).map(
+                group, firsts[:split], chunksize=math.ceil(split / (4 * (workers - 1))))
+            try:
+                own = [group(first) for first in firsts[split:]]
+            except Exception:
+                list(leading)  # an error of a leading group comes first in index order
+                raise
+            results = list(leading) + own
     return [value for values in results for value in values]
 
 
@@ -561,7 +621,11 @@ PRESETS = tuple(_PRESETS)
 def run_preset(name: str, out_dir, replicates: int | None = None,
                seed: int = DEFAULT_SEED, scale: str = "desk",
                workers: int = 1) -> dict:
-    """Run one named study preset, writing its outputs under ``out_dir``."""
+    """Run one named study preset, writing its outputs under ``out_dir``.
+
+    With ``workers > 1`` every parallel stage of the run shares one process
+    pool (`_pool_scope`), shut down before this returns or raises.
+    """
     if name not in _PRESETS:
         raise ConfigurationError(f"unknown preset {name!r}; choose from {PRESETS}")
     if scale not in TRUTH_PROTOCOL:
@@ -573,4 +637,5 @@ def run_preset(name: str, out_dir, replicates: int | None = None,
         raise ConfigurationError(f"replicates must be >= 1, got {replicates}")
     if workers < 1:
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
-    return runner(Path(out_dir), replicates, seed, scale, workers)
+    with _pool_scope():
+        return runner(Path(out_dir), replicates, seed, scale, workers)

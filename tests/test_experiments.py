@@ -5,7 +5,7 @@ import math
 import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
-from multiprocessing import get_all_start_methods, get_context
+from multiprocessing import active_children, get_all_start_methods, get_context
 
 import numpy as np
 import pytest
@@ -177,17 +177,22 @@ class TestFoldedTruth:
         assert folded.value.step == whole.value.step == at
 
     @pytest.mark.parametrize("workers, model", [
-        pytest.param(1, FAULT_NONLINEAR, id="1"), pytest.param(3, FAULT_NONLINEAR, id="3"),
-        pytest.param(1, FAULT_SRE, id="sre-1"), pytest.param(3, FAULT_SRE, id="sre-3")])
+        pytest.param(1, FAULT_NONLINEAR, id="1"), pytest.param(2, FAULT_NONLINEAR, id="2"),
+        pytest.param(3, FAULT_NONLINEAR, id="3"), pytest.param(1, FAULT_SRE, id="sre-1"),
+        pytest.param(2, FAULT_SRE, id="sre-2"), pytest.param(3, FAULT_SRE, id="sre-3")])
     def test_group_raises_lowest_series_error(self, workers, model, monkeypatch):
         # in a group of 4, series 2 meets a nan in the first block and series
-        # 0 one in the third: a serial run raises series 0's error first
+        # 0 one in the third: a serial run raises series 0's error first. At 2
+        # workers the pool steps series 0-1 and the calling process series
+        # 2-3, whose earlier error must wait for series 0's; at 3 the pool's
+        # two processes step both groups.
         if workers > 1:
             # the patched `sample` reaches pool workers only by fork
             if "fork" not in get_all_start_methods():
                 pytest.skip("no fork start method")
             monkeypatch.setattr(experiments, "ProcessPoolExecutor",
                                 partial(ProcessPoolExecutor, mp_context=get_context("fork")))
+            monkeypatch.setattr(experiments, "_usable_cpus", lambda: workers)
         root = RngState(4)
         width = BLOCK // 4
         n = 3 * width
@@ -309,23 +314,22 @@ STAGES = {"truth": _truth_stage, "replicates": _replicate_stage, "power": _power
 
 def recording_pool(monkeypatch, cpus):
     """Make `_map_series` see ``cpus`` usable CPUs and run its pool in this
-    process; returns the list to which each pool appends its processes, its
-    chunk size and the first series of each group it was handed."""
+    process; returns the list to which each pool, when it is made, appends
+    its processes and the list of its maps, each the chunk size and the first
+    series of each group the pool was handed."""
     pools = []
 
     class RecordingPool:
         def __init__(self, max_workers):
-            self.max_workers = max_workers
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
+            self.maps = []
+            pools.append((max_workers, self.maps))
 
         def map(self, fn, iterable, chunksize=1):
-            pools.append((self.max_workers, chunksize, list(iterable)))
+            self.maps.append((chunksize, list(iterable)))
             return map(fn, iterable)
+
+        def shutdown(self, wait=True, cancel_futures=False):
+            pass
 
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(experiments, "_usable_cpus", lambda: cpus)
@@ -369,19 +373,23 @@ class TestRunExperiment:
     def test_pool_capped_at_cpu_count(self, stage, monkeypatch):
         pools = recording_pool(monkeypatch, cpus=4)
         capped = stage(24, 10**6)
-        # 4 processes; 24 substreams in 6 groups of 4, in chunks of ceil(6 / 16)
-        assert pools == [(4, 1, [0, 4, 8, 12, 16, 20])]
+        # 4 processes compute: 24 substreams in 6 groups of 4, the pool's 3
+        # processes handed the leading 5 in chunks of ceil(5 / 12), the
+        # calling process stepping the trailing 6 // 4 = 1 (first series 20)
+        assert pools == [(3, [(1, [0, 4, 8, 12, 16])])]
         assert _identical(capped, stage(24, 1))
 
+    # firsts: the first series of each group the pool is handed; the calling
+    # process steps the groups after them
     @pytest.mark.parametrize("count, workers, firsts", [
-        (4, 2, [0, 2]),          # every process gets a group of 2
-        (9, 2, [0, 4, 8]),       # at most 4 series step together
-        (5, 3, [0, 2, 4]),       # ceil(5 / 3) = 2, the last group holds one
+        (4, 2, [0]),          # every process gets a group of 2: the caller's is 2
+        (9, 2, [0, 4]),       # at most 4 series step together: the caller's is 8
+        (5, 3, [0, 2]),       # ceil(5 / 3) = 2, the caller's group (4) holds one
     ])
     def test_group_rule(self, count, workers, firsts, monkeypatch):
         pools = recording_pool(monkeypatch, cpus=workers)
         grouped = _truth_stage(count, workers)
-        assert pools == [(workers, 1, firsts)]
+        assert pools == [(workers - 1, [(1, firsts)])]
         assert _identical(grouped, _truth_stage(count, 1))
 
     def test_csv_rows_schema(self):
@@ -390,6 +398,100 @@ class TestRunExperiment:
         assert len(rows) == 2 * 4
         name, k, *metrics, missing = rows[0]
         assert name == DIRECT and k == 10 and len(metrics) == 4
+
+
+# The parallel presets at a tiny size: a 4 x 100,000-step truth per law and 8
+# replicates. Their stages: table2's truth and replicates for each of its two
+# laws, figure4's truth and replicates for one law, power's power and size.
+TINY_SCALE = "tiny"
+PRESET_STAGES = {"table2": 4, "figure4": 2, "power": 2}
+each_parallel_preset = pytest.mark.parametrize("preset", PRESET_STAGES)
+needs_fork = pytest.mark.skipif("fork" not in get_all_start_methods(),
+                                reason="no fork start method")
+
+
+@pytest.fixture
+def tiny_scale(monkeypatch):
+    monkeypatch.setitem(experiments.TRUTH_PROTOCOL, TINY_SCALE, (4, 100_000))
+
+
+def run_tiny_preset(preset, out_dir, workers):
+    """The files of ``preset`` at the tiny size, by name."""
+    experiments.run_preset(preset, out_dir, replicates=8, seed=3, scale=TINY_SCALE,
+                           workers=workers)
+    return {path.relative_to(out_dir): path.read_bytes()
+            for path in sorted(out_dir.rglob("*")) if path.is_file()}
+
+
+def fork_pools(monkeypatch):
+    """Run `_map_series` pools as fork pools; returns the list to which each
+    pool appends its processes when it is made."""
+    started = []
+
+    def pool(max_workers):
+        started.append(max_workers)
+        return ProcessPoolExecutor(max_workers=max_workers, mp_context=get_context("fork"))
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", pool)
+    return started
+
+
+@pytest.mark.usefixtures("tiny_scale")
+class TestPresetPool:
+    """A preset run shares one pool of ``workers - 1`` processes among all
+    of its stages, and leaves no process behind."""
+
+    @each_parallel_preset
+    def test_one_pool_per_preset(self, preset, monkeypatch, tmp_path):
+        pools = recording_pool(monkeypatch, cpus=2)
+        run_tiny_preset(preset, tmp_path, workers=2)
+        assert [processes for processes, _ in pools] == [1]
+        assert len(pools[0][1]) == PRESET_STAGES[preset]
+
+    def test_serial_preset_starts_no_pool(self, monkeypatch, tmp_path):
+        pools = recording_pool(monkeypatch, cpus=2)
+        run_tiny_preset("table2", tmp_path, workers=1)
+        assert pools == []
+
+    @needs_fork
+    @each_parallel_preset
+    def test_preset_bytes_do_not_depend_on_workers(self, preset, monkeypatch, tmp_path):
+        serial = run_tiny_preset(preset, tmp_path / "w1", workers=1)
+        started = fork_pools(monkeypatch)
+        monkeypatch.setattr(experiments, "_usable_cpus", lambda: 3)
+        for workers in (2, 3):
+            assert run_tiny_preset(preset, tmp_path / f"w{workers}", workers) == serial
+        assert started == [1, 2]
+        assert active_children() == []
+
+    @needs_fork
+    def test_no_process_outlives_a_failed_preset(self, monkeypatch, tmp_path):
+        # a nan in the shifted law's replicate 1, the last stage of table2:
+        # a pool process raises while the calling process steps replicates 4-7
+        fault = RngState(RngState(3).derive_seed(1)).substream(1).state[0]
+        at = experiments.STUDY_N // 2
+        real_sample = simulate.dists.sample
+
+        def sample_with_nan(spec, rng, n, out):
+            start = rng.state[1]
+            real_sample(spec, rng, n, out=out)
+            if rng.state[0] == fault and start <= at < start + n:
+                out[at - start] = np.nan
+            return out
+
+        started = fork_pools(monkeypatch)
+        monkeypatch.setattr(simulate.dists, "sample", sample_with_nan)
+        with pytest.raises(SimulationError):
+            run_tiny_preset("table2", tmp_path / "failed", workers=2)
+        assert started == [1]
+        assert active_children() == []
+        assert (tmp_path / "failed" / "unshifted" / "summary.json").is_file()
+        assert not (tmp_path / "failed" / "shifted").exists()
+        # the scope closed with the error, so the next run starts a pool of its own
+        monkeypatch.setattr(simulate.dists, "sample", real_sample)
+        run_tiny_preset("table2", tmp_path / "next", workers=2)
+        assert started == [1, 1]
+        assert active_children() == []
 
 
 class TestKde:
@@ -457,12 +559,10 @@ class TestPowerExperiment:
             "class Pool:\n"
             "    def __init__(self, max_workers):\n"
             "        print('pool', 'scipy.special' in sys.modules)\n"
-            "    def __enter__(self):\n"
-            "        return self\n"
-            "    def __exit__(self, *exc):\n"
-            "        return False\n"
             "    def map(self, fn, iterable, chunksize=1):\n"
             "        return map(fn, iterable)\n"
+            "    def shutdown(self, wait=True, cancel_futures=False):\n"
+            "        pass\n"
             "experiments.ProcessPoolExecutor = Pool\n"
             "experiments._usable_cpus = lambda: 2\n"
             "model = nonlinear_ar1(0.8, 0.6, experiments.INNOVATIONS['shifted'], burnin=100)\n"
