@@ -5,12 +5,13 @@ which `_load_kernel` compiles on first import, or, without a compiler,
 ``_PYTHON_KERNEL``, with the same bytes, only slower. Both offer
 
 * ``uniforms(bases, count, first, n, out)``: draws ``first .. first+n-1`` of
-  each of the ``count`` streams ``bases`` (`rng.py`), one row per stream;
+  each of the ``count`` streams ``bases`` (`rng.py`), one row per stream
+  (vectorized, below);
 * ``pareto_base(u, n, p, out)`` and ``pareto_finish(u, z, n, p, shift)``:
   the Pareto inverse CDF of `distributions.py` around its power, which stays
   in numpy: the base ``(1-p)/u`` or ``p/(1-u)``, returning how many ``u``
   lie outside (0, 1), and then, in place on the power ``z``, ``shift - z``
-  or ``z - shift``;
+  or ``z - shift`` (both vectorized, below);
 * ``two_point_walk(bases, count, n, p_up, up, down, out)``: the running
   product of ``up`` (draw below ``p_up``) or ``down`` over draws ``1..n`` of
   each stream, one row per path;
@@ -35,10 +36,16 @@ which `_load_kernel` compiles on first import, or, without a compiler,
   and of the differences of those, the pi terms.
 
 Each works on C-contiguous buffers that the caller allocates at their full
-size. The entries are listed once, in ``_KERNEL_SIGNATURES``; the Python
-twin of entry ``name`` is the function ``_name``. ``RECURSION_PATH``
-(``"c"`` or ``"python"``) says which one this process runs. The Python
-twins are also the tests' bit-for-bit reference.
+size, and ``uniforms``, ``pareto_base`` and ``pareto_finish`` also on
+buffers that do not overlap: the compiled kernel vectorizes these three for
+x86-64-v4 CPUs, chosen at run time when the library loads, with the same
+bytes (``DRAW_CLONES`` in ``_recursion.c``). The entries are listed once, in
+``_KERNEL_SIGNATURES``; the Python twin of entry ``name`` is the function
+``_name``. Both paths check each array argument (`_Array`) before any work:
+one of another dtype, not C-contiguous or, where the entry writes it, read
+only, raises ``ctypes.ArgumentError`` and leaves every buffer as it was.
+``RECURSION_PATH`` (``"c"`` or ``"python"``) says which one this process
+runs. The Python twins are also the tests' bit-for-bit reference.
 """
 
 from __future__ import annotations
@@ -62,12 +69,47 @@ _WEYL = 0x9E3779B97F4A7C15
 _INV_2_53 = 2.0 ** -53
 
 _KERNEL_SOURCE = Path(__file__).with_name("_recursion.c")
-# Never -ffast-math or -march; -ffp-contract=off keeps `a*b + c` two roundings.
+# Never -ffast-math or -march: the draw entries carry their own x86-64-v4
+# clone, which the loader picks by CPU at run time, with the same IEEE
+# operations and bytes as the baseline loop. -ffp-contract=off keeps
+# `a*b + c` two roundings.
 _KERNEL_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
-# ctypes checks dtype, layout and (for the written buffers) writability per call
-_BASES = np.ctypeslib.ndpointer(np.uint64, flags="C_CONTIGUOUS")
-_READ_DOUBLES = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
-_DOUBLES = np.ctypeslib.ndpointer(np.float64, flags=("C_CONTIGUOUS", "WRITEABLE"))
+# `from_buffer` puts one at a writable array's data; ctypes passes its address
+_NO_BYTES = ctypes.c_char * 0
+
+
+class _Array:
+    """An array argument of a kernel entry: a C-contiguous ndarray of
+    ``dtype``, writable when the entry writes it.
+
+    `check` raises `TypeError` for anything else. ctypes calls `from_param`
+    on each such argument of a compiled entry, which checks it and passes
+    its address, at about a third of the cost of ``np.ctypeslib.ndpointer``,
+    which builds ``ndarray.ctypes`` for every argument.
+    """
+
+    def __init__(self, dtype, written: bool):
+        self.dtype, self.written = np.dtype(dtype), written
+
+    def check(self, a):
+        if not (isinstance(a, np.ndarray) and a.dtype == self.dtype):
+            raise TypeError(f"expected a {self.dtype} array, got "
+                            f"{getattr(a, 'dtype', type(a).__name__)}")
+        if not a.flags.c_contiguous:
+            raise TypeError("expected a C-contiguous array")
+        if self.written and not a.flags.writeable:
+            raise TypeError("expected a writable array, got a read-only one")
+
+    def from_param(self, a):
+        self.check(a)
+        if a.flags.writeable:
+            return _NO_BYTES.from_buffer(a)
+        return ctypes.c_void_p(a.ctypes.data)  # a read-only input: rare, so the slow way
+
+
+_BASES = _Array(np.uint64, written=False)
+_READ_DOUBLES = _Array(np.float64, written=False)
+_DOUBLES = _Array(np.float64, written=True)
 _SIZE, _DOUBLE = ctypes.c_size_t, ctypes.c_double
 # name: (restype, argtypes)
 _KERNEL_SIGNATURES = {
@@ -291,7 +333,24 @@ def _cluster_moments(capped: np.ndarray, count: int, width: int, theta_mean: np.
     pi_sd[:] = pi_terms.std(axis=0, ddof=1)
 
 
-# a missing twin fails here, at import
-_PYTHON_KERNEL = SimpleNamespace(**{name: globals()["_" + name] for name in _KERNEL_SIGNATURES})
+def _checked_twin(name: str):
+    """The Python twin of entry ``name``, with its array arguments checked
+    as the compiled entry's are, and the same error."""
+    twin = globals()["_" + name]  # a missing twin fails here, at import
+    arrays = [(i, kind) for i, kind in enumerate(_KERNEL_SIGNATURES[name][1])
+              if isinstance(kind, _Array)]
+
+    def entry(*args):
+        for i, kind in arrays:
+            try:
+                kind.check(args[i])
+            except TypeError as err:
+                raise ctypes.ArgumentError(f"argument {i + 1}: TypeError: {err}") from None
+        return twin(*args)
+
+    return entry
+
+
+_PYTHON_KERNEL = SimpleNamespace(**{name: _checked_twin(name) for name in _KERNEL_SIGNATURES})
 _KERNEL = _load_kernel(_kernel_dirs()) or _PYTHON_KERNEL
 RECURSION_PATH = "python" if _KERNEL is _PYTHON_KERNEL else "c"

@@ -20,6 +20,19 @@ finite positive arguments. Unsigned 64-bit arithmetic wraps modulo 2**64, as
 numpy's uint64 does. So each function reproduces its Python twin in
 _kernel.py bit for bit; the comments there say why each twin equals the
 documented formula.
+
+The three elementwise draw entries, `uniforms`, `pareto_base` and
+`pareto_finish`, are built twice when GCC 12 or later compiles for x86-64
+with glibc (DRAW_CLONES): once for the plain x86-64 baseline, the loop every
+other compiler and target builds, and once vectorized for x86-64-v4
+(AVX-512). The loader runs the clone that the CPU supports, chosen once per
+process when the library loads (an ifunc), not by a flag at build time. A
+vector lane takes the same IEEE operation of each element as the scalar
+loop, an exact integer step, one division or one subtraction rounded to
+nearest, with no contraction, so both clones write the same bytes. Their
+pointers are `restrict`: a buffer an entry writes must not overlap another
+buffer of the same call, which every caller in the package satisfies, as
+each passes arrays it has just allocated.
 */
 
 #include <float.h>
@@ -27,6 +40,19 @@ documented formula.
 #include <stddef.h>
 #include <stdint.h>
 #include <string.h>
+
+/* The clones of the draw entries (see the header). The ifunc that picks one
+   needs glibc. The vectorizer's cost model is raised from -O2's "very
+   cheap" one, which leaves loops of unknown trip count scalar; with GCC 12
+   it still finds the baseline clones not worth vectorizing, so they stay
+   the scalar loops. */
+#if defined(__GNUC__) && !defined(__clang__) && __GNUC__ >= 12 && defined(__x86_64__) && \
+    defined(__ELF__) && defined(__GLIBC__)
+#define DRAW_CLONES __attribute__((target_clones("arch=x86-64-v4", "default"), \
+                                   optimize("tree-vectorize", "vect-cost-model=dynamic")))
+#else
+#define DRAW_CLONES
+#endif
 
 /* Draw `counter` of the stream `base` (rng.py):
    ((mix64(base + counter * 0x9E3779B97F4A7C15) >> 11) + 0.5) * 2**-53.
@@ -43,11 +69,12 @@ static inline double splitmix_uniform(uint64_t base, uint64_t counter)
 
 /* Row p of `out` (count rows of n) holds draws first .. first+n-1 of the
    stream bases[p]. */
-void uniforms(const uint64_t *bases, size_t count, uint64_t first, size_t n, double *out)
+DRAW_CLONES void uniforms(const uint64_t *restrict bases, size_t count, uint64_t first,
+                          size_t n, double *restrict out)
 {
-    for (size_t p = 0; p < count; p++)
+    for (size_t p = 0; p < count; p++, out += n)
         for (size_t i = 0; i < n; i++)
-            *out++ = splitmix_uniform(bases[p], first + i);
+            out[i] = splitmix_uniform(bases[p], first + i);
 }
 
 /* Row p of `out` (count rows of n) holds the running product of the
@@ -83,7 +110,8 @@ static inline double select_double(uint64_t mask, double a, double b)
    one division of the selected operands, as numpy divides each branch.
    Returns how many u lie outside (0, 1), where `out` means nothing and the
    caller raises; a nan u is not counted and gives nan. */
-size_t pareto_base(const double *u, size_t n, double p, double *out)
+DRAW_CLONES size_t pareto_base(const double *restrict u, size_t n, double p,
+                               double *restrict out)
 {
     const double q = 1.0 - p;
     size_t outside = 0;
@@ -101,7 +129,8 @@ size_t pareto_base(const double *u, size_t n, double p, double *out)
    unshifted law and 1.0 for the shifted one. On the left branch the base is
    at least 1, so z[i] >= 1 and 0.0 - z[i] is exactly -z[i]; the shifted
    left branch is 1.0 - z[i], which is +0.0, never -0.0, where z[i] is 1.0. */
-void pareto_finish(const double *u, double *z, size_t n, double p, double shift)
+DRAW_CLONES void pareto_finish(const double *restrict u, double *restrict z, size_t n, double p,
+                               double shift)
 {
     const double q = 1.0 - p;
     for (size_t i = 0; i < n; i++) {

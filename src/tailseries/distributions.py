@@ -169,4 +169,8 @@ def sample(spec: InnovationSpec, rng: RngState, n: int, out: np.ndarray | None =
     """
     if n < 1:
         raise ConfigurationError("sample size must be >= 1")
-    return _inverse_cdf(spec, rng.uniforms(n), np.empty(n) if out is None else out)
+    # a power beyond the largest double is an infinite draw, silently, as
+    # the kernel's divisions overflow; the series that takes it raises at its
+    # step
+    with np.errstate(over="ignore"):
+        return _inverse_cdf(spec, rng.uniforms(n), np.empty(n) if out is None else out)

@@ -337,9 +337,10 @@ def _blocks(model: SeriesModel, total: int, rngs: list):
 def series_rows(model: SeriesModel, n: int, rngs: list) -> np.ndarray:
     """The blocks of `series_blocks` in one ``(len(rngs), n)`` array: row i
     holds the series of ``rngs[i]``."""
+    blocks = series_blocks(model, n, rngs)  # checks n before the array is sized
     x = np.empty((len(rngs), n))
     filled = 0
-    for block in series_blocks(model, n, rngs):
+    for block in blocks:
         x[:, filled:filled + block.shape[1]] = block
         filled += block.shape[1]
     return x

@@ -82,6 +82,16 @@ class TestSimulate:
     def test_missing_model_is_usage_error(self):
         assert parse_and_dispatch(["simulate"]) == 2
 
+    def test_overflowing_innovation_exits_3_with_one_line(self, tmp_path):
+        # every draw's power overflows to inf: the recursion raises at step
+        # 0, and numpy's overflow warning is not printed before the error
+        model = tmp_path / "huge-gamma.json"
+        model.write_text(json.dumps({**MODEL_JSON, "innovations": {
+            **MODEL_JSON["innovations"], "gamma": 1e308}}))
+        proc = run_cli(["simulate", "--model", str(model), "--n", "10"], text=True)
+        assert proc.returncode == 3 and proc.stdout == ""
+        assert proc.stderr == "error: non-finite value in linear AR(1) recursion (step 0)\n"
+
 
 class TestEstimate:
     def test_hill(self, capsys, series_file):
@@ -484,6 +494,7 @@ BAD_INPUTS = {
                         None),
     "zero-workers": (["experiment", "power", "--out", "{tmp}/power", "--workers", "0"], None),
     "simulate-seed-negative": (["simulate", "--model", "{tmp}/model.json", "--seed", "-1"], None),
+    "simulate-n-negative": (["simulate", "--model", "{tmp}/model.json", "--n", "-1"], None),
     "simulate-seed-2**64": (["simulate", "--model", "{tmp}/model.json",
                              "--seed", "18446744073709551616"], None),
     "experiment-seed-negative": (["experiment", "figure2-scatter", "--out", "{tmp}/power",
