@@ -43,6 +43,8 @@ def _read_series(path: str) -> np.ndarray:
         if "x" not in header:
             raise ConfigurationError(f"no 'x' column in {path} header {header}")
         col, start = header.index("x"), 1
+    if len(text) == start:
+        raise ConfigurationError(f"no data rows in {path}")
     try:
         series = np.array([float(line.split(",")[col]) for line in text[start:]])
     except (ValueError, IndexError) as exc:

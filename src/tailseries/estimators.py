@@ -25,6 +25,16 @@ from .errors import ConfigurationError, DegenerateInputError, DomainError
 CLAMP_FLOOR = 1e-6  # floor for 1 - |phi|**(1/gamma) when |phi_hat| >= 1
 
 
+def _check_t(t: float):
+    if not (0 < t < 1):
+        raise ConfigurationError("t must lie in (0, 1)")
+
+
+def _check_finite(estimate: float):
+    if not np.isfinite(estimate):
+        raise DomainError("quantile estimate is not finite: the extrapolation overflows")
+
+
 @dataclass(frozen=True)
 class QuantileTarget:
     """Extreme-quantile target: estimate F^{-1}(1 - t) from n points using k
@@ -35,8 +45,7 @@ class QuantileTarget:
     n: int
 
     def __post_init__(self):
-        if not (0 < self.t < 1):
-            raise ConfigurationError("t must lie in (0, 1)")
+        _check_t(self.t)
         if not (1 <= self.k < self.n):
             raise ConfigurationError("k must satisfy 1 <= k < n")
 
@@ -141,7 +150,8 @@ def weissman_direct(series, target: QuantileTarget, use_abs: bool = False) -> fl
     `weissman_direct_curve`.
 
     With ``use_abs`` the Hill step runs on absolute values; the anchor order
-    statistic stays on the raw observations.
+    statistic stays on the raw observations. An estimate beyond the largest
+    double raises `DomainError`, as the failures of the curve do.
     """
     x = np.asarray(series, dtype=np.float64)
     if x.size != target.n:
@@ -149,16 +159,19 @@ def weissman_direct(series, target: QuantileTarget, use_abs: bool = False) -> fl
     est = float(weissman_direct_curve(x, [target.k], target.t, use_abs=use_abs)[0])
     if np.isnan(est):
         raise DomainError("Hill threshold or anchor order statistic X_(n-k:n) is not > 0")
+    _check_finite(est)
     return est
 
 
 def weissman_direct_curve(series, ks, t: float, use_abs: bool = False) -> np.ndarray:
-    """`weissman_direct` over a k grid; NaN where the Hill threshold fails."""
+    """`weissman_direct` over a k grid; NaN where the Hill threshold fails,
+    inf where the extrapolation overflows. ``t`` must lie in (0, 1)."""
+    _check_t(t)
     x = np.asarray(series, dtype=np.float64)
     ks = np.asarray(ks, dtype=np.int64)
     gammas = hill_curve(np.abs(x) if use_abs else x, ks)
     anchors = np.sort(x)[::-1][ks]
-    with np.errstate(invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         est = anchors * (ks / (x.size * t)) ** gammas
         return np.where(anchors > 0, est, np.nan)
 
@@ -178,6 +191,7 @@ def _tail_ratio_factor(phi_hat: float, gamma_hat) -> tuple[np.ndarray, np.ndarra
 def _model_ar1(series, ks, t: float, use_abs: bool, center: bool):
     """The model-based estimator over a k grid, with its intermediate values:
     (estimates, phi_hat, gamma_hats, clamped mask)."""
+    _check_t(t)
     x = np.asarray(series, dtype=np.float64)
     ks = np.asarray(ks, dtype=np.int64)
     phi_hat = fit_ar1(x, center=center)
@@ -187,7 +201,7 @@ def _model_ar1(series, ks, t: float, use_abs: bool, center: bool):
     # the anchor is the k-th largest raw residual, one above the Hill threshold
     anchors = np.sort(resid)[::-1][ks - 1]
     factor, clamped = _tail_ratio_factor(phi_hat, gammas)
-    with np.errstate(invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         u = factor * t
         est = weissman_extrapolate(anchors, gammas, x.size, ks, u)
         est = np.where(anchors > 0, est, np.nan)
@@ -204,7 +218,8 @@ def weissman_model_ar1_fit(series, target: QuantileTarget, use_abs: bool = False
     when ``use_abs``); u = (1 - |phi_hat|**(1/gamma_hat)) * t; estimate =
     Z_{n-k:n-1} * (n*u/k)**(-gamma_hat). When |phi_hat| >= 1 the tail-ratio
     factor is clamped to ``CLAMP_FLOOR`` and flagged instead of failing, so
-    Monte Carlo summaries are not censored.
+    Monte Carlo summaries are not censored. An estimate beyond the largest
+    double raises `DomainError`.
     """
     x = np.asarray(series, dtype=np.float64)
     if x.size != target.n:
@@ -212,6 +227,7 @@ def weissman_model_ar1_fit(series, target: QuantileTarget, use_abs: bool = False
     est, phi_hat, gammas, clamped = _model_ar1(x, [target.k], target.t, use_abs, center)
     if np.isnan(est[0]):
         raise DomainError("residual Hill threshold or anchor order statistic is not > 0")
+    _check_finite(est[0])
     return ModelBasedFit(estimate=float(est[0]), phi_hat=phi_hat,
                          gamma_hat=float(gammas[0]), clamped=bool(clamped[0]))
 
@@ -221,7 +237,8 @@ def weissman_model_ar1_curve(series, ks, t: float) -> tuple[np.ndarray, float, n
     fit and the Hill step on raw residuals.
 
     Returns (estimates, phi_hat, clamped mask); NaN where the residual Hill
-    threshold or the anchor order statistic is not positive.
+    threshold or the anchor order statistic is not positive, inf where the
+    extrapolation overflows. ``t`` must lie in (0, 1).
     """
     est, phi_hat, _, clamped = _model_ar1(series, ks, t, False, True)
     return est, phi_hat, clamped

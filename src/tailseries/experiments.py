@@ -10,11 +10,11 @@ series i always consumes substream i of its stream, so results are
 bit-identical for any worker count. The map runs the series in consecutive
 groups of at most four, ``min(4, ceil(count / workers))`` each, whose series
 step together in lockstep in the kernel at any group width, and the
-statistic is applied per series in index order. With ``workers`` above one,
-a pool of ``workers - 1`` processes steps the leading groups while the
-calling process steps the trailing ones; a preset run (`run_preset`) starts
-that pool once, at its first parallel stage, and every later stage reuses
-it (`_pool_scope`). The ground truth never holds a whole series: it folds
+statistic is applied per series in index order. The calling process steps
+the trailing ``len(groups) // workers`` groups and a pool of ``workers - 1``
+processes the leading ones, so one worker makes no pool; a preset run
+(`run_preset`) makes that pool once, and every stage of the run shares it
+(`_pool_scope`). The ground truth never holds a whole series: it folds
 each block of a group's draws, one buffer of ``simulate._DRAW_BLOCK`` values
 for the whole group, into each series' own largest values.
 
@@ -40,10 +40,11 @@ from ._kernel import LOCKSTEP_ROWS
 from .diagnostics import difference_sign_test, ljung_box_curve, turning_point_test
 from .distributions import shifted_two_sided_pareto, two_sided_pareto
 from .errors import ConfigurationError, DegenerateInputError, DomainError, TailSeriesError
-from .estimators import fit_ar1, residuals_ar1, weissman_direct_curve, weissman_model_ar1_curve
+from .estimators import (_check_t, fit_ar1, residuals_ar1, weissman_direct_curve,
+                         weissman_model_ar1_curve)
 from .rng import RngState
-from .simulate import (LINEAR_AR1, NONLINEAR_AR1, SeriesModel, _usable_cpus, linear_ar1,
-                       nonlinear_ar1, series_blocks, series_rows, simulate_series)
+from .simulate import (LINEAR_AR1, NONLINEAR_AR1, SeriesModel, _caller_joins, _usable_cpus,
+                       linear_ar1, nonlinear_ar1, series_blocks, series_rows, simulate_series)
 
 DIRECT = "direct"
 MODEL_BASED = "model-based"
@@ -84,8 +85,7 @@ class ExperimentSpec:
             raise ConfigurationError("k_grid must be nonempty")
         if any(not (1 <= k < self.n) for k in self.k_grid):
             raise ConfigurationError("every k must satisfy 1 <= k < n")
-        if not (0 < self.t < 1):
-            raise ConfigurationError("t must lie in (0, 1)")
+        _check_t(self.t)
 
 
 @dataclass(frozen=True)
@@ -220,48 +220,32 @@ def _group_statistics(statistic, blocks: bool, model: SeriesModel, n: int, rng: 
     return [statistic(series) for series in series_rows(model, n, streams)]
 
 
-class _Pool:
-    """The process pool of one `_pool_scope`, started at its first use."""
-
-    def __init__(self):
-        self._executor = None
-
-    def executor(self, processes: int) -> ProcessPoolExecutor:
-        if self._executor is None:
-            self._executor = ProcessPoolExecutor(max_workers=processes)
-        return self._executor
-
-    def close(self):
-        if self._executor is not None:
-            self._executor.shutdown(wait=True, cancel_futures=True)
-
-
 _OPEN_POOL: ContextVar = ContextVar("tailseries_open_pool", default=None)
 
 
 @contextmanager
-def _pool_scope():
-    """One process pool for every `_map_series` call in the block.
+def _pool_scope(processes: int):
+    """The process pool of ``processes`` processes that every `_map_series`
+    call in the block shares, or None when ``processes`` is 0.
 
-    The pool starts at the first call that needs one, with that call's
-    ``workers - 1`` processes, so a block whose stages all run serially starts
-    none, and forked processes inherit what the process imported before that
-    call (`test_power_experiment` imports ``scipy.special`` first). Inside an
-    open scope this opens no other: the block shares the outer pool. When the outermost block ends, by a return or by an error, the
-    pool is shut down with its pending groups cancelled and its processes
-    joined.
+    Inside an open scope this opens no other: the block shares the outer
+    pool. A `ProcessPoolExecutor` forks its processes at its first map, so
+    they inherit what the process imported before that map
+    (`test_power_experiment` imports ``scipy.special`` first). When the
+    outermost block ends, by a return or by an error, the pool is shut down
+    with its pending groups cancelled and its processes joined.
     """
     pool = _OPEN_POOL.get()
-    if pool is not None:
+    if pool is not None or processes == 0:
         yield pool
         return
-    pool = _Pool()
+    pool = ProcessPoolExecutor(max_workers=processes)
     token = _OPEN_POOL.set(pool)
     try:
         yield pool
     finally:
         _OPEN_POOL.reset(token)
-        pool.close()
+        pool.shutdown(wait=True, cancel_futures=True)
 
 
 def _map_series(statistic, model: SeriesModel, n: int, rng: RngState, count: int,
@@ -284,32 +268,23 @@ def _map_series(statistic, model: SeriesModel, n: int, rng: RngState, count: int
     Every Monte Carlo stage runs its series through here, so a fixed-order
     reduction over the results gives the same bytes for any ``workers``.
     ``workers`` processes compute, the calling process included, capped at
-    the usable CPUs (`simulate._usable_cpus`). With ``workers > 1`` the
-    pool of the open `_pool_scope` (or of one opened for this call) holds
-    ``workers - 1`` processes and steps the leading groups, about four chunks
-    of them per process, while the calling process steps the trailing
-    ``len(groups) // workers`` groups itself; ``statistic`` must then pickle
-    (a module-level function or a `partial` of one). The first group in
-    index order that raises raises: an error of the caller's own groups
-    waits until the pool's groups are collected.
+    the usable CPUs (`simulate._usable_cpus`). The calling process steps the
+    trailing ``len(groups) // workers`` groups itself, and the pool of the
+    open `_pool_scope` (or of one opened for this call), of ``workers - 1``
+    processes, steps the leading ones, about four chunks of them per
+    process; ``statistic`` must then pickle (a module-level function or a
+    `partial` of one). At one worker that is every group, and no pool is
+    made. The first group in index order that raises raises
+    (`simulate._caller_joins`).
     """
     workers = max(1, min(workers, _usable_cpus()))
     size = min(LOCKSTEP_ROWS, math.ceil(count / workers))
     group = partial(_group_statistics, statistic, blocks, model, n, rng, count, size)
     firsts = range(0, count, size)
-    if workers == 1:
-        results = [group(first) for first in firsts]
-    else:
-        split = len(firsts) - len(firsts) // workers
-        with _pool_scope() as pool:
-            leading = pool.executor(workers - 1).map(
-                group, firsts[:split], chunksize=math.ceil(split / (4 * (workers - 1))))
-            try:
-                own = [group(first) for first in firsts[split:]]
-            except Exception:
-                list(leading)  # an error of a leading group comes first in index order
-                raise
-            results = list(leading) + own
+    split = len(firsts) - len(firsts) // workers
+    with _pool_scope(workers - 1) as pool:
+        results = _caller_joins(pool, group, firsts, split,
+                                chunksize=math.ceil(split / (4 * max(workers - 1, 1))))
     return [value for values in results for value in values]
 
 
@@ -637,5 +612,5 @@ def run_preset(name: str, out_dir, replicates: int | None = None,
         raise ConfigurationError(f"replicates must be >= 1, got {replicates}")
     if workers < 1:
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
-    with _pool_scope():
+    with _pool_scope(min(workers, _usable_cpus()) - 1):
         return runner(Path(out_dir), replicates, seed, scale, workers)

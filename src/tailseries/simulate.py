@@ -23,8 +23,9 @@ without a compiler, its Python twins, with the same bytes, only slower.
 ``RECURSION_PATH`` (``"c"`` or ``"python"``) says which one this process
 runs. Lognormal multipliers, of walks and of SRE series, are mapped from the
 kernel's uniforms in numpy, on either path. Each pass over the walk
-runs its blocks on every CPU the process may use, one thread per contiguous
-range of paths; no value depends on the number of threads.
+runs its blocks on every CPU the process may use, one contiguous range of
+paths per thread, the calling thread taking the last; no value depends on
+the number of threads.
 
 Draw protocol (frozen), for a series of ``total = burnin + n`` steps from a
 stream whose counter is ``c0`` on entry (its next draw is ``c0 + 1``): AR
@@ -246,6 +247,23 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _caller_joins(pool, task, items, split: int, **map_options) -> list:
+    """``[task(item) for item in items]``: ``pool.map(task, ..., **map_options)``
+    runs the leading ``split`` items while the calling thread runs the rest,
+    so a ``split`` of 0 touches no pool.
+
+    The first item in index order that raises raises: an error of the
+    caller's share waits until the pool's share is collected.
+    """
+    leading = pool.map(task, items[:split], **map_options) if split else ()
+    try:
+        own = [task(item) for item in items[split:]]
+    except Exception:
+        list(leading)  # an error of a leading item comes first in index order
+        raise
+    return [*leading, *own]
+
+
 def series_blocks(model: SeriesModel, n: int, rngs: list):
     """The ``n`` observations of `simulate_series` from each stream of
     ``rngs``, in order, as an iterator of blocks: row i of each block
@@ -404,13 +422,15 @@ class WalkEnsemble:
         there are such blocks, and the ranges share that one block's worth
         of values, so memory does not grow with the CPU count: each fills
         its own blocks of ``1/ranges`` of the paths in order, into one
-        reused buffer of its own, on a thread of its own (the kernel's
-        ctypes calls and numpy's loops release the GIL). ``reduce`` may
-        write only the rows ``first..first+len(rows)-1`` of per-path arrays,
-        so no result depends on the number of ranges. A range stops at the
-        first block for which ``reduce`` raises, and the error of the first
-        such range in path order is raised, so it is the error of the first
-        such block at any number of ranges.
+        reused buffer of its own. The calling thread walks the last range
+        and a thread pool the others, one thread each (the kernel's ctypes
+        calls and numpy's loops release the GIL), so a pass of one range
+        starts no thread. ``reduce`` may write only the rows
+        ``first..first+len(rows)-1`` of per-path arrays, so no result
+        depends on the number of ranges. A range stops at the first block
+        for which ``reduce`` raises, and the error of the first such range
+        in path order is raised (`_caller_joins`), so it is the error of
+        the first such block at any number of ranges.
         """
         if not (1 <= n <= self.horizon):
             raise ConfigurationError(f"steps must lie in 1..{self.horizon}, got {n}")
@@ -428,15 +448,13 @@ class WalkEnsemble:
                 self._fill(first, rows)
                 reduce(first, rows)
 
-        # one range runs on the calling thread, not in a pool: a pool
-        # thread's malloc arena keeps the freed block buffers resident, and
-        # sending every pass through the pool raised the peak RSS of a
-        # 1e5 x 200 walk with all four functionals from 52.8 to 60.5 MiB
-        if ranges == 1:
-            walk(0)
-        else:
-            with ThreadPoolExecutor(ranges) as pool:
-                list(pool.map(walk, range(ranges)))  # re-raises the first range's error
+        # the pool is handed ranges - 1 ranges, so it starts at most that many
+        # threads and none for one range: a pool thread's malloc arena keeps
+        # the freed block buffers resident, and sending every range through
+        # the pool raised the peak RSS of a 1e5 x 200 walk with all four
+        # functionals from 52.8 to 60.5 MiB
+        with ThreadPoolExecutor(ranges) as pool:
+            _caller_joins(pool, walk, range(ranges), ranges - 1)
 
     @property
     def paths(self) -> "_PathRows":

@@ -133,6 +133,24 @@ class TestEstimate:
         assert parse_and_dispatch(["estimate", "--input", series_file,
                                    "--method", "hill", "--k", "1500"]) == 3
 
+    @pytest.mark.parametrize("data, method, k, t", [
+        ("big", "weissman-direct", "3", "0.001"),
+        ("big", "weissman-model", "3", "0.001"),
+        ("series", "weissman-direct", "5", "1e-320"),
+    ])
+    def test_overflowing_estimate_exits_3_with_one_line(self, tmp_path, series_file,
+                                                        data, method, k, t):
+        # the extrapolation overflows: by a Hill estimate near 700 on three
+        # values near the largest double, or by k / (n * t) at a subnormal t;
+        # numpy's overflow warning is not printed before the error
+        big = tmp_path / "big.csv"
+        big.write_text("x\n" + "1.0\n" * 200 + "1e300\n1.5e300\n1e306\n")
+        proc = run_cli(["estimate", "--input", str(big) if data == "big" else series_file,
+                        "--method", method, "--k", k, "--t", t], text=True)
+        assert proc.returncode == 3 and proc.stdout == ""
+        assert proc.stderr == ("error: quantile estimate is not finite: "
+                               "the extrapolation overflows\n")
+
     @pytest.mark.parametrize("method", ["hill", "weissman-direct", "weissman-model"])
     @pytest.mark.parametrize("k", ["0", "1500"])
     def test_k_out_of_range_same_error_for_every_method(self, capsys, series_file, method, k):
@@ -490,6 +508,9 @@ BAD_INPUTS = {
     "estimate-nan-row": (["estimate", "--input", "{nan_series}", "--method", "hill",
                           "--k", "10"], None),
     "diagnose-nan-row": (["diagnose", "--input", "{nan_series}"], None),
+    "estimate-header-only": (["estimate", "--input", "{tmp}/header-only.csv", "--method",
+                              "hill", "--k", "3"], None),
+    "diagnose-header-only": (["diagnose", "--input", "{tmp}/header-only.csv"], None),
     "zero-replicates": (["experiment", "power", "--out", "{tmp}/power", "--replicates", "0"],
                         None),
     "zero-workers": (["experiment", "power", "--out", "{tmp}/power", "--workers", "0"], None),
@@ -532,6 +553,7 @@ def test_bad_input_exits_2(capsys, tmp_path, series_file, driver_file, argv, con
     lines[10] = lines[10].split(",")[0] + ",nan"
     nan_series = tmp_path / "nan.csv"
     nan_series.write_text("\n".join(lines) + "\n")
+    (tmp_path / "header-only.csv").write_text("t,x\n")
     for name, obj in BAD_FILES.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(obj))
     argv = [a.format(series=series_file, nan_series=nan_series, driver=driver_file,

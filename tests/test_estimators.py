@@ -1,10 +1,13 @@
 """Hill, AR(1) fit, residuals, and the two Weissman-type quantile estimators."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tailseries import (
+    ConfigurationError,
     DegenerateInputError,
     DomainError,
     QuantileTarget,
@@ -263,6 +266,25 @@ def test_nonfinite_input_raises(estimator, bad):
     x[17] = bad
     with pytest.raises(DomainError, match="non-finite"):
         estimator(x)
+
+
+@pytest.mark.parametrize("estimator", [weissman_direct, weissman_model_ar1_fit])
+def test_overflowing_estimate_raises(estimator):
+    # a Hill estimate near 700 raises the top value to a power beyond the
+    # largest double: an error, with no overflow warning before it
+    x = np.concatenate([np.ones(200), [1e300, 1.5e300, 1e306]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="not finite"):
+            estimator(x, QuantileTarget(t=0.001, k=3, n=x.size))
+
+
+@pytest.mark.parametrize("t", [0.0, 1.0, 1.5, 2.0, -0.001, np.nan])
+@pytest.mark.parametrize("curve", [weissman_direct_curve, weissman_model_ar1_curve])
+def test_curves_need_t_in_the_unit_interval(curve, t):
+    x = simulate_series(linear_ar1(0.8, two_sided_pareto(0.5)), 500, RngState(2))
+    with pytest.raises(ConfigurationError, match=r"t must lie in \(0, 1\)"):
+        curve(x, [10, 50], t)
 
 
 @settings(max_examples=200, deadline=None)

@@ -671,6 +671,25 @@ class TestWalkThreads:
             ens._map_blocks(n, lambda first, rows: threads.add(threading.get_ident()))
             assert (threads == {threading.get_ident()}) is on_caller
 
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_last_range_runs_on_the_calling_thread(self, monkeypatch, cpus):
+        # at n = 40 the three blocks of paths split into `cpus` ranges, and
+        # at n = 1 the one block is one range: the calling thread walks the
+        # last range, and at most one thread starts for each other range
+        ens = simulate_walks(TWO_POINT, 1.0, 40, 3 * simulate._PATH_BLOCK, RngState(24))
+        monkeypatch.setattr(simulate, "_usable_cpus", lambda: cpus)
+        caller = threading.current_thread()
+        for n, ranges in ((40, cpus), (1, 1)):
+            before = threading.active_count()
+            placed = []
+            ens._map_blocks(n, lambda first, rows: placed.append(
+                (first, threading.current_thread(), threading.active_count())))
+            last = ens.n_paths * (ranges - 1) // ranges  # the last range's first path
+            assert [thread is caller for _, thread, _ in placed] == \
+                [first >= last for first, _, _ in placed]
+            assert len({thread for _, thread, _ in placed} - {caller}) <= ranges - 1
+            assert max(active for *_, active in placed) <= before + ranges - 1
+
     def test_more_threads_than_cores_with_a_short_switch_interval(self, monkeypatch):
         # eight ranges write their own rows of the shared per-path arrays while
         # the interpreter switches threads every microsecond; a row lost or
