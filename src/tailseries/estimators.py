@@ -11,7 +11,10 @@ Order-statistic conventions: ``X_{j:n}`` is the j-th smallest of n values;
 the Hill estimator with k order statistics uses the top k values over the
 threshold ``X_{n-k:n}`` (the (k+1)-th largest). All estimators also come in
 a vectorized ``*_curve`` form evaluating a whole grid of k at once, which is
-what the Monte Carlo harness and the error-vs-k figures use.
+what the Monte Carlo harness and the error-vs-k figures use. Each curve sorts
+its sample once, in descending order, and reads both the Hill step and the
+Weissman anchor from that order; only a Hill step on absolute values
+(``use_abs``) sorts a second time. Every k is a whole number.
 """
 
 from __future__ import annotations
@@ -30,9 +33,22 @@ def _check_t(t: float):
         raise ConfigurationError("t must lie in (0, 1)")
 
 
-def _check_finite(estimate: float):
-    if not np.isfinite(estimate):
+def _whole(ks) -> bool:
+    """Whether every value of ``ks`` is a whole number (``10.0`` is one)."""
+    k = np.asarray(ks)
+    return k.dtype.kind in "iu" or (
+        k.dtype.kind == "f" and bool(np.all(np.isfinite(k) & (k == np.trunc(k)))))
+
+
+def _point(value, failure: str) -> float:
+    """One point of a curve as a float: NaN raises `DomainError` with
+    ``failure``, an infinite value the overflow error."""
+    value = float(value)
+    if np.isnan(value):
+        raise DomainError(failure)
+    if not np.isfinite(value):
         raise DomainError("quantile estimate is not finite: the extrapolation overflows")
+    return value
 
 
 @dataclass(frozen=True)
@@ -46,6 +62,8 @@ class QuantileTarget:
 
     def __post_init__(self):
         _check_t(self.t)
+        if not _whole(self.k):
+            raise ConfigurationError(f"k must be a whole number, got {self.k!r}")
         if not (1 <= self.k < self.n):
             raise ConfigurationError("k must satisfy 1 <= k < n")
 
@@ -69,35 +87,47 @@ def hill(sample, k: int) -> float:
     ``X_{n-k:n}`` to be positive. If all top k+1 values are tied the estimate
     is exactly 0, which is valid.
     """
-    gamma = float(hill_curve(sample, [k])[0])
-    if np.isnan(gamma):
-        raise DomainError(f"threshold order statistic X_(n-k:n) must be > 0 (k={k})")
-    return gamma
+    return _point(hill_curve(sample, [k])[0],
+                  f"threshold order statistic X_(n-k:n) must be > 0 (k={k})")
 
 
 def hill_curve(sample, ks) -> np.ndarray:
     """`hill` over a whole grid of k in one pass; NaN where the threshold
     order statistic is not positive, exactly 0 where the top k+1 values tie."""
+    return _tail(sample, ks)[2]
+
+
+def _tail(sample, ks, use_abs: bool = False, k_rule: str = "1 <= k <= n - 1"):
+    """(ks as integers, the sample sorted once in descending order, the Hill
+    curve over ks), with every k a whole number in ``1..n-1`` (``k_rule``
+    names the bound to the caller). With ``use_abs`` the Hill curve is that of
+    the absolute values, a second sort; the order returned stays the raw one.
+    """
     x = np.asarray(sample, dtype=np.float64)
-    ks = np.asarray(ks, dtype=np.int64)
+    if not _whole(ks):
+        raise DomainError("every k must be a whole number")
+    ks = np.asarray(ks)
     n = x.size
+    # bounds before the cast: a whole float such as 1e30 has no int64
     if ks.size and not (ks.min() >= 1 and ks.max() <= n - 1):
-        raise DomainError("every k must satisfy 1 <= k <= n - 1")
+        raise DomainError(f"every k must satisfy {k_rule}")
+    ks = ks.astype(np.int64, copy=False)
     if not np.isfinite(x).all():
         raise DomainError("sample contains a non-finite value")
     desc = np.sort(x)[::-1]
-    thresholds = desc[ks]  # (k+1)-th largest
+    top = np.sort(np.abs(x))[::-1] if use_abs else desc
+    thresholds = top[ks]  # (k+1)-th largest
     valid = thresholds > 0
-    npos = int(np.count_nonzero(desc > 0))
+    npos = int(np.count_nonzero(top > 0))
     logs = np.zeros(n)
-    logs[:npos] = np.log(desc[:npos])
+    logs[:npos] = np.log(top[:npos])
     csum = np.cumsum(logs)
-    out = np.full(ks.shape, np.nan)
+    gammas = np.full(ks.shape, np.nan)
     kv = ks[valid]
-    out[valid] = csum[kv - 1] / kv - logs[kv]
+    gammas[valid] = csum[kv - 1] / kv - logs[kv]
     # the cumulative sum does not cancel exactly; a tied top is exactly 0
-    out[valid & (thresholds == desc[0])] = 0.0
-    return out
+    gammas[valid & (thresholds == top[0])] = 0.0
+    return ks, desc, gammas
 
 
 def fit_ar1(series, center: bool = True) -> float:
@@ -156,11 +186,8 @@ def weissman_direct(series, target: QuantileTarget, use_abs: bool = False) -> fl
     x = np.asarray(series, dtype=np.float64)
     if x.size != target.n:
         raise ConfigurationError(f"series length {x.size} != target n {target.n}")
-    est = float(weissman_direct_curve(x, [target.k], target.t, use_abs=use_abs)[0])
-    if np.isnan(est):
-        raise DomainError("Hill threshold or anchor order statistic X_(n-k:n) is not > 0")
-    _check_finite(est)
-    return est
+    return _point(weissman_direct_curve(x, [target.k], target.t, use_abs=use_abs)[0],
+                  "Hill threshold or anchor order statistic X_(n-k:n) is not > 0")
 
 
 def weissman_direct_curve(series, ks, t: float, use_abs: bool = False) -> np.ndarray:
@@ -168,9 +195,8 @@ def weissman_direct_curve(series, ks, t: float, use_abs: bool = False) -> np.nda
     inf where the extrapolation overflows. ``t`` must lie in (0, 1)."""
     _check_t(t)
     x = np.asarray(series, dtype=np.float64)
-    ks = np.asarray(ks, dtype=np.int64)
-    gammas = hill_curve(np.abs(x) if use_abs else x, ks)
-    anchors = np.sort(x)[::-1][ks]
+    ks, desc, gammas = _tail(x, ks, use_abs)
+    anchors = desc[ks]
     with np.errstate(over="ignore", invalid="ignore"):
         est = anchors * (ks / (x.size * t)) ** gammas
         return np.where(anchors > 0, est, np.nan)
@@ -193,13 +219,11 @@ def _model_ar1(series, ks, t: float, use_abs: bool, center: bool):
     (estimates, phi_hat, gamma_hats, clamped mask)."""
     _check_t(t)
     x = np.asarray(series, dtype=np.float64)
-    ks = np.asarray(ks, dtype=np.int64)
     phi_hat = fit_ar1(x, center=center)
-    resid = residuals_ar1(x, phi_hat)
-    hill_input = np.abs(resid) if use_abs else resid
-    gammas = hill_curve(hill_input, ks)
+    ks, desc, gammas = _tail(residuals_ar1(x, phi_hat), ks, use_abs,
+                             "1 <= k <= n - 2: an AR(1) fit leaves n - 1 residuals")
     # the anchor is the k-th largest raw residual, one above the Hill threshold
-    anchors = np.sort(resid)[::-1][ks - 1]
+    anchors = desc[ks - 1]
     factor, clamped = _tail_ratio_factor(phi_hat, gammas)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         u = factor * t
@@ -225,10 +249,8 @@ def weissman_model_ar1_fit(series, target: QuantileTarget, use_abs: bool = False
     if x.size != target.n:
         raise ConfigurationError(f"series length {x.size} != target n {target.n}")
     est, phi_hat, gammas, clamped = _model_ar1(x, [target.k], target.t, use_abs, center)
-    if np.isnan(est[0]):
-        raise DomainError("residual Hill threshold or anchor order statistic is not > 0")
-    _check_finite(est[0])
-    return ModelBasedFit(estimate=float(est[0]), phi_hat=phi_hat,
+    estimate = _point(est[0], "residual Hill threshold or anchor order statistic is not > 0")
+    return ModelBasedFit(estimate=estimate, phi_hat=phi_hat,
                          gamma_hat=float(gammas[0]), clamped=bool(clamped[0]))
 
 

@@ -40,7 +40,7 @@ from ._kernel import LOCKSTEP_ROWS
 from .diagnostics import difference_sign_test, ljung_box_curve, turning_point_test
 from .distributions import shifted_two_sided_pareto, two_sided_pareto
 from .errors import ConfigurationError, DegenerateInputError, DomainError, TailSeriesError
-from .estimators import (_check_t, fit_ar1, residuals_ar1, weissman_direct_curve,
+from .estimators import (_check_t, _whole, fit_ar1, residuals_ar1, weissman_direct_curve,
                          weissman_model_ar1_curve)
 from .rng import RngState
 from .simulate import (LINEAR_AR1, NONLINEAR_AR1, SeriesModel, _caller_joins, _usable_cpus,
@@ -83,8 +83,11 @@ class ExperimentSpec:
                 f"a standard error needs at least 2 replicates, got {self.replicates}")
         if not self.k_grid:
             raise ConfigurationError("k_grid must be nonempty")
-        if any(not (1 <= k < self.n) for k in self.k_grid):
-            raise ConfigurationError("every k must satisfy 1 <= k < n")
+        if not _whole(self.k_grid):
+            raise ConfigurationError("every k must be a whole number")
+        if any(not (1 <= k <= self.n - 2) for k in self.k_grid):
+            raise ConfigurationError(
+                "every k must satisfy 1 <= k <= n - 2: an AR(1) fit leaves n - 1 residuals")
         _check_t(self.t)
 
 

@@ -159,6 +159,13 @@ class TestEstimate:
         expected = f"error: k must satisfy 1 <= k <= n - 1 = 1499, got {k}\n"
         assert capsys.readouterr().err == expected
 
+    def test_model_based_k_stops_at_n_minus_2(self, capsys, series_file):
+        # an AR(1) fit leaves n - 1 residuals, so k = n - 1 has no Hill threshold
+        assert parse_and_dispatch(["estimate", "--input", series_file,
+                                   "--method", "weissman-model", "--k", "1499"]) == 3
+        assert capsys.readouterr().err == ("error: every k must satisfy 1 <= k <= n - 2: "
+                                           "an AR(1) fit leaves n - 1 residuals\n")
+
     def test_config_merge_and_override(self, capsys, tmp_path, series_file):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"method": "hill", "k": 100, "abs": True}))

@@ -1,6 +1,7 @@
 """Hill, AR(1) fit, residuals, and the two Weissman-type quantile estimators."""
 
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -26,7 +27,9 @@ from tailseries import (
     weissman_model_ar1_curve,
     weissman_model_ar1_fit,
 )
+from tailseries import estimators
 from tailseries.estimators import weissman_extrapolate, _tail_ratio_factor
+from tailseries.experiments import DEFAULT_K_GRID, STUDY_T, _study_model
 
 MODEL_A = two_sided_pareto(0.5, 0.5)
 
@@ -292,3 +295,135 @@ def test_curves_need_t_in_the_unit_interval(curve, t):
 def test_hill_scale_invariance_property(seed, k, c):
     x = np.abs(sample(MODEL_A, RngState(seed), 100)) + 1e-9
     assert hill(c * x, k) == pytest.approx(hill(x, k), rel=1e-9, abs=1e-9)
+
+
+@pytest.mark.parametrize("call", [
+    lambda x, k: hill(x, k),
+    lambda x, k: hill_curve(x, [10, k]),
+    lambda x, k: weissman_direct_curve(x, [k], 0.001),
+    lambda x, k: weissman_direct_curve(x, [k], 0.001, use_abs=True),
+    lambda x, k: weissman_model_ar1_curve(x, [k, 50], 0.001),
+], ids=["hill", "hill_curve", "direct_curve", "direct_curve-abs", "model_curve"])
+@pytest.mark.parametrize("k", [2.7, 10.5, "3", np.nan, np.inf])
+def test_k_must_be_a_whole_number(call, k):
+    x = simulate_series(linear_ar1(0.8, MODEL_A, burnin=100), 300, RngState(59))
+    call(x, 3.0)  # a whole float is a whole number
+    with pytest.raises(DomainError, match="every k must be a whole number"):
+        call(x, k)
+
+
+@pytest.mark.parametrize("k", [10.9, "10", np.nan, False])
+def test_target_k_must_be_a_whole_number(k):
+    QuantileTarget(t=0.001, k=10.0, n=500)
+    with pytest.raises(ConfigurationError, match="k must be a whole number"):
+        QuantileTarget(t=0.001, k=k, n=500)
+
+
+def test_model_based_k_stops_at_n_minus_2():
+    # the Hill threshold is the (k+1)-th largest value: at k = n - 1 the n-th
+    # of the n - 1 residuals an AR(1) fit leaves
+    x = simulate_series(linear_ar1(0.8, MODEL_A, burnin=100), 300, RngState(61))
+    assert np.isnan(weissman_model_ar1_curve(x, [298], 0.001)[0]).all()  # a negative threshold
+    rule = r"every k must satisfy 1 <= k <= n - 2: an AR\(1\) fit leaves n - 1 residuals"
+    with pytest.raises(DomainError, match=rule):
+        weissman_model_ar1_fit(x, QuantileTarget(t=0.001, k=299, n=300))
+    for ks in ([10, 299], [0, 10]):
+        with pytest.raises(DomainError, match=rule):
+            weissman_model_ar1_curve(x, ks, 0.001)
+    weissman_direct_curve(x, [10, 299], 0.001)  # the direct route takes k = n - 1
+
+
+@pytest.mark.parametrize("use_abs, sorts", [(False, 1), (True, 2)])
+def test_each_curve_sorts_its_sample_once(use_abs, sorts, monkeypatch):
+    # the Hill step and the anchor read one descending order; a Hill step on
+    # absolute values needs a second
+    x = simulate_series(linear_ar1(0.8, MODEL_A, burnin=100), 300, RngState(71))
+    calls, sort = [], np.sort
+    monkeypatch.setattr(np, "sort", lambda *args, **kw: calls.append(1) or sort(*args, **kw))
+    for curve in (weissman_direct_curve, partial(estimators._model_ar1, center=True)):
+        calls.clear()
+        curve(x, [10, 50], 0.001, use_abs)
+        assert len(calls) == sorts
+    calls.clear()
+    hill_curve(x, [10, 50])
+    assert len(calls) == 1
+
+
+# The curves as they were when each sorted its sample once for the Hill step
+# and once more for the Weissman anchor: the reference for sorting once.
+def _two_sort_hill_curve(sample, ks):
+    x = np.asarray(sample, dtype=np.float64)
+    desc = np.sort(x)[::-1]
+    thresholds = desc[ks]
+    valid = thresholds > 0
+    npos = int(np.count_nonzero(desc > 0))
+    logs = np.zeros(x.size)
+    logs[:npos] = np.log(desc[:npos])
+    csum = np.cumsum(logs)
+    out = np.full(ks.shape, np.nan)
+    kv = ks[valid]
+    out[valid] = csum[kv - 1] / kv - logs[kv]
+    out[valid & (thresholds == desc[0])] = 0.0
+    return out
+
+
+def _two_sort_direct_curve(x, ks, t, use_abs):
+    gammas = _two_sort_hill_curve(np.abs(x) if use_abs else x, ks)
+    anchors = np.sort(x)[::-1][ks]
+    with np.errstate(over="ignore", invalid="ignore"):
+        est = anchors * (ks / (x.size * t)) ** gammas
+        return np.where(anchors > 0, est, np.nan)
+
+
+def _two_sort_model_curve(x, ks, t, use_abs, center):
+    phi_hat = estimators.fit_ar1(x, center=center)
+    resid = residuals_ar1(x, phi_hat)
+    gammas = _two_sort_hill_curve(np.abs(resid) if use_abs else resid, ks)
+    anchors = np.sort(resid)[::-1][ks - 1]
+    factor, clamped = _tail_ratio_factor(phi_hat, gammas)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        est = weissman_extrapolate(anchors, gammas, x.size, ks, factor * t)
+        est = np.where(anchors > 0, est, np.nan)
+    return est, phi_hat, gammas, clamped
+
+
+STUDY_CASES = {f"{'linear' if linear else 'nonlinear'}-{law}-{n}": (linear, law, n)
+               for linear in (True, False) for law in ("unshifted", "shifted")
+               for n in (300, 2000)}
+SPECIAL_CASES = ("tied-top", "all-negative", "unit-root")
+
+
+@pytest.mark.parametrize("case", list(STUDY_CASES) + list(SPECIAL_CASES))
+def test_curves_equal_the_two_sort_formulas(case, monkeypatch):
+    linear, law, n = STUDY_CASES.get(case, (True, "unshifted", 2000))
+    x = simulate_series(_study_model(linear, law), n, RngState(67))
+    if case == "tied-top":
+        x = np.minimum(x, np.sort(x)[-100])
+    elif case == "all-negative":
+        x = -np.abs(x) - 1.0
+    elif case == "unit-root":
+        # Cauchy-Schwarz keeps |fit_ar1| below 1 on any non-degenerate
+        # series, so phi_hat is pinned to reach the tail-ratio clamp
+        monkeypatch.setattr(estimators, "fit_ar1", lambda series, center=True: 1.0)
+    ks = np.array([k for k in DEFAULT_K_GRID if k <= n - 2])
+    same = partial(np.array_equal, equal_nan=True)
+    for sample_ in (x, np.abs(x)):
+        assert same(hill_curve(sample_, ks), _two_sort_hill_curve(sample_, ks))
+    for use_abs in (False, True):
+        assert same(weissman_direct_curve(x, ks, STUDY_T, use_abs),
+                    _two_sort_direct_curve(x, ks, STUDY_T, use_abs))
+        for center in (False, True):
+            got = estimators._model_ar1(x, ks, STUDY_T, use_abs, center)
+            expected = _two_sort_model_curve(x, ks, STUDY_T, use_abs, center)
+            assert all(map(same, got, expected))
+    est, phi_hat, clamped = weissman_model_ar1_curve(x, ks, STUDY_T)
+    expected, expected_phi, _, expected_clamped = _two_sort_model_curve(x, ks, STUDY_T,
+                                                                        False, True)
+    assert same(est, expected) and phi_hat == expected_phi and same(clamped, expected_clamped)
+    # each special case reaches the branch it is here for
+    if case == "tied-top":
+        assert (hill_curve(x, ks) == 0.0).sum() == (ks < 100).sum()
+    elif case == "all-negative":
+        assert np.isnan(hill_curve(x, ks)).all() and np.isnan(est).any()
+    elif case == "unit-root":
+        assert clamped.all()

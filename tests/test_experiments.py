@@ -349,6 +349,17 @@ class TestRunExperiment:
         with pytest.raises(ConfigurationError, match="2 replicates"):
             dataclasses.replace(SMALL_SPEC, replicates=1)
 
+    @pytest.mark.parametrize("k_grid, match", [
+        ((10, 50, 399), r"1 <= k <= n - 2: an AR\(1\) fit leaves n - 1 residuals"),
+        ((10, 50.5), "whole number"),
+        ((10, "50"), "whole number"),
+    ], ids=["n-1", "fraction", "string"])
+    def test_spec_takes_whole_k_up_to_n_minus_2(self, k_grid, match):
+        # k = n - 1 left the model-based row missing at every k of the study
+        dataclasses.replace(SMALL_SPEC, k_grid=(1, 50.0, 398))
+        with pytest.raises(ConfigurationError, match=match):
+            dataclasses.replace(SMALL_SPEC, k_grid=k_grid)
+
     def test_deterministic_rerun(self):
         a = run_quantile_experiment(SMALL_SPEC, 20.0, keep_estimates=True)
         b = run_quantile_experiment(SMALL_SPEC, 20.0, keep_estimates=True)
