@@ -26,6 +26,7 @@ from .errors import (
     TailSeriesError,
 )
 from .estimators import (
+    DirectFit,
     ModelBasedFit,
     QuantileTarget,
     fit_ar1,
@@ -34,6 +35,7 @@ from .estimators import (
     residuals_ar1,
     weissman_direct,
     weissman_direct_curve,
+    weissman_direct_fit,
     weissman_model_ar1_curve,
     weissman_model_ar1_fit,
 )

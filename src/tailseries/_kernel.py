@@ -14,7 +14,7 @@ which `_load_kernel` compiles on first import, or, without a compiler,
   or ``z - shift`` (both vectorized, below);
 * ``two_point_walk(bases, count, n, p_up, up, down, out)``: the running
   product of ``up`` (draw below ``p_up``) or ``down`` over draws ``1..n`` of
-  each stream, one row per path;
+  each stream, one row per path (eight paths side by side, below);
 * ``walk_summary(rows, count, n, maxima, capped_sums)``: the flat index of
   the first non-finite value of ``rows`` (``count * n`` when there is none)
   and, when every value is finite, each row's maximum and sum of
@@ -29,17 +29,19 @@ which `_load_kernel` compiles on first import, or, without a compiler,
   takes the operations of a row stepped alone;
 * ``capped_top(rows, count, n, k, capped)``: row p of ``capped`` gets 1.0
   and then the ``k`` largest of ``min(rows[p], 1)``, in descending order, the
-  per-path order statistics of `extremal.cluster_size_probs`;
+  per-path order statistics of `extremal.cluster_size_probs` (eight values
+  tested at once, below);
 * ``cluster_moments(capped, count, width, theta_mean, theta_sd, pi_mean,
   pi_sd)``: the means and standard deviations (ddof 1) over the rows of
   ``capped`` of its per-path theta terms ``capped[:, c] - capped[:, c+1]``
   and of the differences of those, the pi terms.
 
 Each works on C-contiguous buffers that the caller allocates at their full
-size, and ``uniforms``, ``pareto_base`` and ``pareto_finish`` also on
-buffers that do not overlap: the compiled kernel vectorizes these three for
-x86-64-v4 CPUs, chosen at run time when the library loads, with the same
-bytes (``DRAW_CLONES`` in ``_recursion.c``). The entries are listed once, in
+size, and ``uniforms``, ``pareto_base``, ``pareto_finish``,
+``two_point_walk`` and ``capped_top`` also on buffers that do not overlap:
+the compiled kernel vectorizes these five for x86-64-v4 CPUs, chosen at run
+time when the library loads, with the same bytes (``X86_64_V4`` in
+``_recursion.c``). The entries are listed once, in
 ``_KERNEL_SIGNATURES``; the Python twin of entry ``name`` is the function
 ``_name``. Both paths check each array argument (`_Array`) before any work:
 one of another dtype, not C-contiguous or, where the entry writes it, read
@@ -69,10 +71,9 @@ _WEYL = 0x9E3779B97F4A7C15
 _INV_2_53 = 2.0 ** -53
 
 _KERNEL_SOURCE = Path(__file__).with_name("_recursion.c")
-# Never -ffast-math or -march: the draw entries carry their own x86-64-v4
-# clone, which the loader picks by CPU at run time, with the same IEEE
-# operations and bytes as the baseline loop. -ffp-contract=off keeps
-# `a*b + c` two roundings.
+# Never -ffast-math or -march: five entries carry their own x86-64-v4 code,
+# which the loader picks by CPU at run time, with the same bytes as the
+# baseline loop. -ffp-contract=off keeps `a*b + c` two roundings.
 _KERNEL_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 # `from_buffer` puts one at a writable array's data; ctypes passes its address
 _NO_BYTES = ctypes.c_char * 0

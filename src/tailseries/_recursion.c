@@ -21,18 +21,25 @@ numpy's uint64 does. So each function reproduces its Python twin in
 _kernel.py bit for bit; the comments there say why each twin equals the
 documented formula.
 
-The three elementwise draw entries, `uniforms`, `pareto_base` and
-`pareto_finish`, are built twice when GCC 12 or later compiles for x86-64
-with glibc (DRAW_CLONES): once for the plain x86-64 baseline, the loop every
-other compiler and target builds, and once vectorized for x86-64-v4
-(AVX-512). The loader runs the clone that the CPU supports, chosen once per
+When GCC 12 or later compiles for x86-64 with glibc (X86_64_V4), five
+entries also get code for x86-64-v4 (AVX-512). The three elementwise draw
+entries, `uniforms`, `pareto_base` and `pareto_finish`, are built twice
+(DRAW_CLONES): once for the plain x86-64 baseline and once vectorized by the
+compiler. `two_point_walk` steps eight paths at once, one per vector lane,
+and `capped_top` tests eight values at once against the k-th largest and
+keeps up to 32 top values in vector registers (ENTRY_V4); both are written
+with intrinsics, as the vectorizer leaves their loops scalar. Each entry's
+scalar loop, the only one every other compiler and target builds, stays
+beside it. The loader runs the code that the CPU supports, chosen once per
 process when the library loads (an ifunc), not by a flag at build time. A
-vector lane takes the same IEEE operation of each element as the scalar
-loop, an exact integer step, one division or one subtraction rounded to
-nearest, with no contraction, so both clones write the same bytes. Their
-pointers are `restrict`: a buffer an entry writes must not overlap another
-buffer of the same call, which every caller in the package satisfies, as
-each passes arrays it has just allocated.
+vector lane takes the same IEEE operations of each element as the scalar
+loop (an exact integer step, one division, subtraction or product rounded
+to nearest, with no contraction, or one comparison), except that the walk
+tests its draws against p_up on their integer bits, which gives the same
+answer (draws_below); so both write the same bytes. Their pointers are
+`restrict`: a buffer an entry writes must not overlap another buffer of the
+same call, which every caller in the package satisfies, as each passes
+arrays it has just allocated.
 */
 
 #include <float.h>
@@ -41,15 +48,32 @@ each passes arrays it has just allocated.
 #include <stdint.h>
 #include <string.h>
 
-/* The clones of the draw entries (see the header). The ifunc that picks one
-   needs glibc. The vectorizer's cost model is raised from -O2's "very
-   cheap" one, which leaves loops of unknown trip count scalar; with GCC 12
-   it still finds the baseline clones not worth vectorizing, so they stay
-   the scalar loops. */
+/* X86_64_V4: the x86-64-v4 code is built (see the header). The ifunc that
+   picks it needs glibc. In the clones of the draw entries the vectorizer's
+   cost model is raised from -O2's "very cheap" one, which leaves loops of
+   unknown trip count scalar; with GCC 12 it still finds the baseline clones
+   not worth vectorizing, so they stay the scalar loops. */
 #if defined(__GNUC__) && !defined(__clang__) && __GNUC__ >= 12 && defined(__x86_64__) && \
     defined(__ELF__) && defined(__GLIBC__)
+#define X86_64_V4
+#endif
+
+#ifdef X86_64_V4
+#include <immintrin.h>
 #define DRAW_CLONES __attribute__((target_clones("arch=x86-64-v4", "default"), \
                                    optimize("tree-vectorize", "vect-cost-model=dynamic")))
+#define V4 __attribute__((target("arch=x86-64-v4")))
+/* `name` runs `name`_x86_64_v4 on a CPU that supports x86-64-v4 and
+   `name`_scalar on any other, chosen once per process when the library
+   loads, as for the draw clones. A resolver runs before the library's
+   constructors, so it initializes the CPU model itself. */
+#define ENTRY_V4(name)                                                                   \
+    static __typeof__(name##_scalar) *resolve_##name(void)                              \
+    {                                                                                   \
+        __builtin_cpu_init();                                                           \
+        return __builtin_cpu_supports("x86-64-v4") ? name##_x86_64_v4 : name##_scalar; \
+    }                                                                                   \
+    __typeof__(name##_scalar) name __attribute__((ifunc("resolve_" #name)));
 #else
 #define DRAW_CLONES
 #endif
@@ -80,8 +104,8 @@ DRAW_CLONES void uniforms(const uint64_t *restrict bases, size_t count, uint64_t
 /* Row p of `out` (count rows of n) holds the running product of the
    multipliers `up` (draw below p_up) or `down` of draws 1..n of the stream
    bases[p]. The product starts at 1.0, and 1.0 * a is exactly a. */
-void two_point_walk(const uint64_t *bases, size_t count, size_t n, double p_up,
-                    double up, double down, double *out)
+static void two_point_walk_scalar(const uint64_t *restrict bases, size_t count, size_t n,
+                                  double p_up, double up, double down, double *restrict out)
 {
     for (size_t p = 0; p < count; p++) {
         double w = 1.0;
@@ -91,6 +115,109 @@ void two_point_walk(const uint64_t *bases, size_t count, size_t n, double p_up,
         }
     }
 }
+
+#ifdef X86_64_V4
+/* Transposes the 8 x 8 doubles of r in place: r[i][j] becomes r[j][i]. */
+V4 static inline void transpose8(__m512d r[8])
+{
+    __m512d t[8], u[8];
+#pragma GCC unroll 4
+    for (int i = 0; i < 8; i += 2) {
+        t[i] = _mm512_unpacklo_pd(r[i], r[i + 1]);     /* r[i][c], r[i+1][c], c even */
+        t[i + 1] = _mm512_unpackhi_pd(r[i], r[i + 1]); /* the same, c odd */
+    }
+#pragma GCC unroll 2
+    for (int i = 0; i < 8; i += 4) {
+#pragma GCC unroll 2
+        for (int odd = 0; odd < 2; odd++) {
+            u[i + 2 * odd] = _mm512_shuffle_f64x2(t[i + odd], t[i + odd + 2], 0x88);
+            u[i + 2 * odd + 1] = _mm512_shuffle_f64x2(t[i + odd], t[i + odd + 2], 0xdd);
+        }
+    }
+    /* u[i .. i+3] hold rows i .. i+3 at columns (0, 4), (2, 6), (1, 5), (3, 7) */
+    static const int column[4] = {0, 2, 1, 3};
+#pragma GCC unroll 4
+    for (int c = 0; c < 4; c++) {
+        r[column[c]] = _mm512_shuffle_f64x2(u[c], u[c + 4], 0x88);
+        r[column[c] + 4] = _mm512_shuffle_f64x2(u[c], u[c + 4], 0xdd);
+    }
+}
+
+/* How many of the 2**53 values m = mix64(.) >> 11 give a draw below p_up:
+   the draw ((double)m + 0.5) * 2**-53 of splitmix_uniform never falls as m
+   grows (the conversion and the product are exact, and rounding to nearest
+   is monotone), so those m are exactly 0 .. below - 1, found here by
+   bisection on that same expression. A nan p_up gives 0, as no draw is
+   below it. */
+static uint64_t draws_below(double p_up)
+{
+    uint64_t lo = 0, hi = UINT64_C(1) << 53; /* below lies in lo .. hi */
+    while (lo < hi) {
+        uint64_t mid = lo + (hi - lo) / 2;
+        if (((double)mid + 0.5) * 0x1p-53 < p_up)
+            lo = mid + 1;
+        else
+            hi = mid;
+    }
+    return lo;
+}
+
+/* two_point_walk_scalar with eight paths side by side, one per lane: each
+   lane takes its path's draws and products in step order, with the scalar
+   loop's integer steps and one product per step, so it writes the same
+   bytes. A draw is below p_up exactly when its m is below draws_below(p_up),
+   which is tested on m, without converting it. Every eight steps the lanes'
+   eight values are transposed into eight row segments; the last segment of
+   a row is stored under a mask, and steps past n are computed and dropped.
+   Paths past the last whole group of eight take the scalar loop. */
+V4 static void two_point_walk_x86_64_v4(const uint64_t *restrict bases, size_t count, size_t n,
+                                        double p_up, double up, double down,
+                                        double *restrict out)
+{
+    const __m512i weyl = _mm512_set1_epi64((long long)UINT64_C(0x9E3779B97F4A7C15));
+    const __m512i mul1 = _mm512_set1_epi64((long long)UINT64_C(0xBF58476D1CE4E5B9));
+    const __m512i mul2 = _mm512_set1_epi64((long long)UINT64_C(0x94D049BB133111EB));
+    const __m512i below = _mm512_set1_epi64((long long)draws_below(p_up));
+    const __m512d vup = _mm512_set1_pd(up), vdown = _mm512_set1_pd(down);
+    size_t p = 0;
+    for (; p + 8 <= count; p += 8, out += 8 * n) {
+        __m512i counter = _mm512_loadu_si512(bases + p); /* base + 0 * weyl */
+        __m512d w = _mm512_set1_pd(1.0);
+        for (size_t j = 0; j < n; j += 8) {
+            __m512d r[8];
+#pragma GCC unroll 8
+            for (int s = 0; s < 8; s++) {
+                __m512i z = counter = _mm512_add_epi64(counter, weyl);
+                z = _mm512_mullo_epi64(_mm512_xor_si512(z, _mm512_srli_epi64(z, 30)), mul1);
+                z = _mm512_mullo_epi64(_mm512_xor_si512(z, _mm512_srli_epi64(z, 27)), mul2);
+                z = _mm512_xor_si512(z, _mm512_srli_epi64(z, 31));
+                __mmask8 is_up = _mm512_cmplt_epu64_mask(_mm512_srli_epi64(z, 11), below);
+                r[s] = w = _mm512_mul_pd(w, _mm512_mask_blend_pd(is_up, vdown, vup));
+            }
+            transpose8(r);
+            if (n - j >= 8) {
+#pragma GCC unroll 8
+                for (size_t l = 0; l < 8; l++)
+                    _mm512_storeu_pd(out + l * n + j, r[l]);
+            } else {
+                __mmask8 head = (__mmask8)((1u << (n - j)) - 1);
+#pragma GCC unroll 8
+                for (size_t l = 0; l < 8; l++)
+                    _mm512_mask_storeu_pd(out + l * n + j, head, r[l]);
+            }
+        }
+    }
+    two_point_walk_scalar(bases + p, count - p, n, p_up, up, down, out);
+}
+
+ENTRY_V4(two_point_walk)
+#else
+void two_point_walk(const uint64_t *restrict bases, size_t count, size_t n, double p_up,
+                    double up, double down, double *restrict out)
+{
+    two_point_walk_scalar(bases, count, n, p_up, up, down, out);
+}
+#endif
 
 /* `a` where `mask` is all ones, `b` where it is zero, selected on the bits.
    At -O2 without -march a `?:` on doubles compiles to a branch, which a
@@ -336,7 +463,8 @@ static inline void insert_descending(double *top, size_t i, double v)
    Once k values are in, a value enters only above the k-th, `last`; while
    last < 1 that is the same as its uncapped value exceeding last, so most
    values cost one compare, and once last is 1 no value can enter. */
-void capped_top(const double *rows, size_t count, size_t n, size_t k, double *capped)
+static void capped_top_scalar(const double *restrict rows, size_t count, size_t n, size_t k,
+                              double *restrict capped)
 {
     for (size_t p = 0; p < count; p++, rows += n, capped += k + 1) {
         double *top = capped + 1;
@@ -352,6 +480,121 @@ void capped_top(const double *rows, size_t count, size_t n, size_t k, double *ca
         }
     }
 }
+
+#ifdef X86_64_V4
+/* Inserts v into the descending values of the `vectors` (1 to 4) vectors t,
+   dropping the last: a slot keeps its value unless that is below v, and
+   then takes the value of the slot before it, or v where that one is not
+   below v. These are the moves of insert_descending, decided by the same
+   `<`, on every slot at once with no branch. */
+V4 static inline __attribute__((always_inline)) void insert_lanes(int vectors, __m512d *t,
+                                                                  double v)
+{
+    const __m512d vv = _mm512_set1_pd(v);
+    __m512i before = _mm512_castpd_si512(_mm512_set1_pd(INFINITY)); /* above every slot */
+#pragma GCC unroll 4
+    for (int i = 0; i < vectors; i++) {
+        __m512i slots = _mm512_castpd_si512(t[i]);
+        __m512d prev = _mm512_castsi512_pd(_mm512_alignr_epi64(slots, before, 7));
+        __mmask8 moves = _mm512_cmp_pd_mask(t[i], vv, _CMP_LT_OQ);
+        __mmask8 takes = _mm512_cmp_pd_mask(prev, vv, _CMP_LT_OQ);
+        t[i] = _mm512_mask_blend_pd(moves, t[i], _mm512_mask_blend_pd(takes, vv, prev));
+        before = slots;
+    }
+}
+
+/* Inserts v into the top values, slots 0 .. i of a row, dropping slot i:
+   in the `vectors` vectors t, or, with no vectors, in memory at top. */
+V4 static inline __attribute__((always_inline)) void enter(int vectors, __m512d *t, double *top,
+                                                           size_t i, double v)
+{
+    if (vectors)
+        insert_lanes(vectors, t, v);
+    else
+        insert_descending(top, i, v);
+}
+
+/* Slot k-1 of the top values; with vectors, it lies in the last one. */
+V4 static inline __attribute__((always_inline)) double kth(int vectors, const __m512d *t,
+                                                          const double *top, size_t k)
+{
+    if (vectors)
+        return _mm512_cvtsd_f64(_mm512_permutexvar_pd(_mm512_set1_epi64((long long)((k - 1) % 8)),
+                                                      t[vectors - 1]));
+    return top[k - 1];
+}
+
+/* capped_top_scalar on one row, with its top values in `vectors` vectors
+   (8 * vectors >= k) and stored at the end, or with none, in place in
+   memory. The slots start as -inf, below every value (capped at 1.0, so
+   never nan) or equal to it, so the first k inserts fill the slots below k
+   as the scalar loop's do. The scan tests eight values at a time against
+   `last`: as `last` never falls, a value at most `last` at the start of
+   its block cannot enter later in the block, so a block with no value
+   above `last` is passed over, and in any other block only the values
+   above it are tried, in order, as the scalar loop tries them. The last
+   n - k mod 8 values are tried one by one. */
+V4 static inline __attribute__((always_inline)) void
+top_row(int vectors, const double *restrict row, size_t n, size_t k, double *restrict top)
+{
+    __m512d t[4];
+    size_t j;
+#pragma GCC unroll 4
+    for (int i = 0; i < vectors; i++)
+        t[i] = _mm512_set1_pd(-INFINITY);
+    for (j = 0; j < k; j++)
+        enter(vectors, t, top, j, row[j] < 1.0 ? row[j] : 1.0);
+    double last = kth(vectors, t, top, k);
+    for (; j + 8 <= n && last < 1.0; j += 8) {
+        __m512d block = _mm512_loadu_pd(row + j);
+        unsigned above = _mm512_cmp_pd_mask(block, _mm512_set1_pd(last), _CMP_GT_OQ);
+        for (; above && last < 1.0; above &= above - 1) {
+            double v = row[j + (size_t)__builtin_ctz(above)];
+            if (v > last) {
+                enter(vectors, t, top, k - 1, v < 1.0 ? v : 1.0);
+                last = kth(vectors, t, top, k);
+            }
+        }
+    }
+    for (; j < n && last < 1.0; j++) {
+        if (row[j] > last) {
+            enter(vectors, t, top, k - 1, row[j] < 1.0 ? row[j] : 1.0);
+            last = kth(vectors, t, top, k);
+        }
+    }
+#pragma GCC unroll 4
+    for (int i = 0; i + 1 < vectors; i++)
+        _mm512_storeu_pd(top + 8 * i, t[i]);
+    if (vectors)
+        _mm512_mask_storeu_pd(top + 8 * (vectors - 1),
+                              (__mmask8)((1u << (k - 8 * (vectors - 1))) - 1), t[vectors - 1]);
+}
+
+/* capped_top_scalar through top_row: the top values of up to 32 in
+   registers, and more in memory. */
+V4 static void capped_top_x86_64_v4(const double *restrict rows, size_t count, size_t n,
+                                    size_t k, double *restrict capped)
+{
+    for (size_t p = 0; p < count; p++, rows += n, capped += k + 1) {
+        capped[0] = 1.0; /* min(U_0, 1) */
+        switch ((k + 7) / 8) {
+        case 1: top_row(1, rows, n, k, capped + 1); break;
+        case 2: top_row(2, rows, n, k, capped + 1); break;
+        case 3: top_row(3, rows, n, k, capped + 1); break;
+        case 4: top_row(4, rows, n, k, capped + 1); break;
+        default: top_row(0, rows, n, k, capped + 1);
+        }
+    }
+}
+
+ENTRY_V4(capped_top)
+#else
+void capped_top(const double *restrict rows, size_t count, size_t n, size_t k,
+                double *restrict capped)
+{
+    capped_top_scalar(rows, count, n, k, capped);
+}
+#endif
 
 /* x, or (x - center[c])**2 when there is a center: a term of a sum, or of a
    sum of squared deviations. */

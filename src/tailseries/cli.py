@@ -109,9 +109,9 @@ def _cmd_estimate(args) -> int:
         payload.update({"estimate": gamma, "gamma_hat": gamma})
     elif args.method == "weissman-direct":
         target = estimators.QuantileTarget(t=args.t, k=args.k, n=n)
-        gamma = estimators.hill(np.abs(series) if args.abs else series, args.k)
-        est = estimators.weissman_direct(series, target, use_abs=args.abs)
-        payload.update({"estimate": est, "gamma_hat": gamma, "t": args.t})
+        fit = estimators.weissman_direct_fit(series, target, use_abs=args.abs)
+        gamma = fit.gamma_hat
+        payload.update({"estimate": fit.estimate, "gamma_hat": fit.gamma_hat, "t": args.t})
     else:  # weissman-model
         target = estimators.QuantileTarget(t=args.t, k=args.k, n=n)
         fit = estimators.weissman_model_ar1_fit(series, target, use_abs=args.abs,

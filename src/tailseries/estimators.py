@@ -69,6 +69,14 @@ class QuantileTarget:
 
 
 @dataclass(frozen=True)
+class DirectFit:
+    """The direct quantile estimate with the Hill estimate it rests on."""
+
+    estimate: float
+    gamma_hat: float
+
+
+@dataclass(frozen=True)
 class ModelBasedFit:
     """The model-based quantile estimate with the AR(1) coefficient and
     residual tail index it rests on, and whether the tail-ratio factor was
@@ -87,8 +95,14 @@ def hill(sample, k: int) -> float:
     ``X_{n-k:n}`` to be positive. If all top k+1 values are tied the estimate
     is exactly 0, which is valid.
     """
-    return _point(hill_curve(sample, [k])[0],
-                  f"threshold order statistic X_(n-k:n) must be > 0 (k={k})")
+    return _point(hill_curve(sample, [k])[0], _hill_failure(k))
+
+
+def _hill_failure(k) -> str:
+    return f"threshold order statistic X_(n-k:n) must be > 0 (k={k})"
+
+
+_DIRECT_FAILURE = "Hill threshold or anchor order statistic X_(n-k:n) is not > 0"
 
 
 def hill_curve(sample, ks) -> np.ndarray:
@@ -183,23 +197,42 @@ def weissman_direct(series, target: QuantileTarget, use_abs: bool = False) -> fl
     statistic stays on the raw observations. An estimate beyond the largest
     double raises `DomainError`, as the failures of the curve do.
     """
+    return _point(_direct_point(series, target, use_abs)[0], _DIRECT_FAILURE)
+
+
+def weissman_direct_fit(series, target: QuantileTarget, use_abs: bool = False) -> DirectFit:
+    """`weissman_direct` with the Hill estimate ``gamma_hat`` of its own Hill
+    step, which sorts the sample once (twice with ``use_abs``). A Hill
+    threshold that is not positive raises `hill`'s error."""
+    est, gamma = _direct_point(series, target, use_abs)
+    gamma = _point(gamma, _hill_failure(target.k))
+    return DirectFit(estimate=_point(est, _DIRECT_FAILURE), gamma_hat=gamma)
+
+
+def _direct_point(series, target: QuantileTarget, use_abs: bool):
+    """(direct estimate, Hill estimate) at the k of ``target``, unchecked."""
     x = np.asarray(series, dtype=np.float64)
     if x.size != target.n:
         raise ConfigurationError(f"series length {x.size} != target n {target.n}")
-    return _point(weissman_direct_curve(x, [target.k], target.t, use_abs=use_abs)[0],
-                  "Hill threshold or anchor order statistic X_(n-k:n) is not > 0")
+    est, gammas = _direct_curve(x, [target.k], target.t, use_abs)
+    return est[0], gammas[0]
 
 
 def weissman_direct_curve(series, ks, t: float, use_abs: bool = False) -> np.ndarray:
     """`weissman_direct` over a k grid; NaN where the Hill threshold fails,
     inf where the extrapolation overflows. ``t`` must lie in (0, 1)."""
+    return _direct_curve(series, ks, t, use_abs)[0]
+
+
+def _direct_curve(series, ks, t: float, use_abs: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(`weissman_direct_curve`, the Hill curve of its Hill step)."""
     _check_t(t)
     x = np.asarray(series, dtype=np.float64)
     ks, desc, gammas = _tail(x, ks, use_abs)
     anchors = desc[ks]
     with np.errstate(over="ignore", invalid="ignore"):
         est = anchors * (ks / (x.size * t)) ** gammas
-        return np.where(anchors > 0, est, np.nan)
+        return np.where(anchors > 0, est, np.nan), gammas
 
 
 def _tail_ratio_factor(phi_hat: float, gamma_hat) -> tuple[np.ndarray, np.ndarray]:

@@ -81,7 +81,7 @@ class ExperimentSpec:
         if self.replicates < 2:
             raise ConfigurationError(
                 f"a standard error needs at least 2 replicates, got {self.replicates}")
-        if not self.k_grid:
+        if len(self.k_grid) == 0:  # not `not k_grid`, which a numpy array refuses
             raise ConfigurationError("k_grid must be nonempty")
         if not _whole(self.k_grid):
             raise ConfigurationError("every k must be a whole number")

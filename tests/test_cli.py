@@ -108,6 +108,21 @@ class TestEstimate:
         assert payload["estimate"] > 0
         assert payload["t"] == 0.001
 
+    @pytest.mark.parametrize("flags, sorts", [([], 1), (["--abs"], 2)], ids=["raw", "abs"])
+    def test_weissman_direct_sorts_once_per_hill_step(self, capsys, monkeypatch, series_file,
+                                                      flags, sorts):
+        # the estimate's own Hill step gives gamma_hat: one sort of the series,
+        # and one of its absolute values with --abs, as the Hill method takes
+        argv = ["estimate", "--input", series_file, "--method", "weissman-direct", "--k", "150",
+                *flags]
+        expected = run_json(capsys, argv)
+        calls, sort = [], np.sort
+        monkeypatch.setattr(np, "sort", lambda *a, **kw: calls.append(a) or sort(*a, **kw))
+        assert run_json(capsys, argv) == expected
+        assert len(calls) == sorts
+        assert expected["gamma_hat"] == run_json(capsys, [
+            "estimate", "--input", series_file, "--method", "hill", "--k", "150", *flags])["gamma_hat"]
+
     def test_weissman_model_fields(self, capsys, series_file):
         payload = run_json(capsys, ["estimate", "--input", series_file,
                                     "--method", "weissman-model", "--k", "150"])

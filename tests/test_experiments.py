@@ -360,6 +360,12 @@ class TestRunExperiment:
         with pytest.raises(ConfigurationError, match=match):
             dataclasses.replace(SMALL_SPEC, k_grid=k_grid)
 
+    @pytest.mark.parametrize("k_grid", [(10, 50), np.array([10, 50])], ids=["tuple", "array"])
+    def test_spec_takes_a_numpy_grid_and_refuses_an_empty_one(self, k_grid):
+        assert list(dataclasses.replace(SMALL_SPEC, k_grid=k_grid).k_grid) == [10, 50]
+        with pytest.raises(ConfigurationError, match="k_grid must be nonempty"):
+            dataclasses.replace(SMALL_SPEC, k_grid=k_grid[:0])
+
     def test_deterministic_rerun(self):
         a = run_quantile_experiment(SMALL_SPEC, 20.0, keep_estimates=True)
         b = run_quantile_experiment(SMALL_SPEC, 20.0, keep_estimates=True)

@@ -383,12 +383,24 @@ class TestClusterKernels:
         (np.array([[0.3], [1.0], [7.0], [0.0]]), 1),             # n = 1
         (np.zeros((5, 12)), 6),                                  # all-zero rows
         (np.array([[2.0, 0.5, 1.0, 0.5, 3.0, 0.25, 1.0, 0.5]]), 6),
-    ], ids=["ties", "tied", "rising", "falling", "k-is-n", "n-is-1", "zero", "mixed"])
+        # the x86-64-v4 kernel tests the values after the first k eight at a
+        # time against the k-th largest and tries the last n - k mod 8 one by one
+        (np.array([[0.5, 0.4, 0.3] + [0.1] * 7 + [0.35] + [0.2] * 11,
+                   [0.5, 0.4, 0.3] + [0.1] * 15 + [0.45] + [0.2] * 3]), 3),
+        (np.array([[0.5, 0.4, 0.3] + [0.1] * 8 + [0.2, 0.45, 0.1]]), 3),
+        (np.array([[0.5, 0.4, 0.1, 3.0, 0.2, 5.0, 0.45, 0.9, 7.0, 0.3, 2.0, 0.6]]), 2),
+        (np.array([[0.3, 0.9, 0.1, 0.95, 0.2], [0.3, 0.9, 0.1, 0.95, 0.2]]), 2),
+        (np.linspace(0.01, 0.9, 16).reshape(2, 8), 8),
+    ], ids=["ties", "tied", "rising", "falling", "k-is-n", "n-is-1", "zero", "mixed",
+            "enters-last-of-block", "enters-in-remainder", "one-mid-block", "n-below-8",
+            "k-is-n-is-8"])
     def test_capped_top_edges(self, rows, k):
         assert_same_bits(same_on_every_kernel(lambda: kernel_capped_top(rows, k)),
                          sorted_capped_top(rows, k))
 
-    @pytest.mark.parametrize("k", [1, 2, 21, 80])
+    # up to 8, 16, 24 and 32 top values the x86-64-v4 kernel holds in one to
+    # four vectors, and more in memory
+    @pytest.mark.parametrize("k", [1, 2, 21, 80, 8, 9, 24, 25, 32, 33])
     def test_capped_top_on_walks(self, k):
         ens = simulate_walks(SREDriver(LognormalLaw(-0.5, 1.0)), 1.0, 80, 300, RngState(60))
         rows = walk_matrix(ens)

@@ -518,20 +518,34 @@ def reference_walks(driver, kappa, horizon, n_paths, seed):
         return np.cumprod(driver.law.sample_from_uniforms(u) ** kappa, axis=1)
 
 
+WALK_SHAPES = [(1, 8193), (200, 8193), (7, 8193), (8, 8193), (9, 8193),
+               *((h, p) for h in (1, 7, 8, 9, 1000) for p in (1, 7, 8, 9))]
+
+
 class TestWalks:
     # solve_kappa's root for TWO_POINT, small and large exponents, and the
     # exponents numpy's `**` special-cases (square root, square)
     @pytest.mark.parametrize("kappa", [1.0000000000000004, 0.0025, 0.7318, 1.37, 11.3, 0.5, 2.0])
-    @pytest.mark.parametrize("horizon", [1, 200])
-    def test_two_point_walk_matches_formula(self, kappa, horizon):
-        # 8193 paths: full path blocks and a block of one path
+    # 8193 paths: full path blocks and a block of one path. The x86-64-v4
+    # kernel steps eight paths at a time, in groups of eight steps, so the
+    # path counts and horizons lie on either side of multiples of 8: 1 and 7
+    # paths take the scalar loop alone, 9 one group and one scalar path; a
+    # horizon of 1000 runs 125 groups of steps
+    @pytest.mark.parametrize("horizon, n_paths", WALK_SHAPES,
+                             ids=[str(h) if p == 8193 and h in (1, 200) else f"{h}x{p}"
+                                  for h, p in WALK_SHAPES])
+    def test_two_point_walk_matches_formula(self, kappa, horizon, n_paths):
         paths = same_on_every_kernel(
-            lambda: walk_matrix(simulate_walks(TWO_POINT, kappa, horizon, 8193, RngState(15))))
-        assert_same_bits(paths, reference_walks(TWO_POINT, kappa, horizon, 8193, 15))
+            lambda: walk_matrix(simulate_walks(TWO_POINT, kappa, horizon, n_paths, RngState(15))))
+        assert_same_bits(paths, reference_walks(TWO_POINT, kappa, horizon, n_paths, 15))
 
+    # p_up equal to a draw of the stream (draw 5 of path 2), which must step
+    # down: `<` on the draw and the x86-64-v4 kernel's test on its integer
+    # bits agree there too
     @pytest.mark.parametrize("driver", [SREDriver(TwoPointLaw(3.0, 0.4, 0.2)),
-                                        SREDriver(LognormalLaw(-0.5, 1.0))],
-                             ids=["two-point-3", "lognormal"])
+                                        SREDriver(LognormalLaw(-0.5, 1.0)),
+                                        SREDriver(TwoPointLaw(2.0, 0.5, 0.31784422712138977))],
+                             ids=["two-point-3", "lognormal", "p-up-on-a-draw"])
     def test_walk_matches_formula(self, driver):
         kappa = solve_kappa(driver)
         paths = same_on_every_kernel(
@@ -589,20 +603,25 @@ class TestWalks:
         assert err.value.step == int(np.argmax(~np.isfinite(expected.ravel())))
         assert err.value.step // 200 >= simulate._PATH_BLOCK
 
-    @pytest.mark.parametrize("law", [TwoPointLaw(2.0, 0.5, 0.01), LognormalLaw(-0.5, 1.0)],
-                             ids=["two-point", "lognormal"])
-    def test_overflowing_powers_warn_of_nothing(self, law):
-        # at kappa 3000 the power of a multiplier not near 1 overflows to inf
-        # or underflows to 0.0, and inf * 0.0 = nan follows; the error names
-        # the first non-finite step, and no kernel warns before it
+    # at kappa 3000 the power of a multiplier not near 1 overflows to inf or
+    # underflows to 0.0, and inf * 0.0 = nan follows. At kappa 600 the up
+    # power of 2 is finite and that of 0.25 is 0.0: the first non-finite
+    # value is path 4, lane 4 of its group of eight in the x86-64-v4 kernel,
+    # whose second up-step overflows to inf, and whose next step makes nan
+    @pytest.mark.parametrize("law, kappa", [(TwoPointLaw(2.0, 0.5, 0.01), 3000.0),
+                                            (LognormalLaw(-0.5, 1.0), 3000.0),
+                                            (TwoPointLaw(2.0, 0.25, 1.0 / 3.0), 600.0)],
+                             ids=["two-point", "lognormal", "inf-then-nan-in-lane-4"])
+    def test_overflowing_powers_warn_of_nothing(self, law, kappa):
+        # the error names the first non-finite step, and no kernel warns before it
         driver = SREDriver(law)
         with warnings.catch_warnings(record=True) as caught, \
                 pytest.raises(SimulationError) as err:
             warnings.simplefilter("always")
-            same_on_every_kernel(lambda: simulate_walks(driver, 3000.0, 3, 2000, RngState(1)))
+            same_on_every_kernel(lambda: simulate_walks(driver, kappa, 3, 2000, RngState(1)))
         assert [str(w.message) for w in caught] == []
         with np.errstate(invalid="ignore"):
-            expected = reference_walks(driver, 3000.0, 3, 2000, 1)
+            expected = reference_walks(driver, kappa, 3, 2000, 1)
         assert err.value.step == int(np.argmax(~np.isfinite(expected.ravel())))
 
     def test_mean_w1_is_one(self):
