@@ -30,22 +30,28 @@ which `_load_kernel` compiles on first import, or, without a compiler,
 * ``capped_top(rows, count, n, k, capped)``: row p of ``capped`` gets 1.0
   and then the ``k`` largest of ``min(rows[p], 1)``, in descending order, the
   per-path order statistics of `extremal.cluster_size_probs` (eight values
-  tested at once, below);
+  tested at once for k <= 32, below);
 * ``cluster_moments(capped, count, width, theta_mean, theta_sd, pi_mean,
   pi_sd)``: the means and standard deviations (ddof 1) over the rows of
   ``capped`` of its per-path theta terms ``capped[:, c] - capped[:, c+1]``
   and of the differences of those, the pi terms.
+
+The capped sums of ``walk_summary`` and the one column of pi terms at
+``width`` 3 are added in numpy's pairwise order, which one routine of the
+compiled kernel holds.
 
 Each works on C-contiguous buffers that the caller allocates at their full
 size, and ``uniforms``, ``pareto_base``, ``pareto_finish``,
 ``two_point_walk`` and ``capped_top`` also on buffers that do not overlap:
 the compiled kernel vectorizes these five for x86-64-v4 CPUs, chosen at run
 time when the library loads, with the same bytes (``X86_64_V4`` in
-``_recursion.c``). The entries are listed once, in
-``_KERNEL_SIGNATURES``; the Python twin of entry ``name`` is the function
-``_name``. Both paths check each array argument (`_Array`) before any work:
-one of another dtype, not C-contiguous or, where the entry writes it, read
-only, raises ``ctypes.ArgumentError`` and leaves every buffer as it was.
+``_recursion.c``); ``capped_top`` keeps the top values of k <= 32 in vector
+registers, and a larger k runs the scalar loop on every CPU. The entries are
+listed once, in ``_KERNEL_SIGNATURES``; the Python twin of entry ``name`` is
+the function ``_name``. Both paths check each array argument (`_Array`)
+before any work: one of another dtype, not C-contiguous or, where the entry
+writes it, read only, raises ``ctypes.ArgumentError`` and leaves every
+buffer as it was.
 ``RECURSION_PATH`` (``"c"`` or ``"python"``) says which one this process
 runs. The Python twins are also the tests' bit-for-bit reference.
 """

@@ -21,25 +21,30 @@ numpy's uint64 does. So each function reproduces its Python twin in
 _kernel.py bit for bit; the comments there say why each twin equals the
 documented formula.
 
+The capped sums of `walk_summary` and the one column of pi terms of
+`cluster_moments` are added in numpy's pairwise order, which one routine
+holds (pairwise_leaf).
+
 When GCC 12 or later compiles for x86-64 with glibc (X86_64_V4), five
 entries also get code for x86-64-v4 (AVX-512). The three elementwise draw
 entries, `uniforms`, `pareto_base` and `pareto_finish`, are built twice
 (DRAW_CLONES): once for the plain x86-64 baseline and once vectorized by the
 compiler. `two_point_walk` steps eight paths at once, one per vector lane,
-and `capped_top` tests eight values at once against the k-th largest and
-keeps up to 32 top values in vector registers (ENTRY_V4); both are written
-with intrinsics, as the vectorizer leaves their loops scalar. Each entry's
-scalar loop, the only one every other compiler and target builds, stays
-beside it. The loader runs the code that the CPU supports, chosen once per
-process when the library loads (an ifunc), not by a flag at build time. A
-vector lane takes the same IEEE operations of each element as the scalar
-loop (an exact integer step, one division, subtraction or product rounded
-to nearest, with no contraction, or one comparison), except that the walk
-tests its draws against p_up on their integer bits, which gives the same
-answer (draws_below); so both write the same bytes. Their pointers are
-`restrict`: a buffer an entry writes must not overlap another buffer of the
-same call, which every caller in the package satisfies, as each passes
-arrays it has just allocated.
+and `capped_top` at k <= 32 tests eight values at once against the k-th
+largest and keeps its top values in vector registers; a larger k runs the
+scalar loop on every CPU (ENTRY_V4). Both are written with intrinsics, as
+the vectorizer leaves their loops scalar. Each entry's scalar loop stays
+beside it; every other compiler and target builds it alone, under the
+entry's own name (SCALAR_ENTRY). The loader runs the code that the CPU
+supports, chosen once per process when the library loads (an ifunc), not by
+a flag at build time. A vector lane takes the same IEEE operations of each
+element as the scalar loop (an exact integer step, one division,
+subtraction or product rounded to nearest, with no contraction, or one
+comparison), except that the walk tests its draws against p_up on their
+integer bits, which gives the same answer (draws_below); so both write the
+same bytes. Their pointers are `restrict`: a buffer an entry writes must not
+overlap another buffer of the same call, which every caller in the package
+satisfies, as each passes arrays it has just allocated.
 */
 
 #include <float.h>
@@ -74,8 +79,12 @@ arrays it has just allocated.
         return __builtin_cpu_supports("x86-64-v4") ? name##_x86_64_v4 : name##_scalar; \
     }                                                                                   \
     __typeof__(name##_scalar) name __attribute__((ifunc("resolve_" #name)));
+/* The scalar loop of the entry `name`, which ENTRY_V4 picks on other CPUs. */
+#define SCALAR_ENTRY(name) static void name##_scalar
 #else
 #define DRAW_CLONES
+/* Without x86-64-v4 code the scalar loop is the entry itself. */
+#define SCALAR_ENTRY(name) void name
 #endif
 
 /* Draw `counter` of the stream `base` (rng.py):
@@ -104,8 +113,8 @@ DRAW_CLONES void uniforms(const uint64_t *restrict bases, size_t count, uint64_t
 /* Row p of `out` (count rows of n) holds the running product of the
    multipliers `up` (draw below p_up) or `down` of draws 1..n of the stream
    bases[p]. The product starts at 1.0, and 1.0 * a is exactly a. */
-static void two_point_walk_scalar(const uint64_t *restrict bases, size_t count, size_t n,
-                                  double p_up, double up, double down, double *restrict out)
+SCALAR_ENTRY(two_point_walk)(const uint64_t *restrict bases, size_t count, size_t n,
+                             double p_up, double up, double down, double *restrict out)
 {
     for (size_t p = 0; p < count; p++) {
         double w = 1.0;
@@ -211,12 +220,6 @@ V4 static void two_point_walk_x86_64_v4(const uint64_t *restrict bases, size_t c
 }
 
 ENTRY_V4(two_point_walk)
-#else
-void two_point_walk(const uint64_t *restrict bases, size_t count, size_t n, double p_up,
-                    double up, double down, double *restrict out)
-{
-    two_point_walk_scalar(bases, count, n, p_up, up, down, out);
-}
 #endif
 
 /* `a` where `mask` is all ones, `b` where it is zero, selected on the bits.
@@ -352,51 +355,65 @@ void series(int kind, const double *a, double *z, size_t count, size_t n, double
         ar1_rows(SRE, a, z, count, n, phi, delta, states);
 }
 
-/* min(x, 1) as numpy's minimum takes it; a nan x stays nan. */
-static inline double cap_one(double x)
-{
-    return 1.0 < x ? 1.0 : x;
-}
-
 /* The larger of a and b; b when either is nan. */
 static inline double max_of(double a, double b)
 {
     return a > b ? a : b;
 }
 
-/* numpy's pairwise summation (pairwise_sum in loops_utils.h.src) of
-   min(x[i], 1), i < n: what numpy adds to a reduction's initial 0.0 when a
-   C-contiguous row of capped values reduces along the row. The eight
-   partial sums are named variables, not an array as in numpy, so that the
-   compiler keeps them in registers; the additions are the same. */
-static double pairwise_capped(const double *x, size_t n)
+/* numpy's pairwise summation (pairwise_sum in loops_utils.h.src) of the
+   terms term(x, i, center), i < n <= 128: what numpy adds to a reduction's
+   initial 0.0 when the n terms lie along the reduced axis of one row or of
+   a 1-d array. A longer row is split in two at n/2 rounded down to a
+   multiple of 8, each half summed so, and the two sums added (pairwise_capped
+   and pairwise_pi). The eight partial sums are named variables, not an
+   array as in numpy, so that the compiler keeps them in registers; the
+   additions are the same. Always inlined, so that each caller's constant
+   `term` is inlined too. */
+static inline __attribute__((always_inline)) double
+pairwise_leaf(double (*term)(const double *, size_t, const double *), const double *x,
+              size_t n, const double *center)
 {
     if (n < 8) {
         double res = -0.0;
         for (size_t i = 0; i < n; i++)
-            res += cap_one(x[i]);
+            res += term(x, i, center);
         return res;
     }
-    if (n <= 128) {
-        double r0 = cap_one(x[0]), r1 = cap_one(x[1]), r2 = cap_one(x[2]), r3 = cap_one(x[3]);
-        double r4 = cap_one(x[4]), r5 = cap_one(x[5]), r6 = cap_one(x[6]), r7 = cap_one(x[7]);
-        double res;
-        size_t i;
-        for (i = 8; i < n - n % 8; i += 8) {
-            r0 += cap_one(x[i]);
-            r1 += cap_one(x[i + 1]);
-            r2 += cap_one(x[i + 2]);
-            r3 += cap_one(x[i + 3]);
-            r4 += cap_one(x[i + 4]);
-            r5 += cap_one(x[i + 5]);
-            r6 += cap_one(x[i + 6]);
-            r7 += cap_one(x[i + 7]);
-        }
-        res = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7));
-        for (; i < n; i++)
-            res += cap_one(x[i]);
-        return res;
+    double r0 = term(x, 0, center), r1 = term(x, 1, center), r2 = term(x, 2, center);
+    double r3 = term(x, 3, center), r4 = term(x, 4, center), r5 = term(x, 5, center);
+    double r6 = term(x, 6, center), r7 = term(x, 7, center);
+    double res;
+    size_t i;
+    for (i = 8; i < n - n % 8; i += 8) {
+        r0 += term(x, i, center);
+        r1 += term(x, i + 1, center);
+        r2 += term(x, i + 2, center);
+        r3 += term(x, i + 3, center);
+        r4 += term(x, i + 4, center);
+        r5 += term(x, i + 5, center);
+        r6 += term(x, i + 6, center);
+        r7 += term(x, i + 7, center);
     }
+    res = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7));
+    for (; i < n; i++)
+        res += term(x, i, center);
+    return res;
+}
+
+/* min(x[i], 1) as numpy's minimum takes it; a nan stays nan. */
+static inline double capped_term(const double *x, size_t i, const double *center)
+{
+    (void)center;
+    return 1.0 < x[i] ? 1.0 : x[i];
+}
+
+/* The pairwise sum of min(x[i], 1), i < n: a C-contiguous row of capped
+   values reduced along the row. */
+static double pairwise_capped(const double *x, size_t n)
+{
+    if (n <= 128)
+        return pairwise_leaf(capped_term, x, n, NULL);
     size_t n2 = n / 2;
     n2 -= n2 % 8;
     return pairwise_capped(x, n2) + pairwise_capped(x + n2, n - n2);
@@ -463,8 +480,8 @@ static inline void insert_descending(double *top, size_t i, double v)
    Once k values are in, a value enters only above the k-th, `last`; while
    last < 1 that is the same as its uncapped value exceeding last, so most
    values cost one compare, and once last is 1 no value can enter. */
-static void capped_top_scalar(const double *restrict rows, size_t count, size_t n, size_t k,
-                              double *restrict capped)
+SCALAR_ENTRY(capped_top)(const double *restrict rows, size_t count, size_t n, size_t k,
+                         double *restrict capped)
 {
     for (size_t p = 0; p < count; p++, rows += n, capped += k + 1) {
         double *top = capped + 1;
@@ -503,37 +520,23 @@ V4 static inline __attribute__((always_inline)) void insert_lanes(int vectors, _
     }
 }
 
-/* Inserts v into the top values, slots 0 .. i of a row, dropping slot i:
-   in the `vectors` vectors t, or, with no vectors, in memory at top. */
-V4 static inline __attribute__((always_inline)) void enter(int vectors, __m512d *t, double *top,
-                                                           size_t i, double v)
-{
-    if (vectors)
-        insert_lanes(vectors, t, v);
-    else
-        insert_descending(top, i, v);
-}
-
-/* Slot k-1 of the top values; with vectors, it lies in the last one. */
+/* Slot k-1 of the top values, which lies in the last of the `vectors`. */
 V4 static inline __attribute__((always_inline)) double kth(int vectors, const __m512d *t,
-                                                          const double *top, size_t k)
+                                                          size_t k)
 {
-    if (vectors)
-        return _mm512_cvtsd_f64(_mm512_permutexvar_pd(_mm512_set1_epi64((long long)((k - 1) % 8)),
-                                                      t[vectors - 1]));
-    return top[k - 1];
+    return _mm512_cvtsd_f64(_mm512_permutexvar_pd(_mm512_set1_epi64((long long)((k - 1) % 8)),
+                                                  t[vectors - 1]));
 }
 
 /* capped_top_scalar on one row, with its top values in `vectors` vectors
-   (8 * vectors >= k) and stored at the end, or with none, in place in
-   memory. The slots start as -inf, below every value (capped at 1.0, so
-   never nan) or equal to it, so the first k inserts fill the slots below k
-   as the scalar loop's do. The scan tests eight values at a time against
-   `last`: as `last` never falls, a value at most `last` at the start of
-   its block cannot enter later in the block, so a block with no value
-   above `last` is passed over, and in any other block only the values
-   above it are tried, in order, as the scalar loop tries them. The last
-   n - k mod 8 values are tried one by one. */
+   (8 * vectors >= k), stored at `top` at the end. The slots start as -inf,
+   below every value (capped at 1.0, so never nan) or equal to it, so the
+   first k inserts fill the slots below k as the scalar loop's do. The scan
+   tests eight values at a time against `last`: as `last` never falls, a
+   value at most `last` at the start of its block cannot enter later in the
+   block, so a block with no value above `last` is passed over, and in any
+   other block only the values above it are tried, in order, as the scalar
+   loop tries them. The last n - k mod 8 values are tried one by one. */
 V4 static inline __attribute__((always_inline)) void
 top_row(int vectors, const double *restrict row, size_t n, size_t k, double *restrict top)
 {
@@ -543,57 +546,53 @@ top_row(int vectors, const double *restrict row, size_t n, size_t k, double *res
     for (int i = 0; i < vectors; i++)
         t[i] = _mm512_set1_pd(-INFINITY);
     for (j = 0; j < k; j++)
-        enter(vectors, t, top, j, row[j] < 1.0 ? row[j] : 1.0);
-    double last = kth(vectors, t, top, k);
+        insert_lanes(vectors, t, row[j] < 1.0 ? row[j] : 1.0);
+    double last = kth(vectors, t, k);
     for (; j + 8 <= n && last < 1.0; j += 8) {
         __m512d block = _mm512_loadu_pd(row + j);
         unsigned above = _mm512_cmp_pd_mask(block, _mm512_set1_pd(last), _CMP_GT_OQ);
         for (; above && last < 1.0; above &= above - 1) {
             double v = row[j + (size_t)__builtin_ctz(above)];
             if (v > last) {
-                enter(vectors, t, top, k - 1, v < 1.0 ? v : 1.0);
-                last = kth(vectors, t, top, k);
+                insert_lanes(vectors, t, v < 1.0 ? v : 1.0);
+                last = kth(vectors, t, k);
             }
         }
     }
     for (; j < n && last < 1.0; j++) {
         if (row[j] > last) {
-            enter(vectors, t, top, k - 1, row[j] < 1.0 ? row[j] : 1.0);
-            last = kth(vectors, t, top, k);
+            insert_lanes(vectors, t, row[j] < 1.0 ? row[j] : 1.0);
+            last = kth(vectors, t, k);
         }
     }
 #pragma GCC unroll 4
     for (int i = 0; i + 1 < vectors; i++)
         _mm512_storeu_pd(top + 8 * i, t[i]);
-    if (vectors)
-        _mm512_mask_storeu_pd(top + 8 * (vectors - 1),
-                              (__mmask8)((1u << (k - 8 * (vectors - 1))) - 1), t[vectors - 1]);
+    _mm512_mask_storeu_pd(top + 8 * (vectors - 1),
+                          (__mmask8)((1u << (k - 8 * (vectors - 1))) - 1), t[vectors - 1]);
 }
 
-/* capped_top_scalar through top_row: the top values of up to 32 in
-   registers, and more in memory. */
+/* capped_top_scalar through top_row, with the top values of k <= 32 in
+   registers; a larger k runs capped_top_scalar itself. */
 V4 static void capped_top_x86_64_v4(const double *restrict rows, size_t count, size_t n,
                                     size_t k, double *restrict capped)
 {
+    if (k > 32) {
+        capped_top_scalar(rows, count, n, k, capped);
+        return;
+    }
     for (size_t p = 0; p < count; p++, rows += n, capped += k + 1) {
         capped[0] = 1.0; /* min(U_0, 1) */
         switch ((k + 7) / 8) {
         case 1: top_row(1, rows, n, k, capped + 1); break;
         case 2: top_row(2, rows, n, k, capped + 1); break;
         case 3: top_row(3, rows, n, k, capped + 1); break;
-        case 4: top_row(4, rows, n, k, capped + 1); break;
-        default: top_row(0, rows, n, k, capped + 1);
+        default: top_row(4, rows, n, k, capped + 1);
         }
     }
 }
 
 ENTRY_V4(capped_top)
-#else
-void capped_top(const double *restrict rows, size_t count, size_t n, size_t k,
-                double *restrict capped)
-{
-    capped_top_scalar(rows, count, n, k, capped);
-}
 #endif
 
 /* x, or (x - center[c])**2 when there is a center: a term of a sum, or of a
@@ -615,30 +614,12 @@ static inline double pi_term(const double *capped, size_t i, const double *cente
     return term((row[0] - row[1]) - (row[1] - row[2]), center, 0);
 }
 
-/* numpy's pairwise summation (pairwise_sum in loops_utils.h.src) of the pi
-   terms of rows i < n: what numpy adds to a reduction's initial 0.0 when
-   an array of one column reduces over its rows as a 1-d array. */
+/* The pairwise sum of the pi terms of rows i < n: an array of one column
+   reduced over its rows as a 1-d array. */
 static double pairwise_pi(const double *capped, size_t n, const double *center)
 {
-    if (n < 8) {
-        double res = -0.0;
-        for (size_t i = 0; i < n; i++)
-            res += pi_term(capped, i, center);
-        return res;
-    }
-    if (n <= 128) {
-        double r[8], res;
-        size_t i;
-        for (i = 0; i < 8; i++)
-            r[i] = pi_term(capped, i, center);
-        for (; i < n - n % 8; i += 8)
-            for (size_t j = 0; j < 8; j++)
-                r[j] += pi_term(capped, i + j, center);
-        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
-        for (; i < n; i++)
-            res += pi_term(capped, i, center);
-        return res;
-    }
+    if (n <= 128)
+        return pairwise_leaf(pi_term, capped, n, center);
     size_t n2 = n / 2;
     n2 -= n2 % 8;
     return pairwise_pi(capped, n2, center) + pairwise_pi(capped + 3 * n2, n - n2, center);

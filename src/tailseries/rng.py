@@ -37,6 +37,8 @@ bits; identical seeds give bit-identical streams on every platform.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from . import _kernel
@@ -60,9 +62,9 @@ def mix64(z: int) -> int:
 class RngState:
     """One logical random stream plus its substream derivation.
 
-    A stream is identified by its 64-bit ``base``, mixed from a master seed
-    in [0, 2**64) (any other seed raises `ConfigurationError`, since it
-    would alias one in range); draws only advance the draw counter.
+    A stream is identified by its 64-bit ``base``, mixed from a master seed,
+    an integer in [0, 2**64) (any other seed raises `ConfigurationError`,
+    since it would alias one in range); draws only advance the draw counter.
     ``substream(i)`` derives an independent child stream without touching
     this stream's counter, so replicate/path substreams can be handed out
     deterministically and used concurrently.
@@ -70,9 +72,13 @@ class RngState:
 
     def __init__(self, master_seed: int, _base: int | None = None):
         if _base is None:
-            if not 0 <= master_seed <= _MASK64:  # no two seeds may name one stream
-                raise ConfigurationError(f"seed must lie in [0, 2**64), got {master_seed}")
-            _base = mix64(int(master_seed))
+            try:
+                seed = operator.index(master_seed)
+            except TypeError:
+                raise ConfigurationError(f"seed must be an integer, got {master_seed!r}") from None
+            if not 0 <= seed <= _MASK64:  # no two seeds may name one stream
+                raise ConfigurationError(f"seed must lie in [0, 2**64), got {seed}")
+            _base = mix64(seed)
         self._base = _base & _MASK64
         self._count = 0
 

@@ -6,6 +6,7 @@ pure function of the computed doubles; NaN becomes JSON null (CSV "nan").
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -33,9 +34,7 @@ def to_json_text(obj, indent: int = 0) -> str:
     if isinstance(obj, (float, np.floating)):
         return _format_float(float(obj))
     if isinstance(obj, str):
-        out = obj.replace("\\", "\\\\").replace('"', '\\"')
-        out = out.replace("\n", "\\n").replace("\r", "\\r").replace("\t", "\\t")
-        return f'"{out}"'
+        return json.dumps(obj, ensure_ascii=False)  # escapes `"`, `\` and U+0000..U+001F
     if isinstance(obj, np.ndarray):
         obj = obj.tolist()
     if isinstance(obj, (list, tuple)):
@@ -44,7 +43,7 @@ def to_json_text(obj, indent: int = 0) -> str:
     if isinstance(obj, dict):
         parts = []
         for key, val in obj.items():
-            parts.append(f'{pad}  "{key}": {to_json_text(val, indent + 2)}')
+            parts.append(f'{pad}  {to_json_text(str(key))}: {to_json_text(val, indent + 2)}')
         inner = ",\n".join(parts)
         return "{\n" + inner + "\n" + pad + "}"
     raise TypeError(f"cannot serialize {type(obj).__name__}")

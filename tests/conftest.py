@@ -7,6 +7,7 @@ from pathlib import Path
 from unittest import mock
 
 import numpy as np
+import pytest
 
 import tailseries
 from tailseries import SimulationError, _kernel
@@ -82,3 +83,23 @@ def walk_matrix(ensemble, n=None):
 
     ensemble._map_blocks(n, copy)
     return out
+
+
+@pytest.fixture(scope="session")
+def scalar_kernel(tmp_path_factory):
+    """The kernel built from a copy of ``_recursion.c`` without its line
+    ``#define X86_64_V4``: the scalar loops alone, as every compiler and
+    target but GCC on x86-64 glibc builds them, with the package's flags and
+    signatures. Skips where no compiler runs."""
+    if _kernel._KERNEL is _kernel._PYTHON_KERNEL:
+        pytest.skip("no compiled kernel")
+    lines = _kernel._KERNEL_SOURCE.read_text().splitlines(keepends=True)
+    kept = [line for line in lines if line.strip() != "#define X86_64_V4"]
+    assert len(kept) == len(lines) - 1
+    directory = tmp_path_factory.mktemp("scalar-kernel")
+    source = directory / "_recursion.c"
+    source.write_text("".join(kept))
+    with mock.patch.object(_kernel, "_KERNEL_SOURCE", source):
+        kernel = _kernel._load_kernel([directory])
+    assert kernel is not None
+    return kernel

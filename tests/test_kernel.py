@@ -1,13 +1,14 @@
 """The kernel entries of `_kernel.py` on every kernel path: the draw entries
 equal their Python twins bit for bit wherever a value falls in a vector loop
-or its tail, and every entry rejects a bad array before it touches memory."""
+or its tail, the walk entries of the loaded kernel equal its scalar build,
+and every entry rejects a bad array before it touches memory."""
 
 import ctypes
 
 import numpy as np
 import pytest
 
-from tailseries import _kernel
+from tailseries import RngState, _kernel
 
 from conftest import KERNELS, assert_same_bits
 
@@ -164,3 +165,34 @@ def test_read_only_input_is_read(kernel):
     out = np.empty(8)
     assert kernel.pareto_base(u, 8, 0.5, out) == 0
     assert_same_bits(out, expected)
+
+
+def walk_entries(kernel, bases, n):
+    """The walk entries of ``kernel`` on the two-point walks of ``bases`` at
+    horizon n: the walks, their summaries, and for each k <= n of 1..41 the
+    top values and, for kmax = k - 1 of 1, 2, 20 and 40, their moments."""
+    count = bases.size
+    rows = np.empty(count * n)
+    kernel.two_point_walk(bases, count, n, 1 / 3, 2.0, 0.5, rows)
+    maxima, capped_sums = np.empty(count), np.empty(count)
+    assert kernel.walk_summary(rows, count, n, maxima, capped_sums) == count * n
+    results = [rows, maxima, capped_sums]
+    for k in range(1, min(n, 41) + 1):
+        capped = np.empty(count * (k + 1))
+        kernel.capped_top(rows, count, n, k, capped)
+        results.append(capped)
+        if k - 1 in (1, 2, 20, 40):
+            moments = [np.empty(k), np.empty(k), np.empty(k - 1), np.empty(k - 1)]
+            kernel.cluster_moments(capped, count, k + 1, *moments)
+            results.extend(moments)
+    return results
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 200])
+def test_walk_entries_equal_scalar_build(scalar_kernel, n):
+    # 1037 paths: 129 groups of eight lanes and five left over, and more
+    # rows than one pairwise block of 128
+    bases = RngState(5).child_bases(1037)
+    for got, expected in zip(walk_entries(_kernel._KERNEL, bases, n),
+                             walk_entries(scalar_kernel, bases, n), strict=True):
+        assert_same_bits(got, expected)

@@ -122,6 +122,15 @@ def test_master_seed_range():
             RngState(seed)
 
 
+def test_master_seed_is_an_integer():
+    # a float seed would name the stream of the integer it truncates to
+    for seed in (np.uint64(7), np.int64(7), np.int8(7)):
+        assert RngState(seed).state == RngState(7).state
+    for seed in (1.5, 7.0, np.float64(7.9), "7", None):
+        with pytest.raises(ConfigurationError, match="seed must be an integer"):
+            RngState(seed)
+
+
 def scalar_uniforms(base, first, n):
     """Draws first .. first+n-1 of the stream ``base`` by the documented
     formula, in Python ints and floats."""
